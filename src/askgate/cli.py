@@ -166,11 +166,11 @@ def _load_contexts(path: str) -> env_mod.ContextSet:
         raise RuntimeFailure(f"bad context-set file {path}: {exc}")
 
 
-def _load_weights(path: str, dropout_rate: float) -> policy_mod.MlpPolicy:
+def _load_weights(path: str) -> policy_mod.MlpPolicy:
     if not os.path.exists(path):
         raise RuntimeFailure(f"weights file not found: {path}")
     try:
-        return policy_mod.load_weights(path, dropout_rate=dropout_rate)
+        return policy_mod.load_weights(path)
     except policy_mod.WeightsError as exc:
         raise RuntimeFailure(f"bad weights file {path}: {exc}")
 
@@ -267,7 +267,7 @@ def _cmd_run(cfg: _Config) -> int:
     seed = int(cfg.get("seed", 0))
     context_set = _load_contexts(cfg.require("contexts"))
     gate_cfg = _gate_config(cfg, mode, seed)
-    policy = _load_weights(cfg.require("weights"), gate_cfg.dropout_rate)
+    policy = _load_weights(cfg.require("weights"))
     client, label = (None, "ppo") if mode is RunMode.PPO_ONLY else _make_client(
         cfg.get("client", "rule"), cfg.get("model", "default")
     )
@@ -306,7 +306,7 @@ def _cmd_tune(cfg: _Config) -> int:
     seed = int(cfg.get("seed", 0))
     context_set = _load_contexts(cfg.require("contexts"))
     gate_cfg = _gate_config(cfg, RunMode.ASK, seed)
-    policy = _load_weights(cfg.require("weights"), gate_cfg.dropout_rate)
+    policy = _load_weights(cfg.require("weights"))
     client, label = _make_client(cfg.get("client", "rule"), cfg.get("model", "default"))
     if client is None:
         raise UsageError("tune requires a client (the gate must have someone to ask)")
@@ -381,22 +381,8 @@ def _cmd_report(cfg: _Config) -> int:
         split = Split(snapshot.get("split", "test"))
         pool = context_set.split(split)
         context = pool[episode % len(pool)]
-        state = env_mod.reset(context)
-        steps = []
         cap = int(snapshot.get("max_steps", env_mod.DEFAULT_MAX_STEPS))
-        for action in actions:
-            state, reward, done = env_mod.step(state, action, cap)
-            steps.append(gate_mod.StepRecord(
-                obs_index=0, policy_action=action, uncertainty=None, consulted=False,
-                lm_status="", lm_action=None, final_action=action,
-                overwritten=False, reward=reward, done=done,
-            ))
-        record = gate_mod.EpisodeRecord(
-            context_id=context.id, steps=tuple(steps),
-            reward=1 if state.outcome is env_mod.Outcome.GOAL else 0,
-            length=len(steps), outcome=state.outcome,
-        )
-        print(metrics_mod.render_report((context, record), "trajectory"), end="")
+        print(metrics_mod.render_report((context, actions, cap), "trajectory"), end="")
         return EXIT_OK
 
     paths = cfg.get("summaries") or []

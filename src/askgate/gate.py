@@ -58,6 +58,8 @@ class GateConfig:
             raise ValueError("tau must be >= 0")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

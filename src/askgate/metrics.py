@@ -148,13 +148,14 @@ def render_summary_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trajectory(context: Context, ep: EpisodeRecord) -> str:
-    """Grid overlay of one episode: S start, G goal, * visited, H holes."""
+def render_trajectory(context: Context, actions, cap: int) -> str:
+    """Grid overlay of the episode that ``actions`` play on ``context`` under step
+    cap ``cap``: S start, G goal, * visited, H holes, then the outcome line."""
     grid = context.grid
     state = env_mod.reset(context)
     visited = set()
-    for s in ep.steps:
-        state, _, _ = env_mod.step(state, s.final_action, max_steps=len(ep.steps) + 1)
+    for action in actions:
+        state, _, _ = env_mod.step(state, action, cap)
         visited.add((state.row, state.col))
     rows = []
     for r in range(grid.size):
@@ -172,8 +173,9 @@ def render_trajectory(context: Context, ep: EpisodeRecord) -> str:
             else:
                 chars.append(".")
         rows.append("".join(chars))
-    rows.append(f"context {ep.context_id}: outcome {ep.outcome.value}, "
-                f"reward {ep.reward}, length {ep.length}")
+    reward = 1 if state.outcome is Outcome.GOAL else 0
+    rows.append(f"context {context.id}: outcome {state.outcome.value}, "
+                f"reward {reward}, length {len(actions)}")
     return "\n".join(rows) + "\n"
 
 
@@ -184,8 +186,7 @@ def render_report(data, fmt: str) -> str:
     if fmt == "table":
         return render_summary_table(data)
     if fmt == "trajectory":
-        context, ep = data
-        return render_trajectory(context, ep)
+        return render_trajectory(*data)
     raise ValueError(f"unknown report format: {fmt!r}")
 
 

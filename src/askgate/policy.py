@@ -1,9 +1,10 @@
 """Feed-forward stochastic policy with inference-time dropout and binary weights I/O.
 
 The network is a tanh MLP trunk (default 64->64->64) with separate linear
-action and value heads. Dropout is applied only at inference, after each
-hidden activation, using inverted scaling so expected activations match the
-deterministic pass. Training itself never uses dropout.
+action and value heads; all its parameters live in one float64 vector. MC
+passes apply dropout after each hidden activation, using inverted scaling so
+expected activations match the deterministic pass. Training itself never uses
+dropout, and the rate is the caller's (the gate's) setting, not the network's.
 
 Weights file layout (little-endian): magic ``MLPW``, version u32, array count
 u32, then per array rows u32, cols u32, row-major f64 data. Arrays appear as
@@ -13,6 +14,7 @@ biases are stored with rows = 1.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -48,18 +50,28 @@ class WeightTruncationError(WeightsError):
 
 @dataclass(frozen=True)
 class MlpPolicy:
-    """Immutable parameter bundle; all forward passes are read-only."""
+    """Parameters in one contiguous float64 vector ``flat``.
 
+    ``trunk``, ``action_head`` and ``value_head`` are (W, b) views into
+    ``flat``, laid out in weights-file order, so a write to ``flat`` is a
+    write to the layers and the reverse. Build one with :func:`build_policy`.
+    """
+
+    flat: np.ndarray
     trunk: tuple[tuple[np.ndarray, np.ndarray], ...]
     action_head: tuple[np.ndarray, np.ndarray]
     value_head: tuple[np.ndarray, np.ndarray]
-    dropout_rate: float = 0.2
 
     @property
     def input_dim(self) -> int:
         if self.trunk:
             return self.trunk[0][0].shape[0]
         return self.action_head[0].shape[0]
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        """(input_dim, *hidden sizes): what :func:`build_policy` needs to lay out ``flat``."""
+        return (self.input_dim, *(w.shape[1] for w, _ in self.trunk))
 
     def parameters(self) -> list[np.ndarray]:
         """All parameter arrays in serialization order."""
@@ -69,6 +81,32 @@ class MlpPolicy:
         out.extend(self.action_head)
         out.extend(self.value_head)
         return out
+
+
+def build_policy(widths, flat: np.ndarray | None = None) -> MlpPolicy:
+    """Policy with trunk layer sizes ``widths`` = (input_dim, *hidden) over ``flat``.
+
+    ``flat`` holds each trunk layer's W then b, then the action head's and the
+    value head's, each row-major; it is used in place, not copied. None
+    allocates zeros.
+    """
+    shapes = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    shapes += [(widths[-1], N_ACTIONS), (N_ACTIONS,), (widths[-1], 1), (1,)]
+    size = sum(math.prod(shape) for shape in shapes)
+    if flat is None:
+        flat = np.zeros(size)
+    elif flat.shape != (size,):
+        raise ValueError(f"parameter vector of shape {flat.shape} does not fit widths {tuple(widths)}")
+    views = []
+    offset = 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[offset:offset + n].reshape(shape))
+        offset += n
+    pairs = list(zip(views[::2], views[1::2]))
+    return MlpPolicy(flat, tuple(pairs[:-2]), pairs[-2], pairs[-1])
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -85,21 +123,16 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
 def init_policy(
     input_dim: int = 64,
     hidden: tuple[int, ...] = (64, 64),
-    dropout_rate: float = 0.2,
     seed: int = 0,
 ) -> MlpPolicy:
     """Orthogonal-initialized policy (gain sqrt(2) trunk, 0.01/1.0 heads)."""
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
-    trunk = []
-    width = input_dim
-    for size in hidden:
-        trunk.append((_orthogonal(rng, width, size, np.sqrt(2.0)), np.zeros(size)))
-        width = size
-    action = (_orthogonal(rng, width, N_ACTIONS, 0.01), np.zeros(N_ACTIONS))
-    value = (_orthogonal(rng, width, 1, 1.0), np.zeros(1))
-    return MlpPolicy(tuple(trunk), action, value, dropout_rate)
+    policy = build_policy((input_dim, *hidden))
+    for w, _ in policy.trunk:
+        w[...] = _orthogonal(rng, *w.shape, np.sqrt(2.0))
+    policy.action_head[0][...] = _orthogonal(rng, *policy.action_head[0].shape, 0.01)
+    policy.value_head[0][...] = _orthogonal(rng, *policy.value_head[0].shape, 1.0)
+    return policy
 
 
 def apply_dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,50 +149,38 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def forward(
+def trunk_activations(
     policy: MlpPolicy,
-    obs: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
-    dropout_rate: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """One forward pass: (action distribution, state value).
+    x: np.ndarray,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> list[np.ndarray]:
+    """The trunk's input followed by each hidden activation, for one row or a batch.
 
-    Deterministic when ``dropout_rng`` is None; otherwise each hidden
-    activation is masked independently. ``dropout_rate`` overrides the
-    policy's stored rate when given.
+    With an ``rng``, each hidden activation is masked by :func:`apply_dropout`
+    in layer order. The heads apply to the last entry; the trainer's backward
+    pass reads the rest.
     """
+    acts = [x]
+    for w, b in policy.trunk:
+        h = np.tanh(acts[-1] @ w + b)
+        if rng is not None:
+            h = apply_dropout(h, dropout_rate, rng)
+        acts.append(h)
+    return acts
+
+
+def forward(policy: MlpPolicy, obs: np.ndarray) -> tuple[np.ndarray, float]:
+    """One deterministic forward pass: (action distribution, state value)."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (policy.input_dim,):
         raise ValueError(f"observation shape {obs.shape} does not match input_dim {policy.input_dim}")
-    rate = policy.dropout_rate if dropout_rate is None else dropout_rate
-    h = obs
-    for w, b in policy.trunk:
-        h = np.tanh(h @ w + b)
-        if dropout_rng is not None:
-            h = apply_dropout(h, rate, dropout_rng)
+    h = trunk_activations(policy, obs)[-1]
     wa, ba = policy.action_head
     wv, bv = policy.value_head
     probs = softmax(h @ wa + ba)
     value = float((h @ wv + bv)[0])
     return probs, value
-
-
-def forward_batch(policy: MlpPolicy, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Deterministic batched pass returning (probs, values, hidden activations).
-
-    The activation list (one entry per trunk layer) feeds the trainer's
-    backward pass.
-    """
-    h = np.asarray(obs, dtype=np.float64)
-    hiddens: list[np.ndarray] = []
-    for w, b in policy.trunk:
-        h = np.tanh(h @ w + b)
-        hiddens.append(h)
-    wa, ba = policy.action_head
-    wv, bv = policy.value_head
-    probs = softmax(h @ wa + ba)
-    values = (h @ wv + bv).reshape(-1)
-    return probs, values, hiddens
 
 
 def dropout_passes(
@@ -176,13 +197,10 @@ def dropout_passes(
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
     obs = np.asarray(obs, dtype=np.float64)
-    h = np.tile(obs, (n_passes, 1))
-    for w, b in policy.trunk:
-        h = np.tanh(h @ w + b)
-        if dropout_rate > 0.0:
-            keep = rng.random(h.shape) >= dropout_rate
-            h = np.where(keep, h / (1.0 - dropout_rate), 0.0)
+    h = trunk_activations(policy, np.tile(obs, (n_passes, 1)), dropout_rate, rng)[-1]
     wa, ba = policy.action_head
     return softmax(h @ wa + ba)
 
@@ -216,7 +234,7 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return data
 
 
-def load_weights(path: str, dropout_rate: float = 0.2) -> MlpPolicy:
+def load_weights(path: str) -> MlpPolicy:
     """Load a policy; raises a distinct error per failure mode (see module doc)."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic bytes")
@@ -243,7 +261,7 @@ def load_weights(path: str, dropout_rate: float = 0.2) -> MlpPolicy:
                 f"pair {i}: bias shape {b.shape} does not match weight {w.shape}"
             )
     *trunk_pairs, action, value = pairs
-    width = trunk_pairs[0][0].shape[0] if trunk_pairs else action[0].shape[0]
+    input_dim = width = pairs[0][0].shape[0]
     for i, (w, _) in enumerate(pairs):
         if w.shape[0] != width:
             raise WeightShapeError(f"pair {i}: weight rows {w.shape[0]}, expected {width}")
@@ -253,10 +271,5 @@ def load_weights(path: str, dropout_rate: float = 0.2) -> MlpPolicy:
         raise WeightShapeError(f"action head has {action[0].shape[1]} outputs, expected {N_ACTIONS}")
     if value[0].shape[1] != 1:
         raise WeightShapeError(f"value head has {value[0].shape[1]} outputs, expected 1")
-    trunk = tuple((w, b.reshape(-1)) for w, b in trunk_pairs)
-    return MlpPolicy(
-        trunk=trunk,
-        action_head=(action[0], action[1].reshape(-1)),
-        value_head=(value[0], value[1].reshape(-1)),
-        dropout_rate=dropout_rate,
-    )
+    widths = (input_dim, *(w.shape[1] for w, _ in trunk_pairs))
+    return build_policy(widths, np.concatenate([a.reshape(-1) for a in arrays]))

@@ -9,9 +9,9 @@ contexts run on a fixed timestep interval and the best-scoring parameters
 are the ones returned.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
-whole run bit-for-bit. Gradients are hand-derived; ``ppo_loss`` and
-``ppo_grads`` operate on a plain parameter dict so they can be checked
-against finite differences.
+whole run bit-for-bit. Training updates the policy's parameter vector in
+place. Gradients are hand-derived and come back as one vector laid out like
+``MlpPolicy.flat``, so they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -79,46 +79,6 @@ class TrainLog:
 
 
 # ---------------------------------------------------------------------------
-# Parameter plumbing: training works on a mutable dict of arrays; policies
-# are the immutable public face.
-
-def policy_to_params(policy: MlpPolicy) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(policy.trunk):
-        params[f"w{i}"] = w.copy()
-        params[f"b{i}"] = b.copy()
-    params["wa"], params["ba"] = policy.action_head[0].copy(), policy.action_head[1].copy()
-    params["wv"], params["bv"] = policy.value_head[0].copy(), policy.value_head[1].copy()
-    return params
-
-
-def _trunk_depth(params: dict[str, np.ndarray]) -> int:
-    return sum(1 for k in params if k.startswith("w") and k[1:].isdigit())
-
-
-def params_to_policy(params: dict[str, np.ndarray], dropout_rate: float = 0.2) -> MlpPolicy:
-    depth = _trunk_depth(params)
-    trunk = tuple((params[f"w{i}"].copy(), params[f"b{i}"].copy()) for i in range(depth))
-    return MlpPolicy(
-        trunk=trunk,
-        action_head=(params["wa"].copy(), params["ba"].copy()),
-        value_head=(params["wv"].copy(), params["bv"].copy()),
-        dropout_rate=dropout_rate,
-    )
-
-
-def _policy_view(params: dict[str, np.ndarray]) -> MlpPolicy:
-    """Zero-copy view for forward passes during training."""
-    depth = _trunk_depth(params)
-    return MlpPolicy(
-        trunk=tuple((params[f"w{i}"], params[f"b{i}"]) for i in range(depth)),
-        action_head=(params["wa"], params["ba"]),
-        value_head=(params["wv"], params["bv"]),
-        dropout_rate=0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Loss and analytic gradients.
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,22 +86,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _forward_cached(params: dict[str, np.ndarray], obs: np.ndarray):
-    depth = _trunk_depth(params)
-    h = obs
-    hiddens = []
-    for i in range(depth):
-        h = np.tanh(h @ params[f"w{i}"] + params[f"b{i}"])
-        hiddens.append(h)
-    logits = h @ params["wa"] + params["ba"]
-    values = (h @ params["wv"] + params["bv"]).reshape(-1)
-    return logits, values, hiddens
-
-
-def ppo_loss(params: dict[str, np.ndarray], batch: dict[str, np.ndarray], cfg: PpoConfig) -> float:
+def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig) -> float:
     """Clipped surrogate + value MSE - entropy bonus on one frozen batch."""
-    logits, values, _ = _forward_cached(params, batch["obs"])
-    logp_all = _log_softmax(logits)
+    h = policy_mod.trunk_activations(policy, batch["obs"])[-1]
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    logp_all = _log_softmax(h @ wa + ba)
+    values = (h @ wv + bv).reshape(-1)
     b = np.arange(len(values))
     logp = logp_all[b, batch["actions"]]
     ratio = np.exp(logp - batch["logp_old"])
@@ -156,16 +106,17 @@ def ppo_loss(params: dict[str, np.ndarray], batch: dict[str, np.ndarray], cfg: P
 
 
 def ppo_grads(
-    params: dict[str, np.ndarray], batch: dict[str, np.ndarray], cfg: PpoConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus hand-derived gradients for every parameter array."""
-    obs = batch["obs"]
+    policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig
+) -> tuple[float, np.ndarray]:
+    """Loss plus the hand-derived gradient, one vector laid out like ``policy.flat``."""
     actions = batch["actions"]
     adv = batch["advantages"]
     n = len(actions)
 
-    logits, values, hiddens = _forward_cached(params, obs)
-    logp_all = _log_softmax(logits)
+    acts = policy_mod.trunk_activations(policy, batch["obs"])
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    logp_all = _log_softmax(acts[-1] @ wa + ba)
+    values = (acts[-1] @ wv + bv).reshape(-1)
     probs = np.exp(logp_all)
     idx = np.arange(n)
     logp = logp_all[idx, actions]
@@ -189,39 +140,39 @@ def ppo_grads(
     # d(value_coef * value mse)/dvalues
     dv = (2.0 * cfg.value_coef / n) * (values - batch["returns"])
 
-    grads: dict[str, np.ndarray] = {}
-    h_last = hiddens[-1] if hiddens else obs
-    grads["wa"] = h_last.T @ dz
-    grads["ba"] = dz.sum(axis=0)
-    grads["wv"] = h_last.T @ dv[:, None]
-    grads["bv"] = np.array([dv.sum()])
-    dh = dz @ params["wa"].T + dv[:, None] @ params["wv"].T
-    depth = _trunk_depth(params)
-    for i in range(depth - 1, -1, -1):
-        da = dh * (1.0 - hiddens[i] ** 2)
-        inputs = hiddens[i - 1] if i > 0 else obs
-        grads[f"w{i}"] = inputs.T @ da
-        grads[f"b{i}"] = da.sum(axis=0)
-        dh = da @ params[f"w{i}"].T
-    return loss, grads
+    grad = policy_mod.build_policy(policy.widths, np.empty_like(policy.flat))
+    (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
+    gwa[...] = acts[-1].T @ dz
+    gba[...] = dz.sum(axis=0)
+    gwv[...] = acts[-1].T @ dv[:, None]
+    gbv[...] = dv.sum()
+    dh = dz @ wa.T + dv[:, None] @ wv.T
+    for i in range(len(policy.trunk) - 1, -1, -1):
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        gw, gb = grad.trunk[i]
+        gw[...] = acts[i].T @ da
+        gb[...] = da.sum(axis=0)
+        dh = da @ policy.trunk[i][0].T
+    return loss, grad.flat
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+    """Adam over one parameter vector; the moments are vectors of the same size."""
+
+    def __init__(self, flat: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for key, g in grads.items():
-            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            params[key] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +210,22 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         raise ValueError(f"contexts mix grid sizes: {sorted(sizes)}")
 
     rng = np.random.default_rng(config.seed)
-    init = policy_mod.init_policy(seed=config.seed)
-    params = policy_to_params(init)
-    obs_dim = init.input_dim
-    adam = _Adam(params, config.learning_rate)
+    policy = policy_mod.init_policy(seed=config.seed)
+    obs_dim = policy.input_dim
+    adam = _Adam(policy.flat, config.learning_rate)
 
     entries: list[TrainLogEntry] = []
     warnings: list[str] = []
     best_index = -1
     best_mean = -math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = policy.flat.copy()
     if config.total_timesteps == 0:
-        return params_to_policy(best_params), TrainLog(tuple(entries), best_index)
+        return policy, TrainLog(tuple(entries), best_index)
 
     def run_eval(timestep: int) -> None:
         nonlocal best_index, best_mean
         summary = evaluate_policy(
-            params_to_policy(params), eval_contexts,
+            policy, eval_contexts,
             episodes=config.eval_episodes, cap=config.max_steps,
         )
         entries.append(TrainLogEntry(
@@ -287,8 +237,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         if summary.reward_mean > best_mean:
             best_mean = summary.reward_mean
             best_index = len(entries) - 1
-            for key, value in params.items():
-                best_params[key][...] = value
+            best_flat[...] = policy.flat
         if (timestep >= config.total_timesteps // 2 and best_mean <= 0.0
                 and not warnings):
             warnings.append(
@@ -309,10 +258,9 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     boot = np.zeros(t_steps, dtype=np.float64)
 
     while timestep < config.total_timesteps:
-        view = _policy_view(params)
         for t in range(t_steps):
             obs = env_mod.encode_observation(state, dim=obs_dim)
-            dist, value = policy_mod.forward(view, obs)
+            dist, value = policy_mod.forward(policy, obs)
             action = policy_mod.select_action(dist, "sample", rng)
             next_state, reward, done = env_mod.step(state, action, config.max_steps)
 
@@ -327,13 +275,13 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
             if done:
                 if next_state.outcome is Outcome.TRUNCATED:
                     trunc_obs = env_mod.encode_observation(next_state, dim=obs_dim)
-                    boot[t] = policy_mod.forward(view, trunc_obs)[1]
+                    boot[t] = policy_mod.forward(policy, trunc_obs)[1]
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
         if not ends[t_steps - 1]:
             final_obs = env_mod.encode_observation(state, dim=obs_dim)
-            boot[t_steps - 1] = policy_mod.forward(view, final_obs)[1]
+            boot[t_steps - 1] = policy_mod.forward(policy, final_obs)[1]
 
         advantages, returns = _gae(rewards, values, ends, boot, config.gamma, config.gae_lambda)
         obs_batch = _one_hot(obs_idx, obs_dim)
@@ -350,8 +298,8 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
                     "advantages": centered,
                     "returns": returns[mb],
                 }
-                _, grads = ppo_grads(params, batch, config)
-                adam.step(params, grads)
+                _, grad = ppo_grads(policy, batch, config)
+                adam.step(policy.flat, grad)
 
         timestep += t_steps
         while timestep >= next_eval:
@@ -360,7 +308,8 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
     if not entries or entries[-1].timestep < timestep:
         run_eval(timestep)
-    return params_to_policy(best_params), TrainLog(tuple(entries), best_index, tuple(warnings))
+    policy.flat[...] = best_flat
+    return policy, TrainLog(tuple(entries), best_index, tuple(warnings))
 
 
 def evaluate_policy(

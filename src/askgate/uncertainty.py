@@ -90,14 +90,3 @@ def mc_estimate(
     """
     dists = policy_mod.dropout_passes(policy, obs, n_passes, dropout_rate, rng)
     return estimate_from_passes(dists, pass_count=n_passes)
-
-
-def collect_passes(
-    policy: MlpPolicy,
-    obs: np.ndarray,
-    n_passes: int,
-    dropout_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The raw (N, 4) pass distributions, for recount-style audits."""
-    return policy_mod.dropout_passes(policy, obs, n_passes, dropout_rate, rng)

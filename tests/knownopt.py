@@ -8,12 +8,10 @@ the shared corridor, so consulting episodes score 1 and silent episodes
 truncate at 0: reward as a function of tau is a step with its edge at 0.5.
 """
 
-import numpy as np
-
 from askgate.env import Split, corridor_cells
 from askgate.gate import GateConfig
 from askgate.lm import ScriptedClient
-from askgate.policy import MlpPolicy, init_policy
+from askgate.policy import build_policy
 from askgate.tuner import tune_threshold
 
 # softmax([b, 0, 0, 0]) has entropy exactly 0.5 nats at this bias.
@@ -23,14 +21,9 @@ WINNING_TAU = 0.5
 
 
 def half_nat_policy():
-    base = init_policy(seed=0)
-    return MlpPolicy(
-        trunk=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in base.trunk),
-        action_head=(np.zeros_like(base.action_head[0]),
-                     np.array([HALF_NAT_BIAS, 0.0, 0.0, 0.0])),
-        value_head=(np.zeros_like(base.value_head[0]), np.zeros(1)),
-        dropout_rate=0.2,
-    )
+    policy = build_policy((64, 64, 64))  # the default architecture, all zeros
+    policy.action_head[1][0] = HALF_NAT_BIAS
+    return policy
 
 
 def corridor_answers(n, episodes):

@@ -38,7 +38,8 @@ from askgate.metrics import (
     intervention_rate,
     overwrite_rate,
 )
-from askgate.trainer import evaluate_policy, policy_to_params
+from askgate.policy import build_policy
+from askgate.trainer import evaluate_policy
 from askgate.tuner import DEFAULT_LO, tune_threshold
 from askgate.uncertainty import estimate_from_passes
 
@@ -197,9 +198,9 @@ def test_criterion_3_training_reaches_held_out_reward(trained6, contexts6):
         f"greedy reward on held-out 6x6 maps is {summary.reward_mean:.3f}, "
         f"needs >= 0.80 (train budget {trained6.config.total_timesteps})")
 
-    params = policy_to_params(trained6.policy)
-    batch = synthetic_batch(params, np.random.default_rng(0))
-    worst_coord, worst_norm = finite_difference_errors(params, batch, trained6.config)
+    policy = build_policy(trained6.policy.widths, trained6.policy.flat.copy())
+    batch = synthetic_batch(policy, np.random.default_rng(0))
+    worst_coord, worst_norm = finite_difference_errors(policy, batch, trained6.config)
     assert worst_coord < 1e-4, (
         f"analytic gradient disagrees with central differences: "
         f"worst coordinate rel. error {worst_coord:.3e} >= 1e-4 (norm {worst_norm:.3e})")

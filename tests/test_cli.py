@@ -84,6 +84,19 @@ def test_corrupt_weights_are_a_runtime_error(workspace, tmp_path, capsys):
     assert "bad weights file" in capsys.readouterr().err
 
 
+def test_out_of_range_dropout_rate_is_a_runtime_error(workspace, tmp_path, capsys):
+    out = tmp_path / "runs"
+    for rate in ("1.0", "1.5", "-0.5"):
+        for command in (["run", "--mode", "ask", "--client", "rule"],
+                        ["tune", "--client", "rule"]):
+            code = main([*command, "--contexts", workspace["ctx"],
+                         "--weights", workspace["weights"], "--episodes", "2",
+                         "--passes", "5", "--dropout-rate", rate, "--out", str(out)])
+            assert code == EXIT_RUNTIME
+            assert "dropout_rate" in capsys.readouterr().err
+    assert not out.exists()  # no episode, summary or study CSV was written
+
+
 def test_missing_config_file_is_a_runtime_error(tmp_path):
     assert main(["contexts", "gen", "--size", "4",
                  "--config", str(tmp_path / "absent.json"),

@@ -43,6 +43,10 @@ def test_gate_config_validation():
         GateConfig(passes=0)
     with pytest.raises(ValueError):
         GateConfig(max_steps=0)
+    for rate in (1.0, 1.5, -0.1, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            GateConfig(dropout_rate=rate)
+    assert GateConfig(dropout_rate=0.0).dropout_rate == 0.0
 
 
 def test_non_policy_modes_require_a_client(policy, contexts):

@@ -189,17 +189,7 @@ def test_trajectory_overlay_marks_the_walk():
     context = Context(id=3, grid=grid, split=Split.TEST)
     actions = [Action.DOWN, Action.DOWN, Action.RIGHT, Action.RIGHT,
                Action.DOWN, Action.RIGHT]
-    steps = []
-    for i, action in enumerate(actions):
-        last = i == len(actions) - 1
-        steps.append(StepRecord(
-            obs_index=0, policy_action=action, uncertainty=None, consulted=False,
-            lm_status="", lm_action=None, final_action=action, overwritten=False,
-            reward=1 if last else 0, done=last,
-        ))
-    ep = EpisodeRecord(context_id=3, steps=tuple(steps), reward=1,
-                       length=6, outcome=Outcome.GOAL)
-    text = render_trajectory(context, ep)
+    text = render_trajectory(context, actions, 100)
     assert text == (
         "S...\n"
         "*H.H\n"
@@ -207,6 +197,10 @@ def test_trajectory_overlay_marks_the_walk():
         "H.*G\n"
         "context 3: outcome goal, reward 1, length 6\n"
     )
+    assert render_report((context, actions, 100), "trajectory") == text
+    # The outcome line comes from the replay itself, cap included.
+    assert render_trajectory(context, [Action.RIGHT, Action.LEFT], 2).endswith(
+        "context 3: outcome truncated, reward 0, length 2\n")
 
 
 def test_render_report_dispatch():

@@ -17,12 +17,12 @@ from askgate.policy import (
     apply_dropout,
     dropout_passes,
     forward,
-    forward_batch,
     init_policy,
     load_weights,
     save_weights,
     select_action,
     softmax,
+    trunk_activations,
 )
 
 
@@ -45,7 +45,11 @@ def test_default_architecture(policy):
     assert policy.input_dim == 64
     shapes = [a.shape for a in policy.parameters()]
     assert shapes == [(64, 64), (64,), (64, 64), (64,), (64, 4), (4,), (64, 1), (1,)]
-    assert policy.dropout_rate == 0.2
+    # Every layer is a view into the one parameter vector, in file order.
+    assert policy.flat.shape == (sum(a.size for a in policy.parameters()),)
+    assert np.array_equal(np.concatenate([a.reshape(-1) for a in policy.parameters()]),
+                          policy.flat)
+    assert all(np.shares_memory(a, policy.flat) for a in policy.parameters())
 
 
 def test_orthogonal_trunk_init(policy):
@@ -63,11 +67,11 @@ def test_init_is_seed_deterministic():
     assert any(not np.array_equal(x, y) for x, y in zip(a.parameters(), c.parameters()))
 
 
-def test_init_rejects_bad_dropout_rate():
-    with pytest.raises(ValueError):
-        init_policy(dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        init_policy(dropout_rate=-0.1)
+def test_init_rejects_bad_dropout_rate(policy):
+    # The rate is the caller's setting; the MC passes reject one outside [0, 1).
+    for rate in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            dropout_passes(policy, one_hot(5), 3, rate, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +94,12 @@ def test_forward_rejects_wrong_shape(policy):
 
 def test_forward_batch_matches_single(policy):
     obs = np.stack([one_hot(i) for i in (0, 5, 9)])
-    probs, values, hiddens = forward_batch(policy, obs)
+    acts = trunk_activations(policy, obs)
+    assert len(acts) == 3 and acts[0] is obs and acts[1].shape == (3, 64)
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    probs = softmax(acts[-1] @ wa + ba)
+    values = (acts[-1] @ wv + bv).reshape(-1)
     assert probs.shape == (3, 4) and values.shape == (3,)
-    assert len(hiddens) == 2 and hiddens[0].shape == (3, 64)
     for i in range(3):
         p, v = forward(policy, obs[i])
         assert np.allclose(probs[i], p, atol=1e-15)
@@ -100,9 +107,9 @@ def test_forward_batch_matches_single(policy):
 
 
 def test_stochastic_forward_is_seed_reproducible(policy):
-    p1, _ = forward(policy, one_hot(5), dropout_rng=np.random.default_rng(42))
-    p2, _ = forward(policy, one_hot(5), dropout_rng=np.random.default_rng(42))
-    p3, _ = forward(policy, one_hot(5), dropout_rng=np.random.default_rng(43))
+    p1 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
+    p2 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
+    p3 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(43))
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
 
@@ -115,6 +122,13 @@ def test_dropout_passes_shape_and_determinism(policy):
     assert np.allclose(d1.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(d1, d2)
     assert len(np.unique(d1[:, 0])) > 1  # masks actually vary between passes
+    # Reference: masks drawn layer by layer from the same seed, inverted scaling.
+    ref_rng = np.random.default_rng(9)
+    h = np.tile(obs, (50, 1))
+    for w, b in policy.trunk:
+        h = np.tanh(h @ w + b)
+        h = np.where(ref_rng.random(h.shape) >= 0.2, h / 0.8, 0.0)
+    assert np.allclose(d1, softmax(h @ policy.action_head[0] + policy.action_head[1]), atol=1e-15)
     with pytest.raises(ValueError):
         dropout_passes(policy, obs, 0, 0.2, np.random.default_rng(0))
 
@@ -186,11 +200,10 @@ def test_sampled_selection_follows_the_distribution():
 def test_weights_round_trip_is_bit_identical(tmp_path, policy):
     path = tmp_path / "w.bin"
     save_weights(policy, str(path))
-    loaded = load_weights(str(path), dropout_rate=0.2)
+    loaded = load_weights(str(path))
     for a, b in zip(policy.parameters(), loaded.parameters()):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
-    assert loaded.dropout_rate == 0.2
     obs = one_hot(5)
     assert np.array_equal(forward(policy, obs)[0], forward(loaded, obs)[0])
 

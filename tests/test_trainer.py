@@ -6,7 +6,7 @@ import pytest
 from gradcheck import finite_difference_errors, synthetic_batch
 
 from askgate.env import Context, GridMap, Split, generate_context_set
-from askgate.policy import init_policy
+from askgate.policy import build_policy, forward, init_policy, load_weights, save_weights
 from askgate.trainer import (
     TRAINLOG_CSV_HEADER,
     PpoConfig,
@@ -16,8 +16,6 @@ from askgate.trainer import (
     _gae,
     evaluate_policy,
     greedy_episode,
-    params_to_policy,
-    policy_to_params,
     ppo_grads,
     ppo_loss,
     train,
@@ -52,15 +50,23 @@ def test_config_validation():
         PpoConfig(gamma=0.0)
 
 
-def test_params_round_trip_and_isolation():
+def test_params_round_trip_and_isolation(tmp_path):
     policy = init_policy(seed=0)
-    params = policy_to_params(policy)
-    assert sorted(params) == ["b0", "b1", "ba", "bv", "w0", "w1", "wa", "wv"]
-    rebuilt = params_to_policy(params)
-    for a, b in zip(policy.parameters(), rebuilt.parameters()):
-        assert np.array_equal(a, b)
-    params["w0"][0, 0] += 1.0  # copies, not views of the source policy
-    assert policy.trunk[0][0][0, 0] != params["w0"][0, 0]
+    path = str(tmp_path / "w.bin")
+    save_weights(policy, path)
+    saved = open(path, "rb").read()
+    loaded = load_weights(path)
+    save_weights(loaded, path)
+    assert open(path, "rb").read() == saved
+
+    obs = np.zeros(64)
+    obs[5] = 1.0
+    before = forward(policy, obs)
+    policy.flat[:] = 0.0  # a write to the vector reaches every layer view
+    probs, value = forward(policy, obs)
+    assert np.array_equal(probs, np.full(4, 0.25)) and value == 0.0
+    assert not np.array_equal(probs, before[0])
+    assert np.array_equal(forward(loaded, obs)[0], before[0])  # loading copies the vector
 
 
 # ---------------------------------------------------------------------------
@@ -69,44 +75,44 @@ def test_params_round_trip_and_isolation():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
-    params = policy_to_params(init_policy(input_dim=8, hidden=(6, 5), seed=10))
+    policy = init_policy(input_dim=8, hidden=(6, 5), seed=10)
     cfg = PpoConfig()
-    batch = synthetic_batch(params, rng)
-    coord_err, norm_err = finite_difference_errors(params, batch, cfg)
+    batch = synthetic_batch(policy, rng)
+    coord_err, norm_err = finite_difference_errors(policy, batch, cfg)
     assert coord_err < 1e-4, f"worst per-coordinate relative error {coord_err:.3e}"
     assert norm_err < 1e-6, f"worst per-array norm relative error {norm_err:.3e}"
 
 
 def test_gradients_cover_every_parameter():
     rng = np.random.default_rng(1)
-    params = policy_to_params(init_policy(input_dim=8, hidden=(6, 5), seed=11))
-    batch = synthetic_batch(params, rng)
-    loss, grads = ppo_grads(params, batch, PpoConfig())
-    assert loss == pytest.approx(ppo_loss(params, batch, PpoConfig()))
-    assert set(grads) == set(params)
-    for key, g in grads.items():
-        assert g.shape == params[key].shape
-        assert np.isfinite(g).all()
-        assert np.any(g != 0.0), f"gradient for {key} is identically zero"
+    policy = init_policy(input_dim=8, hidden=(6, 5), seed=11)
+    batch = synthetic_batch(policy, rng)
+    loss, grad = ppo_grads(policy, batch, PpoConfig())
+    assert loss == pytest.approx(ppo_loss(policy, batch, PpoConfig()))
+    assert grad.shape == policy.flat.shape
+    assert np.isfinite(grad).all()
+    names = ["w0", "b0", "w1", "b1", "wa", "ba", "wv", "bv"]
+    for name, g in zip(names, build_policy(policy.widths, grad).parameters(), strict=True):
+        assert np.any(g != 0.0), f"gradient for {name} is identically zero"
 
 
 def test_adam_first_step_matches_hand_update():
-    params = {"x": np.array([1.0])}
-    adam = _Adam(params, lr=0.001)
-    adam.step(params, {"x": np.array([0.5])})
+    flat = np.array([1.0])
+    adam = _Adam(flat, lr=0.001)
+    adam.step(flat, np.array([0.5]))
     # Bias-corrected first step: mhat = g, vhat = g^2, so the update is
     # lr * g / (|g| + eps) regardless of the gradient's magnitude.
     expected = 1.0 - 0.001 * (0.5 / (0.5 + 1e-8))
-    assert params["x"][0] == pytest.approx(expected, abs=1e-15)
+    assert flat[0] == pytest.approx(expected, abs=1e-15)
     assert adam.t == 1
 
 
 def test_adam_is_stateful_per_parameter():
-    params = {"x": np.array([1.0]), "y": np.array([2.0])}
-    adam = _Adam(params, lr=0.1)
-    adam.step(params, {"x": np.array([1.0]), "y": np.array([0.0])})
-    assert params["x"][0] != 1.0
-    assert params["y"][0] == 2.0  # zero gradient leaves the value in place
+    flat = np.array([1.0, 2.0])
+    adam = _Adam(flat, lr=0.1)
+    adam.step(flat, np.array([1.0, 0.0]))
+    assert flat[0] != 1.0
+    assert flat[1] == 2.0  # zero gradient leaves the value in place
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgate.policy import init_policy
+from askgate.policy import dropout_passes, init_policy
 from askgate.uncertainty import (
     UncertaintyEstimate,
     aleatoric,
-    collect_passes,
     epistemic,
     estimate_from_passes,
     mc_estimate,
@@ -151,7 +150,7 @@ def test_mc_estimate_recounts_from_logged_passes():
     policy = init_policy(seed=0)
     obs = np.zeros(64)
     obs[9] = 1.0
-    passes = collect_passes(policy, obs, 100, 0.2, np.random.default_rng(5))
+    passes = dropout_passes(policy, obs, 100, 0.2, np.random.default_rng(5))
     est = mc_estimate(policy, obs, 100, 0.2, np.random.default_rng(5))
     assert passes.shape == (100, 4)
     assert est.pass_count == 100
