@@ -238,9 +238,8 @@ def _cmd_train(cfg: _Config) -> int:
         "timesteps": ppo.total_timesteps, "eval_interval": ppo.eval_interval,
         "eval_episodes": ppo.eval_episodes, "size": context_set.size,
     }
-    with open(os.path.join(outdir, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    gate_mod.write_atomic(os.path.join(outdir, f"{name}.meta.json"),
+                          json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     trainer_mod.write_trainlog_csv(log, os.path.join(outdir, f"{name}_trainlog.csv"), snapshot)
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -337,43 +336,20 @@ def _cmd_tune(cfg: _Config) -> int:
     return EXIT_OK
 
 
-def _is_study_csv(path: str) -> bool:
-    from .tuner import STUDY_CSV_HEADER
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                return line.strip() == ",".join(STUDY_CSV_HEADER)
-    return False
-
-
-def _read_episode_csv(path: str, episode: int):
-    import csv as _csv
-
-    if not os.path.exists(path):
-        raise RuntimeFailure(f"episode CSV not found: {path}")
-    snapshot = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if first.startswith("# config "):
-            snapshot = json.loads(first[len("# config "):])
-        else:
-            fh.seek(0)
-        reader = _csv.DictReader(fh)
-        actions = []
-        for rec in reader:
-            if int(rec["episode"]) == episode:
-                actions.append(env_mod.Action[rec["final_action"]])
-    if not actions:
-        raise RuntimeFailure(f"episode {episode} not present in {path}")
-    return snapshot, actions
-
-
 def _cmd_report(cfg: _Config) -> int:
     trajectory = cfg.get("trajectory")
     if trajectory:
         episode = int(cfg.get("episode", 0))
-        snapshot, actions = _read_episode_csv(trajectory, episode)
+        if not os.path.exists(trajectory):
+            raise RuntimeFailure(f"episode CSV not found: {trajectory}")
+        snapshot, header, rows = gate_mod.read_csv(trajectory)
+        if header != gate_mod.EPISODE_CSV_HEADER:
+            raise RuntimeFailure(f"not an episode CSV: {trajectory}")
+        episode_col, action_col = header.index("episode"), header.index("final_action")
+        actions = [env_mod.Action[row[action_col]] for row in rows
+                   if int(row[episode_col]) == episode]
+        if not actions:
+            raise RuntimeFailure(f"episode {episode} not present in {trajectory}")
         contexts_path = cfg.get("contexts", snapshot.get("contexts"))
         if not contexts_path:
             raise UsageError("--contexts required (episode CSV carries no context path)")
@@ -382,7 +358,7 @@ def _cmd_report(cfg: _Config) -> int:
         pool = context_set.split(split)
         context = pool[episode % len(pool)]
         cap = int(snapshot.get("max_steps", env_mod.DEFAULT_MAX_STEPS))
-        print(metrics_mod.render_report((context, actions, cap), "trajectory"), end="")
+        print(metrics_mod.render_trajectory(context, actions, cap), end="")
         return EXIT_OK
 
     paths = cfg.get("summaries") or []
@@ -392,7 +368,7 @@ def _cmd_report(cfg: _Config) -> int:
     for path in paths:
         if not os.path.exists(path):
             raise RuntimeFailure(f"summary file not found: {path}")
-        if _is_study_csv(path):
+        if gate_mod.read_csv(path)[1] == tuner_mod.STUDY_CSV_HEADER:
             print(f"skipping tune study {path}", file=sys.stderr)
             continue
         try:

@@ -15,9 +15,12 @@ policy's own greedy action.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ EPISODE_CSV_HEADER = [
     "consulted", "lm_raw_status", "lm_action", "final_action",
     "overwritten", "reward", "done",
 ]
+CONFIG_PREFIX = "# config "
 
 
 class RunMode(enum.Enum):
@@ -172,21 +176,56 @@ def run_batch(
     ]
 
 
-def config_comment(config: dict) -> str:
-    """Deterministic one-line config snapshot embedded atop CSV artifacts."""
-    return "# config " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+def csv_text(header, rows, config: dict | None = None) -> str:
+    """The CSV artifact format: an optional ``# config <canonical JSON>`` line,
+    the header, then the rows, quoted by ``csv.writer`` where a field needs it."""
+    buf = io.StringIO()
+    if config is not None:
+        buf.write(CONFIG_PREFIX + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write an artifact through a temp file beside it (suffix ``.tmp``, the mode
+    plain ``open`` gives) that replaces ``path`` whole or not at all."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
+    """``(config, header, rows)`` of a CSV artifact; config is ``{}`` without a
+    config line. A row that does not fit the header raises ``ValueError``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        if first.startswith(CONFIG_PREFIX):
+            config = json.loads(first[len(CONFIG_PREFIX):])
+        else:
+            config = {}
+            fh.seek(0)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: a row has {len(row)} fields, the header {len(header)}")
+    return config, header, rows
 
 
 def write_episode_csv(records, path: str, config: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config is not None:
-            fh.write(config_comment(config) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_CSV_HEADER)
+    def rows():
         for ep_index, record in enumerate(records):
             for step_index, s in enumerate(record.steps):
                 u = s.uncertainty
-                writer.writerow([
+                yield [
                     ep_index,
                     step_index,
                     s.obs_index,
@@ -201,4 +240,6 @@ def write_episode_csv(records, path: str, config: dict | None = None) -> None:
                     int(s.overwritten),
                     s.reward,
                     int(s.done),
-                ])
+                ]
+
+    write_atomic(path, csv_text(EPISODE_CSV_HEADER, rows(), config))

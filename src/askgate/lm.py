@@ -25,6 +25,8 @@ from .env import Action, EDGE_LABEL
 
 DEFAULT_TIMEOUT = 10.0
 DEFAULT_COMPLETIONS_PATH = "/v1/chat/completions"
+TEMPERATURE = 0.0    # greedy decoding: the same prompt gets the same reply
+MAX_TOKENS = 16      # enough for one {"action":"..."} object
 URL_ENV_VAR = "ASK_LM_URL"
 TOKEN_ENV_VAR = "ASK_LM_TOKEN"
 
@@ -195,8 +197,6 @@ class EndpointClient:
         model: str = "default",
         token: str | None = None,
         path: str = DEFAULT_COMPLETIONS_PATH,
-        temperature: float = 0.0,
-        max_tokens: int = 16,
     ):
         self.base_url = base_url if base_url is not None else os.environ.get(URL_ENV_VAR, "")
         if not self.base_url:
@@ -204,9 +204,6 @@ class EndpointClient:
         self.model = model
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.path = path
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.name = f"endpoint:{model}"
 
     def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
         url = self.base_url.rstrip("/") + self.path
@@ -216,8 +213,8 @@ class EndpointClient:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=timeout)
@@ -235,8 +232,6 @@ class EndpointClient:
 
 class ScriptedClient:
     """Replays queued responses in order; an empty queue is a transport error."""
-
-    name = "scripted"
 
     def __init__(self, responses):
         self._queue = deque(responses)
@@ -287,8 +282,6 @@ def _context_from_prompt(prompt: str) -> PromptContext:
 
 class RuleClient:
     """Follows the prompt's RULES section exactly, reading the prompt itself."""
-
-    name = "rule"
 
     def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
         ctx = _context_from_prompt(prompt)

@@ -8,13 +8,12 @@ episode and reported as percentages.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 from . import env as env_mod
 from .env import Context, Outcome, TileKind
-from .gate import EpisodeRecord, config_comment
+from .gate import EpisodeRecord, csv_text, read_csv, write_atomic
 
 SUMMARY_CSV_HEADER = [
     "size", "model", "mode", "split",
@@ -115,13 +114,6 @@ def summary_csv_row(row: SummaryRow) -> list:
     ]
 
 
-def render_summary_csv(rows) -> str:
-    lines = [",".join(SUMMARY_CSV_HEADER)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in summary_csv_row(row)))
-    return "\n".join(lines) + "\n"
-
-
 def render_summary_table(rows) -> str:
     """Fixed-width table mirroring the Reward | Length | IR (%) | OR (%) layout."""
     rows = list(rows)
@@ -150,13 +142,19 @@ def render_summary_table(rows) -> str:
 
 def render_trajectory(context: Context, actions, cap: int) -> str:
     """Grid overlay of the episode that ``actions`` play on ``context`` under step
-    cap ``cap``: S start, G goal, * visited, H holes, then the outcome line."""
+    cap ``cap``: S start, G goal, * visited, H holes, then the outcome line.
+    Raises ``ValueError`` unless the episode ends exactly at the last action."""
     grid = context.grid
     state = env_mod.reset(context)
     visited = set()
     for action in actions:
+        if state.done:
+            break
         state, _, _ = env_mod.step(state, action, cap)
         visited.add((state.row, state.col))
+    if not state.done or state.step_count != len(actions):
+        raise ValueError(f"{len(actions)} logged actions do not fit context {context.id}: "
+                         f"after {state.step_count} the outcome is {state.outcome.value}")
     rows = []
     for r in range(grid.size):
         chars = []
@@ -180,31 +178,25 @@ def render_trajectory(context: Context, actions, cap: int) -> str:
 
 
 def render_report(data, fmt: str) -> str:
-    """Dispatch to one of the three renderers; unknown formats raise."""
+    """Render summary rows as ``csv`` or ``table``; unknown formats raise."""
     if fmt == "csv":
-        return render_summary_csv(data)
+        return csv_text(SUMMARY_CSV_HEADER, map(summary_csv_row, data))
     if fmt == "table":
         return render_summary_table(data)
-    if fmt == "trajectory":
-        return render_trajectory(*data)
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
 def write_summary_csv(rows, path: str, config: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config is not None:
-            fh.write(config_comment(config) + "\n")
-        fh.write(render_summary_csv(rows))
+    write_atomic(path, csv_text(SUMMARY_CSV_HEADER, map(summary_csv_row, rows), config))
 
 
 def read_summary_csv(path: str) -> list[SummaryRow]:
+    _, header, records = read_csv(path)
+    if header != SUMMARY_CSV_HEADER:
+        raise ValueError(f"unexpected summary header in {path}: {header}")
     rows: list[SummaryRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames != SUMMARY_CSV_HEADER:
-        raise ValueError(f"unexpected summary header in {path}: {reader.fieldnames}")
-    for rec in reader:
+    for values in records:
+        rec = dict(zip(header, values))
         summary = RunSummary(
             reward_mean=float(rec["reward_mean"]),
             reward_std=float(rec["reward_std"]),

@@ -25,7 +25,7 @@ from . import env as env_mod
 from . import metrics as metrics_mod
 from . import policy as policy_mod
 from .env import Outcome
-from .gate import EpisodeRecord, StepRecord, config_comment
+from .gate import EpisodeRecord, StepRecord, csv_text, write_atomic
 from .metrics import RunSummary
 from .policy import MlpPolicy
 
@@ -353,9 +353,7 @@ def greedy_episode(policy: MlpPolicy, context, cap: int = env_mod.DEFAULT_MAX_ST
 
 
 def write_trainlog_csv(log: TrainLog, path: str, config: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config is not None:
-            fh.write(config_comment(config) + "\n")
-        fh.write(",".join(TRAINLOG_CSV_HEADER) + "\n")
-        for e in log.entries:
-            fh.write(f"{e.timestep},{e.reward_mean!r},{e.reward_std!r},{e.length_mean!r}\n")
+    write_atomic(path, csv_text(TRAINLOG_CSV_HEADER, (
+        [e.timestep, repr(e.reward_mean), repr(e.reward_std), repr(e.length_mean)]
+        for e in log.entries
+    ), config))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .env import Split
-from .gate import GateConfig, RunMode, config_comment, run_batch
+from .gate import GateConfig, RunMode, csv_text, run_batch, write_atomic
 from .policy import MlpPolicy
 
 DEFAULT_LO = 0.10
@@ -109,12 +109,8 @@ def tune_threshold(
 
 
 def write_study_csv(study: TuneStudy, path: str, config: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config is not None:
-            fh.write(config_comment(config) + "\n")
-        fh.write(",".join(STUDY_CSV_HEADER) + "\n")
-        for r in study.records:
-            fh.write(
-                f"{r.trial},{r.tau!r},{r.reward_mean!r},{r.reward_std!r},"
-                f"{r.ir_percent!r},{r.or_percent!r}\n"
-            )
+    write_atomic(path, csv_text(STUDY_CSV_HEADER, (
+        [r.trial, repr(r.tau), repr(r.reward_mean), repr(r.reward_std),
+         repr(r.ir_percent), repr(r.or_percent)]
+        for r in study.records
+    ), config))

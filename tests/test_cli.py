@@ -1,5 +1,7 @@
 """CLI driver: exit codes, artifact layout, config resolution, report rendering."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -11,6 +13,14 @@ import pytest
 
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from askgate.env import Split, load_context_set
+from askgate.gate import csv_text, read_csv, write_atomic
+from askgate.metrics import (
+    SUMMARY_CSV_HEADER,
+    RunSummary,
+    SummaryRow,
+    read_summary_csv,
+    write_summary_csv,
+)
 from askgate.policy import load_weights
 
 
@@ -211,6 +221,19 @@ def test_report_renders_csv_format(workspace, capsys):
                                    "len_mean,len_std,ir_pct,or_pct,episodes,tau,seed")
 
 
+def test_report_round_trips_a_model_label_with_a_comma(tmp_path, capsys):
+    row = SummaryRow(size=4, model="org/model,v2", mode="ask", split="test", tau=0.5,
+                     seed=0, summary=RunSummary(0.75, 0.25, 7.5, 1.5, 40.0, 12.5, 100))
+    path = tmp_path / "summary.csv"
+    write_summary_csv([row], str(path), {"model": row.model})
+    assert read_summary_csv(str(path)) == [row]
+    assert main(["report", "--summaries", str(path), "--format", "csv"]) == EXIT_OK
+    parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert parsed[0] == SUMMARY_CSV_HEADER
+    assert parsed[1][:4] == ["4", "org/model,v2", "ask", "test"]
+    assert len(parsed) == 2
+
+
 def test_report_with_only_studies_is_a_runtime_error(workspace, capsys):
     study = os.path.join(workspace["out"], "summaries", "tune_rule_s4_seed2.csv")
     assert main(["report", "--summaries", study]) == EXIT_RUNTIME
@@ -228,11 +251,37 @@ def test_report_overlays_a_trajectory(workspace, capsys):
     assert "context" in out and "outcome" in out
 
 
+def test_trajectory_that_does_not_fit_its_map_is_a_runtime_error(workspace, tmp_path, capsys):
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    config, header, rows = read_csv(episodes)
+    walk = [row for row in rows if row[0] == "0"]
+    cut = str(tmp_path / "cut.csv")
+    for kept, message in ((walk[:-1], "the outcome is running"),
+                          (walk + walk[-1:], f"after {len(walk)} the outcome is")):
+        write_atomic(cut, csv_text(header, kept, config))
+        assert main(["report", "--trajectory", cut, "--episode", "0"]) == EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+    # The 4x4 walks replayed on a 6x6 context set.
+    assert main(["contexts", "gen", "--size", "6", "--count", "30", "--seed", "7",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    other = str(tmp_path / "contexts" / "s6_c30_seed7.txt")
+    for episode in range(6):
+        length = sum(row[0] == str(episode) for row in rows)
+        assert main(["report", "--trajectory", episodes, "--episode", str(episode),
+                     "--contexts", other]) == EXIT_RUNTIME
+        assert f"{length} logged actions do not fit context" in capsys.readouterr().err
+
+
 def test_trajectory_for_a_missing_episode_is_a_runtime_error(workspace, capsys):
     episodes = os.path.join(workspace["out"], "episodes",
                             "ask_rule_test_s4_tau0.2_seed1.csv")
     assert main(["report", "--trajectory", episodes, "--episode", "99"]) == EXIT_RUNTIME
     assert "episode 99" in capsys.readouterr().err
+    summary = os.path.join(workspace["out"], "summaries",
+                           "ask_rule_test_s4_tau0.2_seed1.csv")
+    assert main(["report", "--trajectory", summary]) == EXIT_RUNTIME
+    assert "not an episode CSV" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Gated episode loop: consultation rule, override semantics, logging, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from askgate.gate import (
     EpisodeRecord,
     GateConfig,
     RunMode,
-    config_comment,
+    csv_text,
+    read_csv,
     run_batch,
     run_episode,
+    write_atomic,
     write_episode_csv,
 )
 from askgate.lm import RuleClient, ScriptedClient
@@ -192,8 +196,54 @@ def test_episode_indices_decorrelate_uncertainty(policy, contexts):
 # CSV artifact
 
 
-def test_config_comment_is_canonical():
-    assert config_comment({"b": 2, "a": 1}) == '# config {"a":1,"b":2}'
+def test_config_comment_is_canonical(tmp_path):
+    text = csv_text(["a", "b"], [[1, "x,y"]], {"b": 2, "a": 1})
+    assert text == '# config {"a":1,"b":2}\na,b\n1,"x,y"\n'
+    path = tmp_path / "artifact.csv"
+    write_atomic(str(path), text)
+    assert read_csv(str(path)) == ({"a": 1, "b": 2}, ["a", "b"], [["1", "x,y"]])
+    # Without a config line the file reads back with an empty config.
+    write_atomic(str(path), csv_text(["a", "b"], [[1, 2]]))
+    assert path.read_text() == "a,b\n1,2\n"
+    assert read_csv(str(path)) == ({}, ["a", "b"], [["1", "2"]])
+
+
+def test_read_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_text("a,b,c\n1,2,3\n4,5\n")
+    with pytest.raises(ValueError, match="2 fields"):
+        read_csv(str(path))
+
+
+def test_interrupted_write_keeps_the_old_artifact(tmp_path, policy, contexts, monkeypatch):
+    cfg = GateConfig(mode=RunMode.PPO_ONLY, passes=2, seed=0, max_steps=8)
+    records = run_batch(policy, None, contexts[:2], cfg, total_episodes=2)
+    path = tmp_path / "episodes.csv"
+    write_episode_csv(records, str(path), {"seed": 0})
+    before = path.read_bytes()
+
+    def interrupted():
+        yield records[0]
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_episode_csv(interrupted(), str(path), {"seed": 1})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["episodes.csv"]
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_episode_csv(records, str(path), {"seed": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["episodes.csv"]  # the temp file is gone too
+    # A replaced artifact keeps the mode that a plain open() gives a new file.
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 def test_episode_csv_layout(tmp_path, policy, contexts):

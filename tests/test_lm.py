@@ -275,9 +275,12 @@ def test_endpoint_round_trip_and_request_shape():
     sent = captured[0]
     assert sent["path"] == "/v1/chat/completions"
     assert sent["auth"] == "Bearer sekrit"
-    assert sent["json"]["model"] == "tiny"
-    assert sent["json"]["temperature"] == 0.0
-    assert sent["json"]["messages"] == [{"role": "user", "content": "PROMPT TEXT"}]
+    assert sent["json"] == {
+        "model": "tiny",
+        "messages": [{"role": "user", "content": "PROMPT TEXT"}],
+        "temperature": 0.0,
+        "max_tokens": 16,
+    }
 
 
 def test_endpoint_reads_url_and_token_from_env(monkeypatch):

@@ -18,7 +18,6 @@ from askgate.metrics import (
     overwrite_rate,
     read_summary_csv,
     render_report,
-    render_summary_csv,
     render_summary_table,
     render_trajectory,
     write_summary_csv,
@@ -197,15 +196,23 @@ def test_trajectory_overlay_marks_the_walk():
         "H.*G\n"
         "context 3: outcome goal, reward 1, length 6\n"
     )
-    assert render_report((context, actions, 100), "trajectory") == text
     # The outcome line comes from the replay itself, cap included.
     assert render_trajectory(context, [Action.RIGHT, Action.LEFT], 2).endswith(
         "context 3: outcome truncated, reward 0, length 2\n")
+    # Actions that do not end the episode exactly at the last one are refused.
+    with pytest.raises(ValueError, match="5 logged actions .* after 5 the outcome is running"):
+        render_trajectory(context, actions[:-1], 100)
+    with pytest.raises(ValueError, match="7 logged actions .* after 6 the outcome is goal"):
+        render_trajectory(context, actions + [Action.LEFT], 100)
+    with pytest.raises(ValueError, match="3 logged actions .* after 2 the outcome is truncated"):
+        render_trajectory(context, [Action.RIGHT, Action.LEFT, Action.RIGHT], 2)
 
 
-def test_render_report_dispatch():
+def test_render_report_dispatch(tmp_path):
     rows = sample_rows()
-    assert render_report(rows, "csv") == render_summary_csv(rows)
+    write_summary_csv(rows, str(tmp_path / "summary.csv"))
+    assert render_report(rows, "csv") == (tmp_path / "summary.csv").read_text()
     assert render_report(rows, "table") == render_summary_table(rows)
-    with pytest.raises(ValueError):
-        render_report(rows, "sparkline")
+    for fmt in ("sparkline", "trajectory"):
+        with pytest.raises(ValueError):
+            render_report(rows, fmt)
