@@ -23,6 +23,7 @@ import numpy as np
 from .env import Action
 
 N_ACTIONS = 4
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)  # rng.choice's tolerance on sum(p)
 
 WEIGHTS_MAGIC = b"MLPW"
 WEIGHTS_VERSION = 1
@@ -206,13 +207,31 @@ def dropout_passes(
 
 
 def select_action(dist: np.ndarray, mode: str = "greedy", rng: np.random.Generator | None = None) -> Action:
-    """Greedy argmax (ties toward the lowest action index) or seeded sampling."""
+    """Greedy argmax (ties toward the lowest action index) or seeded sampling.
+
+    Sampling is ``rng.choice(N_ACTIONS, p=dist)`` done inline: the same
+    checks, then the inverse CDF at one ``rng.random()`` draw, so it returns
+    the same action and leaves ``rng`` in the same state.
+    """
     if mode == "greedy":
         return Action(int(np.argmax(dist)))
     if mode == "sample":
         if rng is None:
             raise ValueError("sampling requires an rng")
-        return Action(int(rng.choice(N_ACTIONS, p=dist)))
+        p = np.asarray(dist, dtype=np.float64)
+        if p.shape != (N_ACTIONS,):
+            raise ValueError(f"probabilities of shape {p.shape}, expected ({N_ACTIONS},)")
+        values = p.tolist()  # on 4 entries, Python floats check ~10x faster than numpy
+        total = sum(values)
+        if math.isnan(total):
+            raise ValueError("probabilities contain NaN")
+        if min(values) < 0.0:
+            raise ValueError("probabilities are not non-negative")
+        if abs(total - 1.0) > _SUM_ATOL:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return Action(int(cdf.searchsorted(rng.random(), side="right")))
     raise ValueError(f"unknown selection mode: {mode!r}")
 
 

@@ -1,9 +1,10 @@
 """Compact clipped-surrogate policy-gradient trainer (numpy, single process).
 
 Per update: collect a fixed-length rollout (episodes sample a train context
-uniformly at each reset), compute GAE advantages, then run several epochs of
-shuffled minibatch updates on the clipped surrogate with value and entropy
-terms, optimized by Adam. Truncated episodes bootstrap the value of the
+uniformly at each reset; the policy is read from a per-rollout table of every
+cell's distribution and value), compute GAE advantages, then run several
+epochs of shuffled minibatch updates on the clipped surrogate with value and
+entropy terms, optimized by Adam. Truncated episodes bootstrap the value of the
 successor state; terminal episodes do not. Greedy evaluations on the eval
 contexts run on a fixed timestep interval and the best-scoring parameters
 are the ones returned.
@@ -178,12 +179,6 @@ class _Adam:
 # ---------------------------------------------------------------------------
 # Rollouts and GAE.
 
-def _one_hot(indices: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros((len(indices), dim), dtype=np.float64)
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
-
-
 def _gae(rewards, values, ends, boot, gamma: float, lam: float):
     """Advantages with episode-boundary resets; truncation bootstraps."""
     n = len(rewards)
@@ -212,6 +207,10 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     rng = np.random.default_rng(config.seed)
     policy = policy_mod.init_policy(seed=config.seed)
     obs_dim = policy.input_dim
+    (n,) = sizes
+    if n * n > obs_dim:
+        raise ValueError(f"observation index {n * n - 1} does not fit dim {obs_dim} (grid size {n})")
+    cells = np.eye(n * n, obs_dim)  # row i: the observation of cell i
     adam = _Adam(policy.flat, config.learning_rate)
 
     entries: list[TrainLogEntry] = []
@@ -258,13 +257,17 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     boot = np.zeros(t_steps, dtype=np.float64)
 
     while timestep < config.total_timesteps:
+        # The parameters are fixed until the update phase, so one single-row
+        # forward per cell serves every step; a batched forward would not be
+        # bit-equal to it.
+        table = [policy_mod.forward(policy, cell) for cell in cells]
         for t in range(t_steps):
-            obs = env_mod.encode_observation(state, dim=obs_dim)
-            dist, value = policy_mod.forward(policy, obs)
+            index = state.row * n + state.col
+            dist, value = table[index]
             action = policy_mod.select_action(dist, "sample", rng)
             next_state, reward, done = env_mod.step(state, action, config.max_steps)
 
-            obs_idx[t] = state.row * state.context.grid.size + state.col
+            obs_idx[t] = index
             actions[t] = int(action)
             logps[t] = math.log(dist[int(action)])
             values[t] = value
@@ -274,17 +277,15 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
             if done:
                 if next_state.outcome is Outcome.TRUNCATED:
-                    trunc_obs = env_mod.encode_observation(next_state, dim=obs_dim)
-                    boot[t] = policy_mod.forward(policy, trunc_obs)[1]
+                    boot[t] = table[next_state.row * n + next_state.col][1]
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
         if not ends[t_steps - 1]:
-            final_obs = env_mod.encode_observation(state, dim=obs_dim)
-            boot[t_steps - 1] = policy_mod.forward(policy, final_obs)[1]
+            boot[t_steps - 1] = table[state.row * n + state.col][1]
 
         advantages, returns = _gae(rewards, values, ends, boot, config.gamma, config.gae_lambda)
-        obs_batch = _one_hot(obs_idx, obs_dim)
+        obs_batch = cells[obs_idx]
         for _ in range(config.epochs):
             order = rng.permutation(t_steps)
             for start in range(0, t_steps, config.minibatch_size):

@@ -241,22 +241,29 @@ def serve(handler_fn):
                              "auth": self.headers.get("Authorization")})
             status, body = handler_fn(request)
             payload = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client gave up first (the timeout test)
 
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    class Server(ThreadingHTTPServer):
+        daemon_threads = False  # so server_close() joins the handler threads
+
+    server = Server(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", captured
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -324,9 +331,11 @@ def test_endpoint_malformed_body_is_transport_error(body):
             client.query("hi", timeout=5.0)
 
 
-def test_endpoint_timeout_raises_timeout_error():
+def test_endpoint_timeout_raises_timeout_error(capfd):
+    released = threading.Event()
+
     def handler(request):
-        time.sleep(1.0)
+        released.wait(5.0)
         return 200, chat_body("late")
 
     with serve(handler) as (url, _):
@@ -335,6 +344,8 @@ def test_endpoint_timeout_raises_timeout_error():
         with pytest.raises(LmTimeoutError):
             client.query("hi", timeout=0.2)
         assert time.monotonic() - start < 0.9
+        released.set()  # the late reply now goes to a closed connection
+    assert "Exception occurred during processing of request" not in capfd.readouterr().err
 
 
 def test_endpoint_connection_refused_is_transport_error():

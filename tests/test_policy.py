@@ -193,6 +193,35 @@ def test_sampled_selection_follows_the_distribution():
     assert all(select_action(dist, "sample", rng) is Action.LEFT for _ in range(20))
 
 
+def test_sampling_matches_rng_choice_draw_for_draw():
+    source = np.random.default_rng(11)
+    dists = [*np.concatenate([source.dirichlet(np.full(4, alpha), size=25_000)
+                              for alpha in (0.05, 0.5, 1.0, 20.0)])]
+    dists += [np.eye(4)[i] for i in range(4) for _ in range(100)]
+    dists += [np.full(4, 0.25)] * 1000
+    dists += [np.array([1e-300, 0.5, 0.5, 0.0]), np.array([0.25, 1e-300, 0.25, 0.5]),
+              np.array([1e-300, 1e-300, 1.0, 1e-300])] * 1000
+    dists += [d * (1.0 + 1e-9) for d in dists[:1000]]  # inside choice's sum tolerance
+    ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for dist in dists:
+        assert select_action(dist, "sample", ours) == twin.choice(4, p=dist)
+    assert ours.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", [
+    [0.25, np.nan, 0.25, 0.5],
+    [0.5, -0.1, 0.3, 0.3],
+    [0.5, 0.5, 0.0],
+    [[0.25, 0.25, 0.25, 0.25]],
+    [0.3, 0.3, 0.2, 0.1],
+])
+def test_sampling_rejects_what_rng_choice_rejects(dist):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(4, p=dist)
+    with pytest.raises(ValueError):
+        select_action(np.array(dist), "sample", np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Weights file format
 

@@ -1,11 +1,23 @@
 """PPO trainer: gradients, GAE, Adam, the training loop, and evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gradcheck import finite_difference_errors, synthetic_batch
 
-from askgate.env import Context, GridMap, Split, generate_context_set
+from askgate.env import (
+    Action,
+    Context,
+    GridMap,
+    Outcome,
+    Split,
+    encode_observation,
+    generate_context_set,
+    reset,
+    step,
+)
 from askgate.policy import build_policy, forward, init_policy, load_weights, save_weights
 from askgate.trainer import (
     TRAINLOG_CSV_HEADER,
@@ -183,6 +195,68 @@ def test_gae_matches_reference_recursion_on_random_data():
 # Training loop
 
 
+def reference_train(train_contexts, cfg):
+    """The training loop with one forward and one ``rng.choice`` per step.
+
+    It has no evaluation, so it matches ``train`` when the only evaluation
+    is the one after the last rollout.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    policy = init_policy(seed=cfg.seed)
+    adam = _Adam(policy.flat, cfg.learning_rate)
+    t_steps = cfg.rollout_steps
+    state = reset(train_contexts[rng.integers(len(train_contexts))])
+    for _ in range(cfg.total_timesteps // t_steps):
+        obs, actions, logps, values, rewards, ends, boot = [], [], [], [], [], [], []
+        for _ in range(t_steps):
+            x = encode_observation(state)
+            dist, value = forward(policy, x)
+            action = int(rng.choice(4, p=dist))
+            next_state, reward, done = step(state, Action(action), cfg.max_steps)
+            obs.append(x)
+            actions.append(action)
+            logps.append(math.log(dist[action]))
+            values.append(value)
+            rewards.append(float(reward))
+            ends.append(done)
+            truncated = next_state.outcome is Outcome.TRUNCATED
+            boot.append(forward(policy, encode_observation(next_state))[1] if truncated else 0.0)
+            if done:
+                state = reset(train_contexts[rng.integers(len(train_contexts))])
+            else:
+                state = next_state
+        if not ends[-1]:
+            boot[-1] = forward(policy, encode_observation(state))[1]
+        advantages, returns = _gae(np.array(rewards), np.array(values), np.array(ends),
+                                   np.array(boot), cfg.gamma, cfg.gae_lambda)
+        obs, actions, logps = np.array(obs), np.array(actions), np.array(logps)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(t_steps)
+            for start in range(0, t_steps, cfg.minibatch_size):
+                mb = order[start:start + cfg.minibatch_size]
+                mb_adv = advantages[mb]
+                batch = {
+                    "obs": obs[mb],
+                    "actions": actions[mb],
+                    "logp_old": logps[mb],
+                    "advantages": (mb_adv - mb_adv.mean()) / (mb_adv.std() + 1e-8),
+                    "returns": returns[mb],
+                }
+                adam.step(policy.flat, ppo_grads(policy, batch, cfg)[1])
+    return policy
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_training_matches_the_per_step_reference_bit_for_bit(size):
+    # A step cap of 6 makes truncations, so the bootstrap values are read too.
+    contexts = generate_context_set(size, 20, 1)
+    cfg = tiny_config(total_timesteps=768, eval_interval=768, max_steps=6)
+    policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
+    assert [e.timestep for e in log.entries] == [768]
+    expected = reference_train(contexts.split(Split.TRAIN), cfg)
+    assert policy.flat.tobytes() == expected.flat.tobytes()
+
+
 def test_zero_budget_returns_the_initial_policy(contexts):
     cfg = tiny_config(total_timesteps=0)
     policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
@@ -244,6 +318,17 @@ def test_train_validates_inputs(contexts):
     other = generate_context_set(6, 3, 0)
     with pytest.raises(ValueError):
         train(list(contexts.split(Split.TRAIN)), list(other.contexts), tiny_config())
+
+
+def test_train_rejects_grids_larger_than_the_input_before_any_rollout(monkeypatch):
+    big = generate_context_set(9, 20, 0)
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a rollout started")
+
+    monkeypatch.setattr("askgate.env.step", no_rollout)
+    with pytest.raises(ValueError, match="observation index 80 does not fit dim 64"):
+        train(big.split(Split.TRAIN), big.split(Split.EVAL), tiny_config())
 
 
 # ---------------------------------------------------------------------------
