@@ -32,10 +32,6 @@ class TileKind(enum.Enum):
     GOAL = "G"
 
     @property
-    def char(self) -> str:
-        return self.value
-
-    @property
     def label(self) -> str:
         """Tile name as it appears in prompts (START/FROZEN/HOLE/GOAL)."""
         return self.name

@@ -7,10 +7,12 @@ Modes:
 * ``lm``  — the LM is consulted at every step (policy action as fallback).
 * ``ask`` — the LM is consulted exactly when total uncertainty >= tau.
 
-Uncertainty is computed and logged in every mode so intervention statistics
-can be recomputed from logs; it gates only in ``ask`` mode. An LM action
-never outlives the step it was requested for: every step starts from the
-policy's own greedy action.
+Each step's uncertainty comes from the episode's uncertainty source, by
+default the MC-Dropout estimate. It is logged in every mode so intervention
+statistics can be recomputed from logs, and it gates only in ``ask`` mode.
+Greedy evaluation is a ``ppo`` episode with no source, which logs none. An LM
+action never outlives the step it was requested for: every step starts from
+the policy's own greedy action.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class GateConfig:
     timeout: float = lm_mod.DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not self.tau >= 0:  # false for NaN too
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -72,7 +74,7 @@ class GateConfig:
 class StepRecord:
     obs_index: int
     policy_action: Action
-    uncertainty: UncertaintyEstimate | None   # None only for ungated greedy rollouts
+    uncertainty: UncertaintyEstimate | None   # None when the episode has no uncertainty source
     consulted: bool
     lm_status: str            # "" | ok | parse_failure | invalid_action | transport_error
     lm_action: Action | None
@@ -95,17 +97,33 @@ def _episode_rng(seed: int, episode_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, episode_index])
 
 
+def mc_dropout(
+    policy: policy_mod.MlpPolicy, obs: np.ndarray, cfg: GateConfig, rng: np.random.Generator
+) -> UncertaintyEstimate:
+    """The default uncertainty source: ``cfg.passes`` MC-Dropout passes at
+    ``cfg.dropout_rate``. ``mc_estimate`` is looked up at call time, so a
+    wrapper set on the module sees every call."""
+    return unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
+
+
 def run_episode(
     policy: policy_mod.MlpPolicy,
     client,
     context: Context,
     cfg: GateConfig,
     episode_index: int = 0,
+    uncertainty=mc_dropout,
 ) -> EpisodeRecord:
     """Play one gated episode; deterministic given cfg.seed, episode_index,
-    and a deterministic client."""
+    and a deterministic client and uncertainty source.
+
+    ``uncertainty(policy, obs, cfg, rng)`` gives each step's estimate, or is
+    None for no estimate, which ``ask`` mode cannot gate on.
+    """
     if cfg.mode is not RunMode.PPO_ONLY and client is None:
         raise ValueError(f"mode {cfg.mode.value} requires a client")
+    if cfg.mode is RunMode.ASK and uncertainty is None:
+        raise ValueError("mode ask requires an uncertainty source")
     rng = _episode_rng(cfg.seed, episode_index)
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
@@ -113,7 +131,7 @@ def run_episode(
         obs = env_mod.encode_observation(state, dim=policy.input_dim)
         dist, _ = policy_mod.forward(policy, obs)
         policy_action = policy_mod.select_action(dist, "greedy")
-        estimate = unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
+        estimate = uncertainty(policy, obs, cfg, rng) if uncertainty is not None else None
 
         if cfg.mode is RunMode.ASK:
             consulted = estimate.total >= cfg.tau
@@ -165,13 +183,15 @@ def run_batch(
     contexts,
     cfg: GateConfig,
     total_episodes: int = 100,
+    uncertainty=mc_dropout,
 ) -> list[EpisodeRecord]:
     """Round-robin over contexts; per-episode seeds derive from (seed, index)."""
     contexts = list(contexts)
     if not contexts:
         raise ValueError("run_batch requires at least one context")
     return [
-        run_episode(policy, client, contexts[i % len(contexts)], cfg, episode_index=i)
+        run_episode(policy, client, contexts[i % len(contexts)], cfg,
+                    episode_index=i, uncertainty=uncertainty)
         for i in range(total_episodes)
     ]
 

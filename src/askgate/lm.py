@@ -126,21 +126,7 @@ class LmDecision:
 
 
 def build_prompt(ctx: PromptContext) -> str:
-    return PROMPT_TEMPLATE.format(
-        agent_row=ctx.agent_row,
-        agent_col=ctx.agent_col,
-        goal_row=ctx.goal_row,
-        goal_col=ctx.goal_col,
-        up_tile=ctx.up_tile,
-        down_tile=ctx.down_tile,
-        left_tile=ctx.left_tile,
-        right_tile=ctx.right_tile,
-        up_up_tile=ctx.up_up_tile,
-        down_down_tile=ctx.down_down_tile,
-        left_left_tile=ctx.left_left_tile,
-        right_right_tile=ctx.right_right_tile,
-        autopilot=ctx.autopilot.name,
-    )
+    return PROMPT_TEMPLATE.format(**{**vars(ctx), "autopilot": ctx.autopilot.name})
 
 
 def parse_decision(raw: str) -> LmDecision:
@@ -263,21 +249,10 @@ def _context_from_prompt(prompt: str) -> PromptContext:
     if match is None:
         raise ValueError("prompt does not follow the expected template")
     fields = match.groupdict()
-    return PromptContext(
-        agent_row=int(fields["agent_row"]),
-        agent_col=int(fields["agent_col"]),
-        goal_row=int(fields["goal_row"]),
-        goal_col=int(fields["goal_col"]),
-        up_tile=fields["up_tile"],
-        down_tile=fields["down_tile"],
-        left_tile=fields["left_tile"],
-        right_tile=fields["right_tile"],
-        up_up_tile=fields["up_up_tile"],
-        down_down_tile=fields["down_down_tile"],
-        left_left_tile=fields["left_left_tile"],
-        right_right_tile=fields["right_right_tile"],
-        autopilot=Action[fields["autopilot"]],
-    )
+    for name in ("agent_row", "agent_col", "goal_row", "goal_col"):
+        fields[name] = int(fields[name])
+    fields["autopilot"] = Action[fields["autopilot"]]
+    return PromptContext(**fields)
 
 
 class RuleClient:

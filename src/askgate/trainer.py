@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env as env_mod
+from . import gate as gate_mod
 from . import metrics as metrics_mod
 from . import policy as policy_mod
 from .env import Outcome
-from .gate import EpisodeRecord, StepRecord, csv_text, write_atomic
+from .gate import GateConfig, RunMode, csv_text, write_atomic
 from .metrics import RunSummary
 from .policy import MlpPolicy
 
@@ -55,7 +56,7 @@ class PpoConfig:
             raise ValueError("total_timesteps must be >= 0")
         for name in ("rollout_steps", "minibatch_size", "epochs", "learning_rate",
                      "eval_interval", "eval_episodes", "max_steps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # false for NaN too
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.clip < 1.0:
             raise ValueError("clip must lie in (0, 1)")
@@ -318,39 +319,12 @@ def evaluate_policy(
     contexts,
     episodes: int = 100,
     cap: int = env_mod.DEFAULT_MAX_STEPS,
-    gamma: float = 1.0,
 ) -> RunSummary:
-    """Greedy episodes, contexts cycled round-robin; aggregated via metrics."""
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("evaluate_policy requires at least one context")
-    records = []
-    for i in range(episodes):
-        records.append(greedy_episode(policy, contexts[i % len(contexts)], cap))
-    return metrics_mod.aggregate(records, gamma=gamma)
-
-
-def greedy_episode(policy: MlpPolicy, context, cap: int = env_mod.DEFAULT_MAX_STEPS) -> EpisodeRecord:
-    """One deterministic episode with no consultation and no uncertainty."""
-    state = env_mod.reset(context)
-    n = context.grid.size
-    steps: list[StepRecord] = []
-    while not state.done:
-        obs = env_mod.encode_observation(state, dim=policy.input_dim)
-        dist, _ = policy_mod.forward(policy, obs)
-        action = policy_mod.select_action(dist, "greedy")
-        index = state.row * n + state.col
-        state, reward, done = env_mod.step(state, action, cap)
-        steps.append(StepRecord(
-            obs_index=index, policy_action=action, uncertainty=None,
-            consulted=False, lm_status="", lm_action=None,
-            final_action=action, overwritten=False, reward=reward, done=done,
-        ))
-    return EpisodeRecord(
-        context_id=context.id, steps=tuple(steps),
-        reward=1 if state.outcome is Outcome.GOAL else 0,
-        length=len(steps), outcome=state.outcome,
-    )
+    """Greedy episodes, contexts cycled round-robin: ``run_batch`` in ``ppo``
+    mode with no uncertainty source, aggregated via metrics."""
+    cfg = GateConfig(mode=RunMode.PPO_ONLY, max_steps=cap)
+    return metrics_mod.aggregate(
+        gate_mod.run_batch(policy, None, contexts, cfg, episodes, uncertainty=None))
 
 
 def write_trainlog_csv(log: TrainLog, path: str, config: dict | None = None) -> None:

@@ -68,13 +68,11 @@ def predictive_entropy(dists) -> float:
     return float(-_xlogx(mean).sum())
 
 
-def estimate_from_passes(dists, pass_count: int | None = None) -> UncertaintyEstimate:
+def estimate_from_passes(dists) -> UncertaintyEstimate:
     mat = _as_matrix(dists)
     e = epistemic(mat)
     a = aleatoric(mat)
-    return UncertaintyEstimate(
-        epistemic=e, aleatoric=a, total=e + a, pass_count=pass_count or mat.shape[0]
-    )
+    return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=mat.shape[0])
 
 
 def mc_estimate(
@@ -89,4 +87,4 @@ def mc_estimate(
     Deterministic given the rng seed: masks are drawn in a fixed order.
     """
     dists = policy_mod.dropout_passes(policy, obs, n_passes, dropout_rate, rng)
-    return estimate_from_passes(dists, pass_count=n_passes)
+    return estimate_from_passes(dists)

@@ -107,6 +107,16 @@ def test_out_of_range_dropout_rate_is_a_runtime_error(workspace, tmp_path, capsy
     assert not out.exists()  # no episode, summary or study CSV was written
 
 
+def test_nan_tau_is_a_runtime_error(workspace, tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = main(["run", "--mode", "ask", "--client", "rule", "--tau", "nan",
+                 "--contexts", workspace["ctx"], "--weights", workspace["weights"],
+                 "--episodes", "2", "--passes", "5", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_a_runtime_error(tmp_path):
     assert main(["contexts", "gen", "--size", "4",
                  "--config", str(tmp_path / "absent.json"),

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from askgate import gate as gate_mod
+from askgate import uncertainty as unc_mod
 from askgate.env import Action, Outcome, Split, generate_context_set
 from askgate.gate import (
     EPISODE_CSV_HEADER,
@@ -41,8 +43,10 @@ def scripted(actions, repeat=1):
 
 
 def test_gate_config_validation():
-    with pytest.raises(ValueError):
-        GateConfig(tau=-0.1)
+    for tau in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="tau"):
+            GateConfig(tau=tau)
+    assert GateConfig(tau=float("inf")).tau == float("inf")  # the unreachable tau
     with pytest.raises(ValueError):
         GateConfig(passes=0)
     with pytest.raises(ValueError):
@@ -57,6 +61,51 @@ def test_non_policy_modes_require_a_client(policy, contexts):
     for mode in (RunMode.ASK, RunMode.LM_ONLY):
         with pytest.raises(ValueError):
             run_episode(policy, None, contexts[0], GateConfig(mode=mode))
+
+
+def test_ask_mode_without_an_uncertainty_source_fails_before_the_first_step(
+        policy, contexts, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an env step ran")
+
+    monkeypatch.setattr("askgate.env.step", no_step)
+    with pytest.raises(ValueError, match="uncertainty source"):
+        run_batch(policy, RuleClient(), contexts[:2], GateConfig(mode=RunMode.ASK),
+                  total_episodes=2, uncertainty=None)
+
+
+# ---------------------------------------------------------------------------
+# Uncertainty source
+
+
+def test_episode_without_uncertainty_source_is_plain(policy, contexts):
+    cfg = GateConfig(mode=RunMode.PPO_ONLY)
+    record = run_episode(policy, None, contexts[0], cfg, uncertainty=None)
+    assert all(s.uncertainty is None for s in record.steps)
+    assert all(not s.consulted and s.lm_status == "" for s in record.steps)
+    assert record.length <= 100
+
+
+def test_default_source_reaches_mc_estimate_through_the_module(policy, contexts, monkeypatch):
+    # Wrappers set on askgate.uncertainty.mc_estimate and on the episode
+    # index keyword of run_episode must see every step and every episode.
+    calls = []
+    original = unc_mod.mc_estimate
+    monkeypatch.setattr(unc_mod, "mc_estimate",
+                        lambda *args: calls.append(args) or original(*args))
+    indices = []
+    original_episode = gate_mod.run_episode
+
+    def recording_episode(*args, **kwargs):
+        indices.append(kwargs["episode_index"])
+        return original_episode(*args, **kwargs)
+
+    monkeypatch.setattr(gate_mod, "run_episode", recording_episode)
+    cfg = GateConfig(mode=RunMode.ASK, tau=0.5, passes=4, seed=0, max_steps=12)
+    records = run_batch(policy, RuleClient(), contexts[:2], cfg, total_episodes=3)
+    assert len(calls) == sum(r.length for r in records)
+    assert all(args[2:4] == (4, 0.2) for args in calls)
+    assert indices == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from gradcheck import finite_difference_errors, synthetic_batch
 
+from askgate import metrics as metrics_mod
 from askgate.env import (
     Action,
     Context,
@@ -18,7 +19,16 @@ from askgate.env import (
     reset,
     step,
 )
-from askgate.policy import build_policy, forward, init_policy, load_weights, save_weights
+from askgate.gate import EpisodeRecord, StepRecord
+from askgate.metrics import aggregate
+from askgate.policy import (
+    build_policy,
+    forward,
+    init_policy,
+    load_weights,
+    save_weights,
+    select_action,
+)
 from askgate.trainer import (
     TRAINLOG_CSV_HEADER,
     PpoConfig,
@@ -27,7 +37,6 @@ from askgate.trainer import (
     _Adam,
     _gae,
     evaluate_policy,
-    greedy_episode,
     ppo_grads,
     ppo_loss,
     train,
@@ -60,6 +69,10 @@ def test_config_validation():
         PpoConfig(clip=1.5)
     with pytest.raises(ValueError):
         PpoConfig(gamma=0.0)
+    for name in ("learning_rate", "rollout_steps"):
+        for bad in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match=name):
+                PpoConfig(**{name: bad})
 
 
 def test_params_round_trip_and_isolation(tmp_path):
@@ -341,11 +354,48 @@ def test_untrained_policy_scores_near_zero_on_hole_dense_maps():
     assert summary.reward_mean <= 0.05
 
 
-def test_greedy_episode_records_are_plain(contexts):
-    record = greedy_episode(init_policy(seed=0), contexts.contexts[0])
-    assert all(s.uncertainty is None for s in record.steps)
-    assert all(not s.consulted and s.lm_status == "" for s in record.steps)
-    assert record.length <= 100
+def reference_greedy_rollout(policy, context, cap):
+    """A greedy episode written out step by step, with no gate in the way."""
+    state = reset(context)
+    n = context.grid.size
+    steps = []
+    while not state.done:
+        obs = encode_observation(state, dim=policy.input_dim)
+        dist, _ = forward(policy, obs)
+        action = select_action(dist, "greedy")
+        index = state.row * n + state.col
+        state, reward, done = step(state, action, cap)
+        steps.append(StepRecord(
+            obs_index=index, policy_action=action, uncertainty=None,
+            consulted=False, lm_status="", lm_action=None,
+            final_action=action, overwritten=False, reward=reward, done=done,
+        ))
+    return EpisodeRecord(
+        context_id=context.id, steps=tuple(steps),
+        reward=1 if state.outcome is Outcome.GOAL else 0,
+        length=len(steps), outcome=state.outcome,
+    )
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_evaluate_policy_matches_a_step_by_step_greedy_loop(size, monkeypatch):
+    ctx = generate_context_set(size, 30, 2)
+    trained, _ = train(ctx.split(Split.TRAIN), ctx.split(Split.EVAL),
+                       tiny_config(total_timesteps=2048, eval_interval=1024))
+    seen = []
+
+    def recording_aggregate(eps, gamma=1.0):
+        seen.append(list(eps))
+        return aggregate(seen[-1], gamma)
+
+    monkeypatch.setattr(metrics_mod, "aggregate", recording_aggregate)
+    pool = ctx.split(Split.TEST)
+    for policy, cap in ((init_policy(seed=0), 100), (trained, 100), (trained, 7)):
+        summary = evaluate_policy(policy, pool, episodes=len(pool) + 3, cap=cap)
+        expected = [reference_greedy_rollout(policy, pool[i % len(pool)], cap)
+                    for i in range(len(pool) + 3)]
+        assert seen[-1] == expected
+        assert summary == aggregate(expected)
 
 
 def test_evaluate_policy_round_robins(contexts):
