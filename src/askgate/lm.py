@@ -211,9 +211,12 @@ class EndpointClient:
         if not 200 <= resp.status_code < 300:
             raise LmHttpError(resp.status_code, resp.text[:200])
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LmTransportError(f"malformed response body: {exc}") from exc
+        if not isinstance(content, str):
+            raise LmTransportError(f"malformed response body: content is {type(content).__name__}")
+        return content
 
 
 class ScriptedClient:

@@ -63,6 +63,9 @@ class PpoConfig:
         for name in ("gamma", "gae_lambda"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
+        for name in ("entropy_coef", "value_coef"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must lie in [0, inf)")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .env import Split
-from .gate import GateConfig, RunMode, csv_text, run_batch, write_atomic
+from .gate import GateConfig, RunMode, csv_text, mc_dropout, run_batch, write_atomic
 from .policy import MlpPolicy
 
 DEFAULT_LO = 0.10
@@ -49,6 +49,33 @@ class TuneStudy:
     best_reward: float
 
 
+def memoized_mc_dropout():
+    """A :func:`gate.mc_dropout` source that computes each estimate once.
+
+    Every step draws the same number of mask doubles from the episode's
+    generator whatever the tau or path, so for a fixed policy, passes and
+    rate the generator's state before the call plus the observed cell fixes
+    the estimate. A hit returns the stored estimate and restores the state
+    the real call left, so later steps draw exactly as before. Make a fresh
+    source per study.
+    """
+    memo = {}
+
+    def source(policy, obs, cfg, rng):
+        bits = rng.bit_generator
+        state = bits.state
+        key = (state["state"]["state"], state["state"]["inc"],
+               state["has_uint32"], state["uinteger"], obs.tobytes())
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (mc_dropout(policy, obs, cfg, rng), bits.state)
+        else:
+            bits.state = hit[1]
+        return hit[0]
+
+    return source
+
+
 def tune_threshold(
     policy: MlpPolicy,
     client,
@@ -63,7 +90,8 @@ def tune_threshold(
     """Search [lo, hi] for the reward-maximizing tau on the Eval split.
 
     ``gate`` supplies everything but tau and mode (passes, dropout rate,
-    cap, episode seed); the mode is forced to ask.
+    cap, episode seed); the mode is forced to ask. The trials share one
+    :func:`memoized_mc_dropout` source, local to this call.
     """
     eval_contexts = list(eval_contexts)
     if not eval_contexts:
@@ -81,10 +109,12 @@ def tune_threshold(
     taus = [(lo + hi) / 2.0]
     taus.extend(float(rng.uniform(lo, hi)) for _ in range(trials - 1))
 
+    uncertainty = memoized_mc_dropout()
     records: list[TrialRecord] = []
     for i, tau in enumerate(taus, start=1):
         cfg = replace(base, tau=tau, mode=RunMode.ASK)
-        eps = run_batch(policy, client, eval_contexts, cfg, total_episodes=episodes_per_trial)
+        eps = run_batch(policy, client, eval_contexts, cfg,
+                        total_episodes=episodes_per_trial, uncertainty=uncertainty)
         summary = metrics_mod.aggregate(eps)
         records.append(TrialRecord(
             trial=i,

@@ -10,7 +10,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from askgate.env import Action
+from askgate.env import Action, generate_context_set
+from askgate.gate import GateConfig, RunMode, run_episode
 from askgate.lm import (
     EndpointClient,
     LmDecision,
@@ -26,6 +27,7 @@ from askgate.lm import (
     render_action,
     rule_decide,
 )
+from askgate.policy import init_policy
 
 TILES = ("START", "FROZEN", "HOLE", "GOAL", "EDGE")
 
@@ -320,15 +322,25 @@ def test_endpoint_http_error_carries_status():
     assert isinstance(excinfo.value, LmTransportError)
 
 
-@pytest.mark.parametrize("body", ["not json at all", json.dumps({"unexpected": 1})])
+@pytest.mark.parametrize("body", ["not json at all", json.dumps({"unexpected": 1}),
+                                  chat_body(None), chat_body(3)])
 def test_endpoint_malformed_body_is_transport_error(body):
     def handler(request):
         return 200, body
 
     with serve(handler) as (url, _):
         client = EndpointClient(base_url=url)
-        with pytest.raises(LmTransportError):
+        with pytest.raises(LmTransportError, match="malformed response body"):
             client.query("hi", timeout=5.0)
+
+
+def test_null_content_falls_back_to_the_policy():
+    contexts = generate_context_set(4, 9, 2).contexts
+    cfg = GateConfig(mode=RunMode.LM_ONLY, passes=3, max_steps=5)
+    with serve(lambda request: (200, chat_body(None))) as (url, _):
+        ep = run_episode(init_policy(seed=0), EndpointClient(base_url=url), contexts[0], cfg)
+    assert ep.steps and all(s.lm_status == "transport_error" for s in ep.steps)
+    assert all(s.final_action == s.policy_action for s in ep.steps)
 
 
 def test_endpoint_timeout_raises_timeout_error(capfd):

@@ -73,6 +73,11 @@ def test_config_validation():
         for bad in (0.0, -1e-3, float("nan")):
             with pytest.raises(ValueError, match=name):
                 PpoConfig(**{name: bad})
+    for name in ("entropy_coef", "value_coef"):
+        PpoConfig(**{name: 0.0})
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                PpoConfig(**{name: bad})
 
 
 def test_params_round_trip_and_isolation(tmp_path):

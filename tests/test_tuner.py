@@ -1,13 +1,24 @@
 """Threshold search: seeded reproducibility, split hygiene, and the known optimum."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from askgate import gate as gate_mod
+from askgate import metrics as metrics_mod
+from askgate import uncertainty as unc_mod
 from askgate.env import Split
+from askgate.gate import GateConfig, RunMode, run_batch
+from askgate.lm import RuleClient
+from askgate.policy import build_policy, dropout_passes, init_policy
 from askgate.tuner import (
     DEFAULT_HI,
     DEFAULT_LO,
     STUDY_CSV_HEADER,
+    TrialRecord,
     TuneStudy,
+    memoized_mc_dropout,
     tune_threshold,
     write_study_csv,
 )
@@ -90,6 +101,78 @@ def test_losing_trials_truncate_instead_of_scoring(contexts4):
     assert losers, "this seed should draw at least one tau above 0.5"
     for rec in losers:
         assert rec.reward_mean == 0.0 and rec.or_percent == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One MC-Dropout estimate per (episode, step, cell) per study
+
+
+def count_mc_estimates(monkeypatch):
+    calls = []
+    real = unc_mod.mc_estimate
+    monkeypatch.setattr(unc_mod, "mc_estimate", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8)])
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("passes", [100, 7])
+def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, passes, monkeypatch):
+    policy = build_policy(widths)
+    policy.flat[:] = np.random.default_rng(1).normal(size=policy.flat.size)
+    obs = np.zeros(widths[0])
+    obs[3] = 1.0
+    cfg = GateConfig(passes=passes, dropout_rate=rate)
+    expected = unc_mod.mc_estimate(policy, obs, passes, rate, np.random.default_rng([0, 3]))
+    calls = count_mc_estimates(monkeypatch)
+
+    source = memoized_mc_dropout()
+    miss = source(policy, obs, cfg, np.random.default_rng([0, 3]))
+    replay = np.random.default_rng([0, 3])
+    hit = source(policy, obs, cfg, replay)
+    reference = np.random.default_rng([0, 3])
+    dropout_passes(policy, obs, passes, rate, reference)
+
+    assert len(calls) == 1
+    assert hit == miss == expected
+    assert replay.bit_generator.state == reference.bit_generator.state
+    source(policy, np.roll(obs, 1), cfg, np.random.default_rng([0, 3]))
+    assert len(calls) == 2, "another cell at the same generator state is a miss"
+
+
+def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
+    # A sharpened untrained head spreads u_total over about [0.8, 1.4] nats,
+    # so trials consult the rule client at different steps and their paths part.
+    policy = init_policy(seed=0)
+    policy.action_head[0][...] *= 300
+    eval_contexts = contexts4.split(Split.EVAL)[:3]
+    gate = GateConfig(passes=10, dropout_rate=0.2, seed=1, max_steps=30)
+    episodes = 6
+    kwargs = dict(lo=0.0, hi=1.4, trials=6, seed=0, episodes_per_trial=episodes, gate=gate)
+    calls = count_mc_estimates(monkeypatch)
+    study = tune_threshold(policy, RuleClient(), eval_contexts, **kwargs)
+    study_calls = len(calls)
+    assert tune_threshold(policy, RuleClient(), eval_contexts, **kwargs) == study
+    assert len(calls) == 2 * study_calls, "the memo must not span two studies"
+
+    trials = []
+    for rec in study.records:
+        cfg = replace(gate, tau=rec.tau, mode=RunMode.ASK)
+        eps = run_batch(policy, RuleClient(), eval_contexts, cfg,
+                        total_episodes=episodes, uncertainty=gate_mod.mc_dropout)
+        summary = metrics_mod.aggregate(eps)
+        assert rec == TrialRecord(
+            trial=rec.trial, tau=rec.tau,
+            reward_mean=summary.reward_mean, reward_std=summary.reward_std,
+            ir_percent=summary.ir_percent, or_percent=summary.or_percent,
+            context_ids=tuple(sorted({ep.context_id for ep in eps})),
+        )
+        trials.append(eps)
+    paths = {tuple((s.obs_index, s.final_action) for s in eps[0].steps) for eps in trials}
+    assert len(paths) > 1, "trajectories should diverge between trials"
+    first_trial_steps = sum(ep.length for ep in trials[0])
+    steps = sum(ep.length for eps in trials for ep in eps)
+    assert first_trial_steps < study_calls < steps
 
 
 # ---------------------------------------------------------------------------
