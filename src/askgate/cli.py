@@ -29,6 +29,7 @@ from . import metrics as metrics_mod
 from . import policy as policy_mod
 from . import trainer as trainer_mod
 from . import tuner as tuner_mod
+from .atomic import write_atomic
 from .env import Split
 from .gate import GateConfig, RunMode
 
@@ -238,8 +239,8 @@ def _cmd_train(cfg: _Config) -> int:
         "timesteps": ppo.total_timesteps, "eval_interval": ppo.eval_interval,
         "eval_episodes": ppo.eval_episodes, "size": context_set.size,
     }
-    gate_mod.write_atomic(os.path.join(outdir, f"{name}.meta.json"),
-                          json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
+    write_atomic(os.path.join(outdir, f"{name}.meta.json"),
+                 json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     trainer_mod.write_trainlog_csv(log, os.path.join(outdir, f"{name}_trainlog.csv"), snapshot)
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)

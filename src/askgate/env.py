@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
+
 DEFAULT_MAX_STEPS = 100
 OBS_DIM = 64
 HOLE_PROBABILITY = 0.2
@@ -211,10 +213,13 @@ def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:
     return obs
 
 
-def _neighbor_label(grid: GridMap, row: int, col: int) -> str:
-    if not grid.in_bounds(row, col):
-        return EDGE_LABEL
-    return grid.tile(row, col).label
+# Prompt label of each tile character, and for each direction the view keys of
+# the adjacent and the two-step-ahead tile with the direction's delta.
+_LABELS = {t.value: t.label for t in TileKind}
+_VIEW_KEYS = tuple(
+    (f"{a.name.lower()}_tile", f"{a.name.lower()}_{a.name.lower()}_tile", *a.delta)
+    for a in Action
+)
 
 
 def local_view(state: EnvState) -> dict[str, int | str]:
@@ -223,19 +228,22 @@ def local_view(state: EnvState) -> dict[str, int | str]:
     Reports the four adjacent tiles and the four two-step-ahead tiles
     (same direction twice); anything off-grid reads EDGE.
     """
-    grid = state.context.grid
-    n = grid.size
+    rows = state.context.grid.rows
+    n = len(rows)
+    row, col = state.row, state.col
+
+    def label(r: int, c: int) -> str:
+        return _LABELS[rows[r][c]] if 0 <= r < n and 0 <= c < n else EDGE_LABEL
+
     view: dict[str, int | str] = {
-        "agent_row": state.row,
-        "agent_col": state.col,
+        "agent_row": row,
+        "agent_col": col,
         "goal_row": n - 1,
         "goal_col": n - 1,
     }
-    for action in Action:
-        dr, dc = action.delta
-        name = action.name.lower()
-        view[f"{name}_tile"] = _neighbor_label(grid, state.row + dr, state.col + dc)
-        view[f"{name}_{name}_tile"] = _neighbor_label(grid, state.row + 2 * dr, state.col + 2 * dc)
+    for near, far, dr, dc in _VIEW_KEYS:
+        view[near] = label(row + dr, col + dc)
+        view[far] = label(row + 2 * dr, col + 2 * dc)
     return view
 
 
@@ -346,8 +354,7 @@ def save_context_set(context_set: ContextSet, path: str) -> None:
     for ctx in context_set.contexts:
         parts.append("\n")
         parts.append(ctx.grid.to_text())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    write_atomic(path, "".join(parts))
 
 
 def load_context_set(path: str) -> ContextSet:

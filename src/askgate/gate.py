@@ -17,12 +17,10 @@ the policy's own greedy action.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import enum
 import io
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +29,7 @@ from . import env as env_mod
 from . import lm as lm_mod
 from . import policy as policy_mod
 from . import uncertainty as unc_mod
+from .atomic import write_atomic
 from .env import Action, Context, Outcome
 from .uncertainty import UncertaintyEstimate
 
@@ -113,24 +112,32 @@ def run_episode(
     cfg: GateConfig,
     episode_index: int = 0,
     uncertainty=mc_dropout,
+    greedy: dict[int, Action] | None = None,
 ) -> EpisodeRecord:
     """Play one gated episode; deterministic given cfg.seed, episode_index,
     and a deterministic client and uncertainty source.
 
     ``uncertainty(policy, obs, cfg, rng)`` gives each step's estimate, or is
-    None for no estimate, which ``ask`` mode cannot gate on.
+    None for no estimate, which ``ask`` mode cannot gate on. ``greedy`` maps
+    an observed cell to the policy's greedy action there and is filled by one
+    ``forward`` per new cell; it is only valid while ``policy.flat`` is
+    unchanged. None starts an empty one for this episode.
     """
     if cfg.mode is not RunMode.PPO_ONLY and client is None:
         raise ValueError(f"mode {cfg.mode.value} requires a client")
     if cfg.mode is RunMode.ASK and uncertainty is None:
         raise ValueError("mode ask requires an uncertainty source")
     rng = _episode_rng(cfg.seed, episode_index)
+    greedy = {} if greedy is None else greedy
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
     while not state.done:
         obs = env_mod.encode_observation(state, dim=policy.input_dim)
-        dist, _ = policy_mod.forward(policy, obs)
-        policy_action = policy_mod.select_action(dist, "greedy")
+        obs_index = int(np.argmax(obs))
+        policy_action = greedy.get(obs_index)
+        if policy_action is None:
+            dist, _ = policy_mod.forward(policy, obs)
+            policy_action = greedy[obs_index] = policy_mod.select_action(dist, "greedy")
         estimate = uncertainty(policy, obs, cfg, rng) if uncertainty is not None else None
 
         if cfg.mode is RunMode.ASK:
@@ -157,7 +164,7 @@ def run_episode(
 
         state, reward, done = env_mod.step(state, final_action, cfg.max_steps)
         steps.append(StepRecord(
-            obs_index=int(np.argmax(obs)),
+            obs_index=obs_index,
             policy_action=policy_action,
             uncertainty=estimate,
             consulted=consulted,
@@ -185,13 +192,18 @@ def run_batch(
     total_episodes: int = 100,
     uncertainty=mc_dropout,
 ) -> list[EpisodeRecord]:
-    """Round-robin over contexts; per-episode seeds derive from (seed, index)."""
+    """Round-robin over contexts; per-episode seeds derive from (seed, index).
+
+    The episodes share one greedy-action table, local to this call: the
+    parameters are fixed for the call, not between calls.
+    """
     contexts = list(contexts)
     if not contexts:
         raise ValueError("run_batch requires at least one context")
+    greedy: dict[int, Action] = {}
     return [
         run_episode(policy, client, contexts[i % len(contexts)], cfg,
-                    episode_index=i, uncertainty=uncertainty)
+                    episode_index=i, uncertainty=uncertainty, greedy=greedy)
         for i in range(total_episodes)
     ]
 
@@ -206,19 +218,6 @@ def csv_text(header, rows, config: dict | None = None) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write an artifact through a temp file beside it (suffix ``.tmp``, the mode
-    plain ``open`` gives) that replaces ``path`` whole or not at all."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 from . import env as env_mod
+from .atomic import write_atomic
 from .env import Context, Outcome, TileKind
-from .gate import EpisodeRecord, csv_text, read_csv, write_atomic
+from .gate import EpisodeRecord, csv_text, read_csv
 
 SUMMARY_CSV_HEADER = [
     "size", "model", "mode", "split",

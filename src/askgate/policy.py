@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_atomic
 from .env import Action
 
 N_ACTIONS = 4
@@ -136,11 +137,17 @@ def init_policy(
     return policy
 
 
-def apply_dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted dropout: zero units w.p. ``rate``, scale survivors by 1/(1-rate)."""
+def apply_dropout(
+    x: np.ndarray, rate: float, rng: np.random.Generator, passes: int | None = None
+) -> np.ndarray:
+    """Inverted dropout: zero units w.p. ``rate``, scale survivors by 1/(1-rate).
+
+    With ``passes``, ``x`` is one row that every pass shares: the result has
+    ``passes`` rows, each masked by its own draw.
+    """
     if rate == 0.0:
-        return x
-    keep = rng.random(x.shape) >= rate
+        return x if passes is None else np.tile(x, (passes, 1))
+    keep = rng.random(x.shape if passes is None else (passes, *x.shape)) >= rate
     return np.where(keep, x / (1.0 - rate), 0.0)
 
 
@@ -155,18 +162,21 @@ def trunk_activations(
     x: np.ndarray,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    passes: int | None = None,
 ) -> list[np.ndarray]:
     """The trunk's input followed by each hidden activation, for one row or a batch.
 
     With an ``rng``, each hidden activation is masked by :func:`apply_dropout`
-    in layer order. The heads apply to the last entry; the trainer's backward
-    pass reads the rest.
+    in layer order. With ``passes`` too, ``x`` is one row that every pass
+    shares: the first layer is computed once and each pass masks it with its
+    own draw, so later activations have ``passes`` rows. The heads apply to
+    the last entry; the trainer's backward pass reads the rest.
     """
     acts = [x]
     for w, b in policy.trunk:
         h = np.tanh(acts[-1] @ w + b)
         if rng is not None:
-            h = apply_dropout(h, dropout_rate, rng)
+            h = apply_dropout(h, dropout_rate, rng, passes if len(acts) == 1 else None)
         acts.append(h)
     return acts
 
@@ -194,14 +204,18 @@ def dropout_passes(
     """N stochastic action distributions for one observation, shape (N, 4).
 
     Masks are drawn in a fixed layer order from the caller's rng, so the
-    result is seed-deterministic; passes are evaluated as one batch.
+    result is seed-deterministic; passes are evaluated as one batch. For a
+    one-hot observation the result is bit-equal to masking the trunk of
+    ``n_passes`` stacked copies of it.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-    obs = np.asarray(obs, dtype=np.float64)
-    h = trunk_activations(policy, np.tile(obs, (n_passes, 1)), dropout_rate, rng)[-1]
+    x = np.asarray(obs, dtype=np.float64)
+    if not policy.trunk:
+        x = np.tile(x, (n_passes, 1))
+    h = trunk_activations(policy, x, dropout_rate, rng, n_passes)[-1]
     wa, ba = policy.action_head
     return softmax(h @ wa + ba)
 
@@ -237,13 +251,11 @@ def select_action(dist: np.ndarray, mode: str = "greedy", rng: np.random.Generat
 
 def save_weights(policy: MlpPolicy, path: str) -> None:
     arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in policy.parameters()]
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", WEIGHTS_VERSION, len(arrays)))
-        for arr in arrays:
-            rows, cols = arr.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+    parts = [WEIGHTS_MAGIC, struct.pack("<II", WEIGHTS_VERSION, len(arrays))]
+    for arr in arrays:
+        parts.append(struct.pack("<II", *arr.shape))
+        parts.append(arr.astype("<f8").tobytes(order="C"))
+    write_atomic(path, b"".join(parts))
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:

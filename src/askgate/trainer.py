@@ -26,8 +26,9 @@ from . import env as env_mod
 from . import gate as gate_mod
 from . import metrics as metrics_mod
 from . import policy as policy_mod
+from .atomic import write_atomic
 from .env import Outcome
-from .gate import GateConfig, RunMode, csv_text, write_atomic
+from .gate import GateConfig, RunMode, csv_text
 from .metrics import RunSummary
 from .policy import MlpPolicy
 
@@ -111,9 +112,15 @@ def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig) ->
 
 
 def ppo_grads(
-    policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig
+    policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig,
+    grad: MlpPolicy | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss plus the hand-derived gradient, one vector laid out like ``policy.flat``."""
+    """Loss plus the hand-derived gradient, one vector laid out like ``policy.flat``.
+
+    The gradient is written into ``grad``, a layout of the policy's widths whose
+    vector is returned and overwritten by the next call that gets it; None
+    allocates a fresh one.
+    """
     actions = batch["actions"]
     adv = batch["advantages"]
     n = len(actions)
@@ -145,7 +152,8 @@ def ppo_grads(
     # d(value_coef * value mse)/dvalues
     dv = (2.0 * cfg.value_coef / n) * (values - batch["returns"])
 
-    grad = policy_mod.build_policy(policy.widths, np.empty_like(policy.flat))
+    if grad is None:
+        grad = policy_mod.build_policy(policy.widths, np.empty_like(policy.flat))
     (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
     gwa[...] = acts[-1].T @ dz
     gba[...] = dz.sum(axis=0)
@@ -162,7 +170,10 @@ def ppo_grads(
 
 
 class _Adam:
-    """Adam over one parameter vector; the moments are vectors of the same size."""
+    """Adam over one parameter vector; the moments are vectors of the same size.
+
+    ``step`` keeps no reference to the gradient, so the caller may reuse its buffer.
+    """
 
     def __init__(self, flat: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -216,6 +227,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         raise ValueError(f"observation index {n * n - 1} does not fit dim {obs_dim} (grid size {n})")
     cells = np.eye(n * n, obs_dim)  # row i: the observation of cell i
     adam = _Adam(policy.flat, config.learning_rate)
+    grad = policy_mod.build_policy(policy.widths)  # reused by every update
 
     entries: list[TrainLogEntry] = []
     warnings: list[str] = []
@@ -303,8 +315,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
                     "advantages": centered,
                     "returns": returns[mb],
                 }
-                _, grad = ppo_grads(policy, batch, config)
-                adam.step(policy.flat, grad)
+                adam.step(policy.flat, ppo_grads(policy, batch, config, grad)[1])
 
         timestep += t_steps
         while timestep >= next_eval:

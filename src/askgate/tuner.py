@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as metrics_mod
+from .atomic import write_atomic
 from .env import Split
-from .gate import GateConfig, RunMode, csv_text, mc_dropout, run_batch, write_atomic
+from .gate import GateConfig, RunMode, csv_text, mc_dropout, run_batch
 from .policy import MlpPolicy
 
 DEFAULT_LO = 0.10

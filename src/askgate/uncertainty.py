@@ -45,21 +45,26 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def epistemic(dists) -> float:
-    """Mean KL divergence of each pass from the mean distribution."""
-    mat = _as_matrix(dists)
-    mean = mat.mean(axis=0)
+def _epistemic(mat: np.ndarray, xlogx: np.ndarray, mean: np.ndarray) -> float:
     # mean > 0 wherever any pass is positive, so the masked log never applies
     # to a cell with nonzero weight in the sum.
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
-    per_pass = _xlogx(mat) - mat * log_mean
-    return float(per_pass.sum(axis=1).mean())
+    return float((xlogx - mat * log_mean).sum(axis=1).mean())
+
+
+def _aleatoric(xlogx: np.ndarray) -> float:
+    return float((-xlogx.sum(axis=1)).mean())
+
+
+def epistemic(dists) -> float:
+    """Mean KL divergence of each pass from the mean distribution."""
+    mat = _as_matrix(dists)
+    return _epistemic(mat, _xlogx(mat), mat.mean(axis=0))
 
 
 def aleatoric(dists) -> float:
     """Mean entropy of the individual passes."""
-    mat = _as_matrix(dists)
-    return float((-_xlogx(mat).sum(axis=1)).mean())
+    return _aleatoric(_xlogx(_as_matrix(dists)))
 
 
 def predictive_entropy(dists) -> float:
@@ -69,9 +74,12 @@ def predictive_entropy(dists) -> float:
 
 
 def estimate_from_passes(dists) -> UncertaintyEstimate:
+    """Both terms of the decomposition from one pass over ``dists``; each equals
+    what :func:`epistemic` and :func:`aleatoric` return for the same input."""
     mat = _as_matrix(dists)
-    e = epistemic(mat)
-    a = aleatoric(mat)
+    xlogx = _xlogx(mat)
+    e = _epistemic(mat, xlogx, mat.mean(axis=0))
+    a = _aleatoric(xlogx)
     return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=mat.shape[0])
 
 

@@ -11,9 +11,10 @@ import sys
 
 import pytest
 
+from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from askgate.env import Split, load_context_set
-from askgate.gate import csv_text, read_csv, write_atomic
+from askgate.gate import csv_text, read_csv
 from askgate.metrics import (
     SUMMARY_CSV_HEADER,
     RunSummary,

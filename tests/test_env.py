@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from atomiccheck import assert_writes_atomically
 
 from askgate.env import (
     Action,
     Context,
     EDGE_LABEL,
+    EnvState,
     GridMap,
     MapGenerationError,
     Outcome,
@@ -219,6 +221,30 @@ def test_local_view_sees_goal_two_cells_away():
     assert view["down_tile"] == "EDGE"
 
 
+def reference_view(grid, row, col):
+    def label(r, c):
+        return grid.tile(r, c).label if grid.in_bounds(r, c) else EDGE_LABEL
+
+    n = grid.size
+    view = {"agent_row": row, "agent_col": col, "goal_row": n - 1, "goal_col": n - 1}
+    for action in Action:
+        dr, dc = action.delta
+        name = action.name.lower()
+        view[f"{name}_tile"] = label(row + dr, col + dc)
+        view[f"{name}_{name}_tile"] = label(row + 2 * dr, col + 2 * dc)
+    return view
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_local_view_matches_the_tile_reference_on_every_cell(size):
+    for ctx in generate_context_set(size, 5, 3, hole_probability=0.4).contexts:
+        for row in range(size):
+            for col in range(size):
+                view = local_view(EnvState(ctx, row, col, 0, Outcome.RUNNING))
+                expected = reference_view(ctx.grid, row, col)
+                assert list(view.items()) == list(expected.items())  # key order too
+
+
 # ---------------------------------------------------------------------------
 # Generation and persistence
 
@@ -283,6 +309,14 @@ def test_context_set_file_round_trip(tmp_path):
     assert loaded.size == cs.size and loaded.seed == cs.seed
     assert [c.grid.rows for c in loaded.contexts] == [c.grid.rows for c in cs.contexts]
     assert [c.split for c in loaded.contexts] == [c.split for c in cs.contexts]
+
+
+def test_interrupted_context_set_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ctx.txt"
+    save_context_set(generate_context_set(4, 6, 1), str(path))
+    other = generate_context_set(4, 6, 2)
+    assert_writes_atomically(monkeypatch, path, lambda: save_context_set(other, str(path)))
+    assert [c.grid for c in load_context_set(str(path)).contexts] == [c.grid for c in other.contexts]
 
 
 @pytest.mark.parametrize("mangle", [

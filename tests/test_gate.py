@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 
 from askgate import gate as gate_mod
+from askgate import policy as policy_mod
 from askgate import uncertainty as unc_mod
-from askgate.env import Action, Outcome, Split, generate_context_set
+from askgate.atomic import write_atomic
+from askgate.env import (
+    Action, Outcome, encode_observation, generate_context_set, local_view, reset, step,
+)
 from askgate.gate import (
     EPISODE_CSV_HEADER,
     EpisodeRecord,
     GateConfig,
     RunMode,
+    StepRecord,
     csv_text,
     read_csv,
     run_batch,
     run_episode,
-    write_atomic,
     write_episode_csv,
 )
-from askgate.lm import RuleClient, ScriptedClient
-from askgate.policy import init_policy
+from askgate.lm import PromptContext, RuleClient, ScriptedClient, build_prompt, parse_decision
+from askgate.policy import forward, init_policy, select_action
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +243,105 @@ def test_episode_indices_decorrelate_uncertainty(policy, contexts):
     first = run_episode(policy, None, contexts[0], cfg, episode_index=0)
     second = run_episode(policy, None, contexts[0], cfg, episode_index=1)
     assert first.steps[0].uncertainty != second.steps[0].uncertainty
+
+
+# ---------------------------------------------------------------------------
+# Greedy-action table
+
+
+@pytest.fixture(scope="module")
+def sharp_policy():
+    # A sharpened untrained head spreads u_total, so tau 1.0 splits the steps
+    # into consulted and unconsulted ones.
+    policy = init_policy(seed=0)
+    policy.action_head[0][...] *= 300
+    return policy
+
+
+def count_forwards(monkeypatch):
+    cells = []
+    real = policy_mod.forward
+
+    def counting(policy, obs):
+        cells.append(int(np.argmax(obs)))
+        return real(policy, obs)
+
+    monkeypatch.setattr(policy_mod, "forward", counting)
+    return cells
+
+
+@pytest.mark.parametrize("mode", list(RunMode))
+def test_run_batch_makes_one_forward_per_distinct_cell(sharp_policy, contexts, mode, monkeypatch):
+    cfg = GateConfig(mode=mode, tau=1.0, passes=5, seed=3, max_steps=20)
+    calls = count_forwards(monkeypatch)
+    records = run_batch(sharp_policy, RuleClient(), contexts[:3], cfg, total_episodes=6)
+    visited = {s.obs_index for r in records for s in r.steps}
+    assert sorted(calls) == sorted(visited)
+    # The table does not outlive the call: a second call looks every cell up again.
+    run_batch(sharp_policy, RuleClient(), contexts[:3], cfg, total_episodes=6)
+    assert len(calls) == 2 * len(visited)
+
+
+def test_run_batch_reads_the_parameters_of_each_call(contexts):
+    policy = init_policy(seed=0)
+    other = init_policy(seed=1)
+    cfg = GateConfig(mode=RunMode.PPO_ONLY, seed=0, max_steps=12)
+    first = run_batch(policy, None, contexts[:3], cfg, total_episodes=6, uncertainty=None)
+    policy.flat[...] = other.flat
+    second = run_batch(policy, None, contexts[:3], cfg, total_episodes=6, uncertainty=None)
+    assert second == run_batch(other, None, contexts[:3], cfg, total_episodes=6, uncertainty=None)
+    assert second != first
+
+
+def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
+    """The gate loop written out with one forward per step and no table."""
+    records = []
+    for i in range(total_episodes):
+        context = contexts[i % len(contexts)]
+        rng = np.random.default_rng([cfg.seed, i])
+        state = reset(context)
+        steps = []
+        while not state.done:
+            obs = encode_observation(state, dim=policy.input_dim)
+            action = select_action(forward(policy, obs)[0], "greedy")
+            estimate = unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
+            if cfg.mode is RunMode.ASK:
+                consulted = estimate.total >= cfg.tau
+            else:
+                consulted = cfg.mode is RunMode.LM_ONLY
+            status, lm_action, final = "", None, action
+            if consulted:
+                prompt = build_prompt(PromptContext(**local_view(state), autopilot=action))
+                decision = parse_decision(client.query(prompt))
+                status = decision.status
+                if decision.is_action:
+                    lm_action = final = decision.action
+            index = int(np.argmax(obs))
+            state, reward, done = step(state, final, cfg.max_steps)
+            steps.append(StepRecord(
+                obs_index=index, policy_action=action, uncertainty=estimate,
+                consulted=consulted, lm_status=status, lm_action=lm_action,
+                final_action=final, overwritten=lm_action is not None and lm_action != action,
+                reward=reward, done=done,
+            ))
+        records.append(EpisodeRecord(
+            context_id=context.id, steps=tuple(steps),
+            reward=1 if state.outcome is Outcome.GOAL else 0,
+            length=len(steps), outcome=state.outcome,
+        ))
+    return records
+
+
+@pytest.mark.parametrize("mode", list(RunMode))
+def test_episode_csv_equals_the_per_step_forward_reference(tmp_path, sharp_policy, contexts, mode):
+    cfg = GateConfig(mode=mode, tau=1.0, passes=10, seed=5, max_steps=30)
+    records = run_batch(sharp_policy, RuleClient(), contexts[:4], cfg, total_episodes=8)
+    if mode is RunMode.ASK:
+        assert 0 < sum(s.consulted for r in records for s in r.steps) < sum(r.length for r in records)
+    expected = per_step_forward_batch(sharp_policy, RuleClient(), contexts[:4], cfg, 8)
+    write_episode_csv(records, str(tmp_path / "table.csv"), {"mode": mode.value})
+    write_episode_csv(expected, str(tmp_path / "reference.csv"), {"mode": mode.value})
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from atomiccheck import assert_writes_atomically
 
 from askgate.env import Action
 from askgate.policy import (
@@ -15,6 +16,7 @@ from askgate.policy import (
     WeightTruncationError,
     WeightVersionError,
     apply_dropout,
+    build_policy,
     dropout_passes,
     forward,
     init_policy,
@@ -140,6 +142,30 @@ def test_zero_rate_dropout_passes_equal_deterministic(policy):
     assert np.allclose(passes, np.tile(base, (10, 1)), atol=1e-15)
 
 
+@pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8), (16,)])
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("passes", [1, 7, 100])
+def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, passes):
+    # The reference masks the whole trunk of ``passes`` stacked copies of the
+    # observation; dropout_passes computes the first layer once. Both must give
+    # the same bits and leave the generator in the same state. Widths (16,) is
+    # a policy with no hidden layer, whose heads read the observation.
+    policy = build_policy(widths)
+    policy.flat[:] = np.random.default_rng(2).normal(size=policy.flat.size)
+    wa, ba = policy.action_head
+    for cell in range(widths[0]):
+        obs = one_hot(cell, widths[0])
+        rng, reference = np.random.default_rng([7, cell]), np.random.default_rng([7, cell])
+        x = np.tile(obs, (passes, 1))
+        for w, b in policy.trunk:
+            x = np.tanh(x @ w + b)
+            if rate:
+                x = np.where(reference.random(x.shape) >= rate, x / (1.0 - rate), 0.0)
+        expected = softmax(x @ wa + ba)
+        assert np.array_equal(dropout_passes(policy, obs, passes, rate, rng), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_inverted_dropout_preserves_expectation():
     # Survivors are scaled by 1/(1-rate): the masked mean of a ones vector
     # stays within 3 sigma of 1, and the zeroed fraction within 3 sigma of rate.
@@ -235,6 +261,14 @@ def test_weights_round_trip_is_bit_identical(tmp_path, policy):
         assert np.array_equal(a, b)
     obs = one_hot(5)
     assert np.array_equal(forward(policy, obs)[0], forward(loaded, obs)[0])
+
+
+def test_interrupted_weights_write_keeps_the_old_file(tmp_path, policy, monkeypatch):
+    path = tmp_path / "w.bin"
+    save_weights(policy, str(path))
+    other = init_policy(seed=1)
+    assert_writes_atomically(monkeypatch, path, lambda: save_weights(other, str(path)))
+    assert np.array_equal(load_weights(str(path)).flat, other.flat)
 
 
 def test_weights_header_layout(tmp_path, policy):

@@ -126,6 +126,26 @@ def test_gradients_cover_every_parameter():
         assert np.any(g != 0.0), f"gradient for {name} is identically zero"
 
 
+def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it():
+    rng = np.random.default_rng(2)
+    policy = init_policy(input_dim=8, hidden=(6, 5), seed=11)
+    batches = [synthetic_batch(policy, rng) for _ in range(3)]
+    layout = build_policy(policy.widths)
+    layout.flat[:] = np.nan  # every entry must be written
+    adam = _Adam(policy.flat, lr=0.01)
+    for batch in batches:
+        fresh = ppo_grads(policy, batch, PpoConfig())
+        loss, grad = ppo_grads(policy, batch, PpoConfig(), layout)
+        assert grad is layout.flat
+        assert loss == fresh[0] and grad.tobytes() == fresh[1].tobytes()
+        adam.step(policy.flat, grad)
+        moments = adam.m.copy(), adam.v.copy()
+        layout.flat[:] = np.nan  # the next update overwrites the buffer
+        assert not np.shares_memory(adam.m, layout.flat)
+        assert not np.shares_memory(adam.v, layout.flat)
+        assert np.array_equal(adam.m, moments[0]) and np.array_equal(adam.v, moments[1])
+
+
 def test_adam_first_step_matches_hand_update():
     flat = np.array([1.0])
     adam = _Adam(flat, lr=0.001)

@@ -110,6 +110,17 @@ def test_estimate_bundles_the_decomposition():
     assert abs(est.aleatoric - brute_aleatoric(dists)) < 1e-12
 
 
+def test_estimate_equals_the_separate_terms_exactly():
+    # One pass over the matrix gives the very floats of the two oracles.
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        dists = random_distributions(rng, int(rng.integers(1, 101)))
+        est = estimate_from_passes(dists)
+        assert est.epistemic == epistemic(dists)
+        assert est.aleatoric == aleatoric(dists)
+        assert est.total == est.epistemic + est.aleatoric
+
+
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         epistemic(np.zeros((0, 4)))
