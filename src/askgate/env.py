@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class TileKind(enum.Enum):
 EDGE_LABEL = "EDGE"
 
 _VALID_CHARS = {t.value for t in TileKind}
+_GOAL_CHAR, _HOLE_CHAR = TileKind.GOAL.value, TileKind.HOLE.value
 
 
 class Action(enum.IntEnum):
@@ -176,26 +177,28 @@ def step(state: EnvState, action: Action, max_steps: int = DEFAULT_MAX_STEPS) ->
     Moves that would leave the grid keep the agent in place but still count
     against the step cap. Outcome precedence: Goal, then Hole, then the cap.
     """
-    if state.done:
+    if state.outcome is not Outcome.RUNNING:
         raise TerminalStateError(f"episode already ended with outcome {state.outcome.value}")
-    grid = state.context.grid
-    dr, dc = action.delta
+    # Every rollout, gate and replay step runs this, so it works on the row
+    # strings and the delta table directly.
+    rows = state.context.grid.rows
+    n = len(rows)
+    dr, dc = _DELTAS[action]
     row, col = state.row + dr, state.col + dc
-    if not grid.in_bounds(row, col):
+    if not (0 <= row < n and 0 <= col < n):
         row, col = state.row, state.col
     steps = state.step_count + 1
-    tile = grid.tile(row, col)
-    if tile is TileKind.GOAL:
+    tile = rows[row][col]
+    if tile == _GOAL_CHAR:
         outcome = Outcome.GOAL
-    elif tile is TileKind.HOLE:
+    elif tile == _HOLE_CHAR:
         outcome = Outcome.HOLE
     elif steps >= max_steps:
         outcome = Outcome.TRUNCATED
     else:
         outcome = Outcome.RUNNING
-    next_state = replace(state, row=row, col=col, step_count=steps, outcome=outcome)
-    reward = 1 if outcome is Outcome.GOAL else 0
-    return next_state, reward, next_state.done
+    next_state = EnvState(state.context, row, col, steps, outcome)
+    return next_state, 1 if outcome is Outcome.GOAL else 0, outcome is not Outcome.RUNNING
 
 
 def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:

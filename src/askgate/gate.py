@@ -21,6 +21,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class GateConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not 0.0 < self.timeout < math.inf:  # false for NaN too
+            raise ValueError(f"timeout must lie in (0, inf), got {self.timeout}")
 
 
 @dataclass(frozen=True)

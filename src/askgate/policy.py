@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,32 +221,42 @@ def dropout_passes(
     return softmax(h @ wa + ba)
 
 
+def sampling_cdf(dist: np.ndarray) -> list[float]:
+    """The normalised CDF that ``rng.choice(N_ACTIONS, p=dist)`` samples from.
+
+    It makes the same checks on ``dist`` as ``rng.choice`` and raises the
+    same way. Sampling is then ``bisect_right(cdf, rng.random())``, which
+    equals ``choice``'s ``searchsorted(side="right")``, so it returns the same
+    action and leaves ``rng`` in the same state.
+    """
+    p = np.asarray(dist, dtype=np.float64)
+    if p.shape != (N_ACTIONS,):
+        raise ValueError(f"probabilities of shape {p.shape}, expected ({N_ACTIONS},)")
+    values = p.tolist()  # on 4 entries, Python floats check ~10x faster than numpy
+    total = sum(values)
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if min(values) < 0.0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def select_action(dist: np.ndarray, mode: str = "greedy", rng: np.random.Generator | None = None) -> Action:
     """Greedy argmax (ties toward the lowest action index) or seeded sampling.
 
-    Sampling is ``rng.choice(N_ACTIONS, p=dist)`` done inline: the same
-    checks, then the inverse CDF at one ``rng.random()`` draw, so it returns
-    the same action and leaves ``rng`` in the same state.
+    Sampling draws from :func:`sampling_cdf`, so it is ``rng.choice(N_ACTIONS,
+    p=dist)`` draw for draw.
     """
     if mode == "greedy":
         return Action(int(np.argmax(dist)))
     if mode == "sample":
         if rng is None:
             raise ValueError("sampling requires an rng")
-        p = np.asarray(dist, dtype=np.float64)
-        if p.shape != (N_ACTIONS,):
-            raise ValueError(f"probabilities of shape {p.shape}, expected ({N_ACTIONS},)")
-        values = p.tolist()  # on 4 entries, Python floats check ~10x faster than numpy
-        total = sum(values)
-        if math.isnan(total):
-            raise ValueError("probabilities contain NaN")
-        if min(values) < 0.0:
-            raise ValueError("probabilities are not non-negative")
-        if abs(total - 1.0) > _SUM_ATOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return Action(int(cdf.searchsorted(rng.random(), side="right")))
+        return Action(bisect_right(sampling_cdf(dist), rng.random()))
     raise ValueError(f"unknown selection mode: {mode!r}")
 
 

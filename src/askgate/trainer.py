@@ -1,23 +1,29 @@
 """Compact clipped-surrogate policy-gradient trainer (numpy, single process).
 
 Per update: collect a fixed-length rollout (episodes sample a train context
-uniformly at each reset; the policy is read from a per-rollout table of every
-cell's distribution and value), compute GAE advantages, then run several
-epochs of shuffled minibatch updates on the clipped surrogate with value and
-entropy terms, optimized by Adam. Truncated episodes bootstrap the value of the
-successor state; terminal episodes do not. Greedy evaluations on the eval
-contexts run on a fixed timestep interval and the best-scoring parameters
-are the ones returned.
+uniformly at each reset; the policy is read from a per-rollout table that
+holds every cell's value, probabilities and sampling CDF), compute GAE
+advantages, then run several epochs of shuffled minibatch updates on the
+clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
+gathers the rollout once in its shuffled order and slices the minibatches out
+of it. Truncated episodes bootstrap the value of the successor state;
+terminal episodes do not. Greedy evaluations on the eval contexts run on a
+fixed timestep interval and the best-scoring parameters are the ones
+returned.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
-whole run bit-for-bit. Training updates the policy's parameter vector in
-place. Gradients are hand-derived and come back as one vector laid out like
-``MlpPolicy.flat``, so they can be checked against finite differences.
+whole run bit-for-bit: the table, the gathers and the in-place Adam keep the
+arithmetic and the rng draws of a forward, an ``rng.choice``, a fresh
+minibatch and an allocating Adam per step. Training updates the policy's
+parameter vector in place. Gradients are hand-derived and come back as one
+vector laid out like ``MlpPolicy.flat``, so they can be checked against
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +33,13 @@ from . import gate as gate_mod
 from . import metrics as metrics_mod
 from . import policy as policy_mod
 from .atomic import write_atomic
-from .env import Outcome
+from .env import Action, Outcome
 from .gate import GateConfig, RunMode, csv_text
 from .metrics import RunSummary
 from .policy import MlpPolicy
 
 TRAINLOG_CSV_HEADER = ["timestep", "eval_reward_mean", "eval_reward_std", "eval_len_mean"]
+_ACTIONS = tuple(Action)
 
 
 @dataclass(frozen=True)
@@ -165,14 +172,19 @@ def ppo_grads(
         gw, gb = grad.trunk[i]
         gw[...] = acts[i].T @ da
         gb[...] = da.sum(axis=0)
-        dh = da @ policy.trunk[i][0].T
+        if i:  # nothing reads the gradient of the input
+            dh = da @ policy.trunk[i][0].T
     return loss, grad.flat
 
 
 class _Adam:
     """Adam over one parameter vector; the moments are vectors of the same size.
 
-    ``step`` keeps no reference to the gradient, so the caller may reuse its buffer.
+    ``step`` updates the moments in place through two scratch vectors, with
+    the expression tree of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``
+    and ``flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so it gives the bits of
+    the allocating form. It keeps no reference to the gradient, so the caller
+    may reuse its buffer.
     """
 
     def __init__(self, flat: np.ndarray, lr: float,
@@ -180,15 +192,29 @@ class _Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self._num = np.empty_like(flat)
+        self._den = np.empty_like(flat)
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=den)
+        den *= grad
+        v += den
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        flat -= num
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +301,21 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     while timestep < config.total_timesteps:
         # The parameters are fixed until the update phase, so one single-row
         # forward per cell serves every step; a batched forward would not be
-        # bit-equal to it.
-        table = [policy_mod.forward(policy, cell) for cell in cells]
+        # bit-equal to it. Each cell keeps its sampling CDF and its
+        # probabilities as lists, so a step samples and logs in plain Python.
+        table = []
+        for cell in cells:
+            dist, value = policy_mod.forward(policy, cell)
+            table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
         for t in range(t_steps):
             index = state.row * n + state.col
-            dist, value = table[index]
-            action = policy_mod.select_action(dist, "sample", rng)
-            next_state, reward, done = env_mod.step(state, action, config.max_steps)
+            cdf, probs, value = table[index]
+            a = bisect_right(cdf, rng.random())
+            next_state, reward, done = env_mod.step(state, _ACTIONS[a], config.max_steps)
 
             obs_idx[t] = index
-            actions[t] = int(action)
-            logps[t] = math.log(dist[int(action)])
+            actions[t] = a
+            logps[t] = math.log(probs[a])
             values[t] = value
             rewards[t] = reward
             ends[t] = done
@@ -293,27 +323,32 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
             if done:
                 if next_state.outcome is Outcome.TRUNCATED:
-                    boot[t] = table[next_state.row * n + next_state.col][1]
+                    boot[t] = table[next_state.row * n + next_state.col][2]
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
         if not ends[t_steps - 1]:
-            boot[t_steps - 1] = table[state.row * n + state.col][1]
+            boot[t_steps - 1] = table[state.row * n + state.col][2]
 
         advantages, returns = _gae(rewards, values, ends, boot, config.gamma, config.gae_lambda)
-        obs_batch = cells[obs_idx]
         for _ in range(config.epochs):
+            # One gather per epoch; each minibatch is then a slice of it.
             order = rng.permutation(t_steps)
+            epoch_obs = cells[obs_idx[order]]
+            epoch_actions, epoch_logps = actions[order], logps[order]
+            epoch_adv, epoch_returns = advantages[order], returns[order]
             for start in range(0, t_steps, config.minibatch_size):
-                mb = order[start:start + config.minibatch_size]
-                mb_adv = advantages[mb]
-                centered = (mb_adv - mb_adv.mean()) / (mb_adv.std() + 1e-8)
+                mb = slice(start, start + config.minibatch_size)
+                # (adv - adv.mean()) / (adv.std() + 1e-8) with the same reductions
+                d = epoch_adv[mb]
+                k = len(d)
+                d = d - d.sum() / k
                 batch = {
-                    "obs": obs_batch[mb],
-                    "actions": actions[mb],
-                    "logp_old": logps[mb],
-                    "advantages": centered,
-                    "returns": returns[mb],
+                    "obs": epoch_obs[mb],
+                    "actions": epoch_actions[mb],
+                    "logp_old": epoch_logps[mb],
+                    "advantages": d / (math.sqrt((d * d).sum() / k) + 1e-8),
+                    "returns": epoch_returns[mb],
                 }
                 adam.step(policy.flat, ppo_grads(policy, batch, config, grad)[1])
 

@@ -1,10 +1,13 @@
 """Environment invariants: dynamics, observation encoding, map generation, file I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from atomiccheck import assert_writes_atomically
 
 from askgate.env import (
+    DEFAULT_MAX_STEPS,
     Action,
     Context,
     EDGE_LABEL,
@@ -190,6 +193,48 @@ def test_deterministic_replay():
                 break
         traces.append(trace)
     assert traces[0] == traces[1]
+
+
+def reference_step(state, action, max_steps=DEFAULT_MAX_STEPS):
+    """The step function as first written: GridMap, TileKind and ``replace``."""
+    if state.done:
+        raise TerminalStateError(f"episode already ended with outcome {state.outcome.value}")
+    grid = state.context.grid
+    dr, dc = action.delta
+    row, col = state.row + dr, state.col + dc
+    if not grid.in_bounds(row, col):
+        row, col = state.row, state.col
+    steps = state.step_count + 1
+    tile = grid.tile(row, col)
+    if tile is TileKind.GOAL:
+        outcome = Outcome.GOAL
+    elif tile is TileKind.HOLE:
+        outcome = Outcome.HOLE
+    elif steps >= max_steps:
+        outcome = Outcome.TRUNCATED
+    else:
+        outcome = Outcome.RUNNING
+    next_state = replace(state, row=row, col=col, step_count=steps, outcome=outcome)
+    reward = 1 if outcome is Outcome.GOAL else 0
+    return next_state, reward, next_state.done
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_step_matches_the_reference_on_every_cell_action_and_context(size):
+    for context in generate_context_set(size, 300, 7).contexts:
+        for row in range(size):
+            for col in range(size):
+                for step_count in (0, DEFAULT_MAX_STEPS - 1):
+                    state = EnvState(context, row, col, step_count, Outcome.RUNNING)
+                    for action in Action:
+                        got = step(state, action)
+                        want = reference_step(state, action)
+                        assert got == want
+                        assert [type(x) for x in got] == [EnvState, int, bool]
+    for outcome in (Outcome.GOAL, Outcome.HOLE, Outcome.TRUNCATED):
+        done = EnvState(context, size - 1, size - 1, 3, outcome)
+        with pytest.raises(TerminalStateError, match=outcome.value):
+            step(done, Action.UP)
 
 
 # ---------------------------------------------------------------------------

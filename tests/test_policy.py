@@ -1,6 +1,7 @@
 """Policy network: init, dropout semantics, action selection, weights file format."""
 
 import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from askgate.policy import (
     forward,
     init_policy,
     load_weights,
+    sampling_cdf,
     save_weights,
     select_action,
     softmax,
@@ -232,6 +234,11 @@ def test_sampling_matches_rng_choice_draw_for_draw():
     for dist in dists:
         assert select_action(dist, "sample", ours) == twin.choice(4, p=dist)
     assert ours.bit_generator.state == twin.bit_generator.state
+    # The trainer's path: one CDF list per cell, then bisect_right per draw.
+    table, twin = np.random.default_rng(6), np.random.default_rng(6)
+    for dist in dists:
+        assert bisect_right(sampling_cdf(dist), table.random()) == twin.choice(4, p=dist)
+    assert table.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("dist", [
@@ -246,6 +253,8 @@ def test_sampling_rejects_what_rng_choice_rejects(dist):
         np.random.default_rng(0).choice(4, p=dist)
     with pytest.raises(ValueError):
         select_action(np.array(dist), "sample", np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sampling_cdf(np.array(dist))
 
 
 # ---------------------------------------------------------------------------

@@ -233,15 +233,48 @@ def test_gae_matches_reference_recursion_on_random_data():
 # Training loop
 
 
+class ReferenceAdam:
+    """Adam with a fresh array for every term, as the optimizer was first written."""
+
+    def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self.t = 0
+
+    def step(self, flat, grad):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+
+
+def test_adam_matches_the_allocating_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    ours = rng.normal(size=500)
+    theirs = ours.copy()
+    adam, reference = _Adam(ours, lr=3e-4), ReferenceAdam(theirs, lr=3e-4)
+    for scale in (1e-6, 1.0, 1e3) * 20:
+        grad = rng.normal(size=500) * scale
+        adam.step(ours, grad)
+        reference.step(theirs, grad)
+        assert ours.tobytes() == theirs.tobytes()
+        assert adam.m.tobytes() == reference.m.tobytes()
+        assert adam.v.tobytes() == reference.v.tobytes()
+
+
 def reference_train(train_contexts, cfg):
     """The training loop with one forward and one ``rng.choice`` per step.
 
     It has no evaluation, so it matches ``train`` when the only evaluation
-    is the one after the last rollout.
+    is the one after the last rollout. Its optimizer is :class:`ReferenceAdam`
+    and its minibatches are gathered and centred one by one.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
-    adam = _Adam(policy.flat, cfg.learning_rate)
+    adam = ReferenceAdam(policy.flat, cfg.learning_rate)
     t_steps = cfg.rollout_steps
     state = reset(train_contexts[rng.integers(len(train_contexts))])
     for _ in range(cfg.total_timesteps // t_steps):
@@ -284,15 +317,24 @@ def reference_train(train_contexts, cfg):
     return policy
 
 
-@pytest.mark.parametrize("size", [4, 6, 8])
-def test_training_matches_the_per_step_reference_bit_for_bit(size):
+def assert_training_matches_the_reference(size, **overrides):
     # A step cap of 6 makes truncations, so the bootstrap values are read too.
     contexts = generate_context_set(size, 20, 1)
-    cfg = tiny_config(total_timesteps=768, eval_interval=768, max_steps=6)
+    cfg = tiny_config(total_timesteps=768, eval_interval=768, max_steps=6, **overrides)
     policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
     assert [e.timestep for e in log.entries] == [768]
     expected = reference_train(contexts.split(Split.TRAIN), cfg)
     assert policy.flat.tobytes() == expected.flat.tobytes()
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_training_matches_the_per_step_reference_bit_for_bit(size):
+    assert_training_matches_the_reference(size)
+
+
+def test_a_short_last_minibatch_matches_the_reference_bit_for_bit():
+    # 256 steps in minibatches of 100 leave a last one of 56, centred on its own.
+    assert_training_matches_the_reference(6, minibatch_size=100)
 
 
 def test_zero_budget_returns_the_initial_policy(contexts):
