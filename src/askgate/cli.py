@@ -355,8 +355,14 @@ def _cmd_report(cfg: _Config) -> int:
         if not contexts_path:
             raise UsageError("--contexts required (episode CSV carries no context path)")
         context_set = _load_contexts(contexts_path)
+        size = snapshot.get("size", context_set.size)
+        if size != context_set.size:
+            raise RuntimeFailure(f"context set {contexts_path} holds size {context_set.size} "
+                                 f"maps, but {trajectory} was run on size {size}")
         split = Split(snapshot.get("split", "test"))
         pool = context_set.split(split)
+        if not pool:
+            raise RuntimeFailure(f"context set has no {split.value} contexts")
         context = pool[episode % len(pool)]
         cap = int(snapshot.get("max_steps", env_mod.DEFAULT_MAX_STEPS))
         print(metrics_mod.render_trajectory(context, actions, cap), end="")

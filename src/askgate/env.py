@@ -252,18 +252,20 @@ def local_view(state: EnvState) -> dict[str, int | str]:
 
 def bfs_solvable(grid: GridMap) -> bool:
     """Breadth-first reachability from S to G over non-hole tiles."""
-    n = grid.size
+    # Every generated map runs this, so it compares tile characters.
+    rows = grid.rows
+    n = len(rows)
     seen = {(0, 0)}
     queue = deque([(0, 0)])
     while queue:
         row, col = queue.popleft()
-        if grid.tile(row, col) is TileKind.GOAL:
+        if rows[row][col] == _GOAL_CHAR:
             return True
         for dr, dc in _DELTAS.values():
             nr, nc = row + dr, col + dc
-            if (nr, nc) in seen or not grid.in_bounds(nr, nc):
+            if (nr, nc) in seen or not (0 <= nr < n and 0 <= nc < n):
                 continue
-            if grid.tile(nr, nc) is TileKind.HOLE:
+            if rows[nr][nc] == _HOLE_CHAR:
                 continue
             seen.add((nr, nc))
             queue.append((nr, nc))
@@ -292,17 +294,19 @@ def corridor_cells(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
-def _sample_grid(n: int, rng: np.random.Generator, solvable: bool, hole_probability: float) -> GridMap:
-    safe = set(corridor_cells(n)) if solvable else set()
-    cells = [[TileKind.FROZEN.value] * n for _ in range(n)]
+# Byte 0/1 of a boolean hole mask to its tile character.
+_HOLE_MASK_TILES = bytes.maketrans(b"\0\1", (TileKind.FROZEN.value + _HOLE_CHAR).encode())
+
+
+def _sample_grid(n: int, rng: np.random.Generator, may_hole: np.ndarray,
+                 hole_probability: float) -> GridMap:
+    """One map from one ``rng.random((n, n))`` draw; ``may_hole`` masks the
+    cells a draw below ``hole_probability`` turns into holes."""
     holes = rng.random((n, n)) < hole_probability
-    for row in range(n):
-        for col in range(n):
-            if holes[row, col] and (row, col) not in safe:
-                cells[row][col] = TileKind.HOLE.value
-    cells[0][0] = TileKind.START.value
-    cells[n - 1][n - 1] = TileKind.GOAL.value
-    return GridMap(tuple("".join(r) for r in cells))
+    holes &= may_hole
+    text = holes.tobytes().translate(_HOLE_MASK_TILES).decode("ascii")
+    text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
+    return GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
 
 
 def generate_context_set(
@@ -317,14 +321,20 @@ def generate_context_set(
     Solvable sets keep a shared zig-zag corridor hole-free and every map is
     additionally verified with BFS; unsolvable sets sample cells independently
     with no reachability requirement. Duplicates are always rejected. Raises
-    :class:`MapGenerationError` if any single map exhausts the attempt budget.
+    :class:`MapGenerationError` if any single map exhausts the attempt budget,
+    and ``ValueError`` for a size below 2, which no map file can hold.
     """
+    if n < 2:
+        raise ValueError(f"grid must be at least 2x2, got {n}")
     rng = np.random.default_rng(seed)
+    may_hole = np.ones((n, n), dtype=bool)
+    for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
+        may_hole[row, col] = False
     seen: set[tuple[str, ...]] = set()
     grids: list[GridMap] = []
     while len(grids) < count:
         for _ in range(GENERATION_BUDGET):
-            grid = _sample_grid(n, rng, solvable, hole_probability)
+            grid = _sample_grid(n, rng, may_hole, hole_probability)
             if grid.rows in seen:
                 continue
             if solvable and not bfs_solvable(grid):

@@ -19,8 +19,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-import requests
-
 from .env import Action, EDGE_LABEL
 
 DEFAULT_TIMEOUT = 10.0
@@ -184,6 +182,11 @@ class EndpointClient:
         token: str | None = None,
         path: str = DEFAULT_COMPLETIONS_PATH,
     ):
+        # Imported here, not at module level: the HTTP stack is most of an
+        # askgate import, and only a process that builds this client needs it.
+        import requests
+
+        self._requests = requests
         self.base_url = base_url if base_url is not None else os.environ.get(URL_ENV_VAR, "")
         if not self.base_url:
             raise ValueError(f"no endpoint URL: pass base_url or set {URL_ENV_VAR}")
@@ -202,6 +205,7 @@ class EndpointClient:
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
+        requests = self._requests
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=timeout)
         except requests.Timeout as exc:

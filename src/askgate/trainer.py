@@ -40,6 +40,7 @@ from .policy import MlpPolicy
 
 TRAINLOG_CSV_HEADER = ["timestep", "eval_reward_mean", "eval_reward_std", "eval_len_mean"]
 _ACTIONS = tuple(Action)
+_ONE_HOT = np.eye(policy_mod.N_ACTIONS)  # row a: the one-hot of action a
 
 
 @dataclass(frozen=True)
@@ -141,19 +142,18 @@ def ppo_grads(
     logp = logp_all[idx, actions]
     ratio = np.exp(logp - batch["logp_old"])
     surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
-    policy_loss = -np.minimum(surr1, surr2).mean()
-    value_loss = ((values - batch["returns"]) ** 2).mean()
+    # np.clip and np.mean give these bits too, through slower wrappers.
+    surr2 = np.minimum(np.maximum(ratio, 1.0 - cfg.clip), 1.0 + cfg.clip) * adv
+    policy_loss = -np.minimum(surr1, surr2).sum() / n
+    value_loss = ((values - batch["returns"]) ** 2).sum() / n
     per_pass_entropy = -(probs * logp_all).sum(axis=1)
-    entropy = per_pass_entropy.mean()
+    entropy = per_pass_entropy.sum() / n
     loss = float(policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy)
 
     # d(policy_loss)/dlogits: gradient flows through the unclipped branch only.
     take = surr1 <= surr2
     coeff = np.where(take, -adv * ratio, 0.0) / n
-    onehot = np.zeros_like(probs)
-    onehot[idx, actions] = 1.0
-    dz = coeff[:, None] * (onehot - probs)
+    dz = coeff[:, None] * (_ONE_HOT[actions] - probs)
     # d(-entropy_coef * mean entropy)/dlogits
     dz += (cfg.entropy_coef / n) * probs * (logp_all + per_pass_entropy[:, None])
     # d(value_coef * value mse)/dvalues
@@ -223,15 +223,19 @@ class _Adam:
 def _gae(rewards, values, ends, boot, gamma: float, lam: float):
     """Advantages with episode-boundary resets; truncation bootstraps."""
     n = len(rewards)
-    adv = np.zeros(n, dtype=np.float64)
+    # The loop reads Python floats: the same double arithmetic as NumPy
+    # scalars, at well under half the cost per step.
+    r, v, e, b = rewards.tolist(), values.tolist(), ends.tolist(), boot.tolist()
+    out = [0.0] * n
     last = 0.0
     for t in range(n - 1, -1, -1):
-        if ends[t]:
-            next_value, carry = boot[t], 0.0
+        if e[t]:
+            next_value, carry = b[t], 0.0
         else:
-            next_value, carry = values[t + 1] if t + 1 < n else boot[t], last
-        delta = rewards[t] + gamma * next_value - values[t]
-        last = adv[t] = delta + gamma * lam * carry
+            next_value, carry = v[t + 1] if t + 1 < n else b[t], last
+        delta = r[t] + gamma * next_value - v[t]
+        last = out[t] = delta + gamma * lam * carry
+    adv = np.array(out, dtype=np.float64)
     return adv, adv + values
 
 

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import askgate
 from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from askgate.env import Split, load_context_set
@@ -122,6 +123,14 @@ def test_missing_config_file_is_a_runtime_error(tmp_path):
     assert main(["contexts", "gen", "--size", "4",
                  "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == EXIT_RUNTIME
+
+
+def test_map_size_below_two_is_a_runtime_error(tmp_path, capsys):
+    for size in ("1", "0", "-3"):
+        assert main(["contexts", "gen", "--size", size, "--count", "1",
+                     "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert "at least 2x2" in capsys.readouterr().err
+    assert not (tmp_path / "contexts").exists()
 
 
 def test_report_without_inputs_is_a_usage_error():
@@ -273,15 +282,46 @@ def test_trajectory_that_does_not_fit_its_map_is_a_runtime_error(workspace, tmp_
         write_atomic(cut, csv_text(header, kept, config))
         assert main(["report", "--trajectory", cut, "--episode", "0"]) == EXIT_RUNTIME
         assert message in capsys.readouterr().err
-    # The 4x4 walks replayed on a 6x6 context set.
+    # The 4x4 walks replayed on a 6x6 context set, from a CSV that records no
+    # size, so only the replay can tell that they do not fit.
     assert main(["contexts", "gen", "--size", "6", "--count", "30", "--seed", "7",
                  "--out", str(tmp_path)]) == EXIT_OK
     other = str(tmp_path / "contexts" / "s6_c30_seed7.txt")
+    unsized = str(tmp_path / "unsized.csv")
+    write_atomic(unsized, csv_text(header, rows, {k: v for k, v in config.items() if k != "size"}))
     for episode in range(6):
         length = sum(row[0] == str(episode) for row in rows)
-        assert main(["report", "--trajectory", episodes, "--episode", str(episode),
+        assert main(["report", "--trajectory", unsized, "--episode", str(episode),
                      "--contexts", other]) == EXIT_RUNTIME
         assert f"{length} logged actions do not fit context" in capsys.readouterr().err
+
+
+def test_trajectory_on_a_context_set_of_another_size_is_a_runtime_error(workspace, tmp_path,
+                                                                        capsys):
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    for size in ("5", "6"):
+        assert main(["contexts", "gen", "--size", size, "--count", "30", "--seed", "7",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        other = str(tmp_path / "contexts" / f"s{size}_c30_seed7.txt")
+        assert main(["report", "--trajectory", episodes, "--contexts", other]) == EXIT_RUNTIME
+        assert f"holds size {size} maps, but" in capsys.readouterr().err
+
+
+def test_trajectory_on_a_context_set_without_its_split_is_a_runtime_error(workspace, tmp_path,
+                                                                          capsys):
+    out = str(tmp_path / "runs")
+    assert main(["run", "--mode", "ppo", "--split", "eval", "--contexts", workspace["ctx"],
+                 "--weights", workspace["weights"], "--episodes", "2", "--seed", "1",
+                 "--out", out]) == EXIT_OK
+    episodes = os.path.join(out, "episodes", "ppo_ppo_eval_s4_tau0.5_seed1.csv")
+    # Two maps: both land in the test split, so the eval split is empty.
+    assert main(["contexts", "gen", "--size", "4", "--count", "2", "--out", out]) == EXIT_OK
+    two = os.path.join(out, "contexts", "s4_c2_seed0.txt")
+    for episode in ("0", "1"):
+        assert main(["report", "--trajectory", episodes, "--episode", episode,
+                     "--contexts", two]) == EXIT_RUNTIME
+        assert "context set has no eval contexts" in capsys.readouterr().err
 
 
 def test_trajectory_for_a_missing_episode_is_a_runtime_error(workspace, capsys):
@@ -348,6 +388,33 @@ def test_console_script_runs_in_a_subprocess(tmp_path):
                f"sys.argv[0] = 'askgate'; sys.exit({attr}())")
     _assert_full_help(subprocess.run([sys.executable, "-c", wrapper, "--help"],
                                      capture_output=True, text=True, timeout=120))
+
+
+HTTP_MODULES = ("requests", "urllib3", "http.client")
+
+
+def test_runs_without_an_endpoint_never_load_the_http_stack(workspace, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(askgate.__file__)))
+    common = ["--contexts", workspace["ctx"], "--weights", workspace["weights"],
+              "--episodes", "2", "--passes", "5", "--out", str(tmp_path)]
+    script = f"""
+import json, sys
+sys.path.insert(0, {src!r})
+import askgate, askgate.cli
+loaded = {{"import": [m for m in {HTTP_MODULES!r} if m in sys.modules]}}
+for mode in (["--mode", "ppo"], ["--mode", "ask", "--client", "rule"]):
+    assert askgate.cli.main(["run", *mode, *{common!r}]) == 0
+loaded["runs"] = [m for m in {HTTP_MODULES!r} if m in sys.modules]
+askgate.lm.EndpointClient(base_url="http://127.0.0.1:9")
+loaded["endpoint"] = [m for m in {HTTP_MODULES!r} if m in sys.modules]
+print(json.dumps(loaded))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "runs": [], "endpoint": list(HTTP_MODULES)}
 
 
 @pytest.mark.skipif(shutil.which("askgate") is None,

@@ -1,5 +1,7 @@
 """Environment invariants: dynamics, observation encoding, map generation, file I/O."""
 
+import hashlib
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +337,66 @@ def test_hole_probability_extremes():
 def test_unsolvable_sampling_skips_corridor_and_bfs():
     cs = generate_context_set(5, 40, 11, solvable=False, hole_probability=0.5)
     assert any(not bfs_solvable(c.grid) for c in cs.contexts)
+
+
+def reference_bfs_solvable(grid):
+    """``bfs_solvable`` as first written: ``GridMap.tile`` and ``in_bounds``."""
+    n = grid.size
+    seen = {(0, 0)}
+    queue = deque([(0, 0)])
+    while queue:
+        row, col = queue.popleft()
+        if grid.tile(row, col) is TileKind.GOAL:
+            return True
+        for action in Action:
+            dr, dc = action.delta
+            nr, nc = row + dr, col + dc
+            if (nr, nc) in seen or not grid.in_bounds(nr, nc):
+                continue
+            if grid.tile(nr, nc) is TileKind.HOLE:
+                continue
+            seen.add((nr, nc))
+            queue.append((nr, nc))
+    return False
+
+
+def test_bfs_matches_the_tile_reference_on_random_grids():
+    rng = np.random.default_rng(2024)
+    for n in range(2, 9):
+        answers = []
+        for hole_probability in (0.1, 0.3, 0.5, 0.7):
+            for _ in range(60):
+                cells = np.where(rng.random((n, n)) < hole_probability, "H", "F")
+                cells[0, 0], cells[-1, -1] = "S", "G"
+                grid = GridMap(tuple("".join(row) for row in cells))
+                want = reference_bfs_solvable(grid)
+                assert bfs_solvable(grid) is want, grid.rows
+                answers.append(want)
+        assert True in answers and False in answers  # both sides of the answer, per size
+
+
+# sha256 of ``save_context_set(generate_context_set(n, count, seed, solvable))``,
+# recorded from the generator's first implementation.
+PINNED_CONTEXT_SETS = [
+    (4, 300, 7, True, "5520009ec9cb88cb60dab48c0c213af5a3792c0d4d83fdf278e9ad458709b675"),
+    (6, 300, 7, True, "ce93398f8a7f45f09a83db0da5c678d3bcf859c8b23e97bb7ea0edce888569e8"),
+    (8, 300, 7, True, "4716417492ccf9d75d588e1778e0f9540e1792a334122bcd52bbe4a118dc632f"),
+    (6, 300, 3, False, "d96380b8168ebef56023eed1493cf0fe443b1840f5c4e5d886922988f02ad60c"),
+]
+
+
+@pytest.mark.parametrize("n, count, seed, solvable, digest", PINNED_CONTEXT_SETS)
+def test_context_set_bytes_are_pinned(tmp_path, n, count, seed, solvable, digest):
+    path = tmp_path / "ctx.txt"
+    save_context_set(generate_context_set(n, count, seed, solvable=solvable), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_generation_rejects_sizes_below_two():
+    for n in (1, 0, -2):
+        for solvable in (True, False):
+            with pytest.raises(ValueError, match="at least 2x2"):
+                generate_context_set(n, 1, 0, solvable=solvable)
 
 
 def test_generation_budget_exhaustion_raises():

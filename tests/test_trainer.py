@@ -28,6 +28,7 @@ from askgate.policy import (
     load_weights,
     save_weights,
     select_action,
+    trunk_activations,
 )
 from askgate.trainer import (
     TRAINLOG_CSV_HEADER,
@@ -36,6 +37,7 @@ from askgate.trainer import (
     TrainLogEntry,
     _Adam,
     _gae,
+    _log_softmax,
     evaluate_policy,
     ppo_grads,
     ppo_loss,
@@ -124,6 +126,61 @@ def test_gradients_cover_every_parameter():
     names = ["w0", "b0", "w1", "b1", "wa", "ba", "wv", "bv"]
     for name, g in zip(names, build_policy(policy.widths, grad).parameters(), strict=True):
         assert np.any(g != 0.0), f"gradient for {name} is identically zero"
+
+
+def reference_ppo_grads(policy, batch, cfg):
+    """``ppo_grads`` as first written: ``np.clip``, ``.mean()`` and a scattered one-hot."""
+    actions, adv = batch["actions"], batch["advantages"]
+    n = len(actions)
+    acts = trunk_activations(policy, batch["obs"])
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    logp_all = _log_softmax(acts[-1] @ wa + ba)
+    values = (acts[-1] @ wv + bv).reshape(-1)
+    probs = np.exp(logp_all)
+    idx = np.arange(n)
+    ratio = np.exp(logp_all[idx, actions] - batch["logp_old"])
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
+    per_pass_entropy = -(probs * logp_all).sum(axis=1)
+    loss = float(-np.minimum(surr1, surr2).mean()
+                 + cfg.value_coef * ((values - batch["returns"]) ** 2).mean()
+                 - cfg.entropy_coef * per_pass_entropy.mean())
+    coeff = np.where(surr1 <= surr2, -adv * ratio, 0.0) / n
+    onehot = np.zeros_like(probs)
+    onehot[idx, actions] = 1.0
+    dz = coeff[:, None] * (onehot - probs)
+    dz += (cfg.entropy_coef / n) * probs * (logp_all + per_pass_entropy[:, None])
+    dv = (2.0 * cfg.value_coef / n) * (values - batch["returns"])
+    grad = build_policy(policy.widths, np.empty_like(policy.flat))
+    (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
+    gwa[...] = acts[-1].T @ dz
+    gba[...] = dz.sum(axis=0)
+    gwv[...] = acts[-1].T @ dv[:, None]
+    gbv[...] = dv.sum()
+    dh = dz @ wa.T + dv[:, None] @ wv.T
+    for i in range(len(policy.trunk) - 1, -1, -1):
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        gw, gb = grad.trunk[i]
+        gw[...] = acts[i].T @ da
+        gb[...] = da.sum(axis=0)
+        dh = da @ policy.trunk[i][0].T
+    return loss, grad.flat
+
+
+def test_ppo_grads_match_the_first_implementation_bit_for_bit():
+    rng = np.random.default_rng(8)
+    policies = [init_policy(input_dim=8, hidden=(6, 5), seed=11), init_policy(seed=4)]
+    for policy in policies:
+        layout = build_policy(policy.widths)
+        for n in (1, 17, 64):
+            batch = synthetic_batch(policy, rng, n)
+            for spread in (0.0, 0.6):  # 0.6 puts some ratios past the clip
+                batch["logp_old"] = batch["logp_old"] + rng.uniform(-spread, spread, n)
+                want_loss, want_grad = reference_ppo_grads(policy, batch, PpoConfig())
+                for got_loss, got_grad in (ppo_grads(policy, batch, PpoConfig()),
+                                           ppo_grads(policy, batch, PpoConfig(), layout)):
+                    assert got_loss == want_loss
+                    assert got_grad.tobytes() == want_grad.tobytes()
 
 
 def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it():
@@ -225,8 +282,9 @@ def test_gae_matches_reference_recursion_on_random_data():
                 nxt = values[t + 1] if t + 1 < n else boot[t]
             delta = rewards[t] + gamma * nxt - values[t]
             carry = expected[t] = delta + gamma * lam * carry
-        assert np.allclose(adv, expected, atol=1e-12)
-        assert np.allclose(ret, expected + values, atol=1e-12)
+        # Same double arithmetic in the same order: equal bits, not just close.
+        assert adv.tobytes() == expected.tobytes()
+        assert ret.tobytes() == (expected + values).tobytes()
 
 
 # ---------------------------------------------------------------------------
