@@ -26,7 +26,7 @@ from .metrics import RunSummary, SummaryRow, aggregate, render_report
 from .policy import MlpPolicy, init_policy, load_weights, save_weights
 from .trainer import PpoConfig, TrainLog, evaluate_policy, train
 from .tuner import TuneStudy, tune_threshold
-from .uncertainty import UncertaintyEstimate, aleatoric, epistemic, mc_estimate
+from .uncertainty import UncertaintyEstimate, mc_estimate
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,6 @@ __all__ = [
     "MlpPolicy", "init_policy", "load_weights", "save_weights",
     "PpoConfig", "TrainLog", "evaluate_policy", "train",
     "TuneStudy", "tune_threshold",
-    "UncertaintyEstimate", "aleatoric", "epistemic", "mc_estimate",
+    "UncertaintyEstimate", "mc_estimate",
     "__version__",
 ]

@@ -33,11 +33,6 @@ class TileKind(enum.Enum):
     HOLE = "H"
     GOAL = "G"
 
-    @property
-    def label(self) -> str:
-        """Tile name as it appears in prompts (START/FROZEN/HOLE/GOAL)."""
-        return self.name
-
 
 # Label used in prompts for a neighbor that lies outside the grid.
 EDGE_LABEL = "EDGE"
@@ -95,13 +90,6 @@ class GridMap:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def tile(self, row: int, col: int) -> TileKind:
-        return TileKind(self.rows[row][col])
-
-    def in_bounds(self, row: int, col: int) -> bool:
-        n = self.size
-        return 0 <= row < n and 0 <= col < n
 
     def to_text(self) -> str:
         return "\n".join(self.rows) + "\n"
@@ -218,7 +206,7 @@ def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:
 
 # Prompt label of each tile character, and for each direction the view keys of
 # the adjacent and the two-step-ahead tile with the direction's delta.
-_LABELS = {t.value: t.label for t in TileKind}
+_LABELS = {t.value: t.name for t in TileKind}
 _VIEW_KEYS = tuple(
     (f"{a.name.lower()}_tile", f"{a.name.lower()}_{a.name.lower()}_tile", *a.delta)
     for a in Action

@@ -140,7 +140,7 @@ def run_episode(
         policy_action = greedy.get(obs_index)
         if policy_action is None:
             dist, _ = policy_mod.forward(policy, obs)
-            policy_action = greedy[obs_index] = policy_mod.select_action(dist, "greedy")
+            policy_action = greedy[obs_index] = policy_mod.select_action(dist)
         estimate = uncertainty(policy, obs, cfg, rng) if uncertainty is not None else None
 
         if cfg.mode is RunMode.ASK:
@@ -230,6 +230,8 @@ def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
         first = fh.readline()
         if first.startswith(CONFIG_PREFIX):
             config = json.loads(first[len(CONFIG_PREFIX):])
+            if not isinstance(config, dict):
+                raise ValueError(f"{path}: the config line must hold a JSON object")
         else:
             config = {}
             fh.seek(0)

@@ -116,7 +116,6 @@ class LmDecision:
 
     status: str
     action: Action | None = None
-    detail: str = ""
 
     @property
     def is_action(self) -> bool:
@@ -131,12 +130,11 @@ def parse_decision(raw: str) -> LmDecision:
     """First {"action":"X"} object decides; anything around it is ignored."""
     match = _ACTION_OBJECT.search(raw)
     if match is None:
-        return LmDecision(status="parse_failure", detail="no action object found")
-    token = match.group(1)
+        return LmDecision(status="parse_failure")
     try:
-        return LmDecision(status="ok", action=Action[token])
+        return LmDecision(status="ok", action=Action[match.group(1)])
     except KeyError:
-        return LmDecision(status="invalid_action", detail=token)
+        return LmDecision(status="invalid_action")
 
 
 def render_action(action: Action) -> str:
@@ -228,9 +226,6 @@ class ScriptedClient:
 
     def __init__(self, responses):
         self._queue = deque(responses)
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
         if not self._queue:

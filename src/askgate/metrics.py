@@ -1,8 +1,7 @@
 """Intervention/overwrite rates, reward aggregation, and report rendering.
 
 Conventions: std is the population standard deviation (divisor N), which
-reproduces sqrt(p*(1-p)) for binary rewards; the reporting discount defaults
-to 1.0 so reward means read as success rates; IR and OR are averaged per
+reproduces sqrt(p*(1-p)) for binary rewards; IR and OR are averaged per
 episode and reported as percentages.
 """
 
@@ -34,7 +33,6 @@ class RunSummary:
     ir_percent: float
     or_percent: float
     episode_count: int
-    gamma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,14 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def episode_return(ep: EpisodeRecord, gamma: float) -> float:
-    return sum((gamma ** i) * s.reward for i, s in enumerate(ep.steps))
-
-
-def aggregate(eps, gamma: float = 1.0) -> RunSummary:
-    """Means/population-stds of per-episode return and length, plus IR/OR."""
+def aggregate(eps) -> RunSummary:
+    """Means/population-stds of per-episode reward and length, plus IR/OR."""
     eps = list(eps)
     if not eps:
         raise ValueError("aggregate requires at least one episode")
-    rewards = [episode_return(ep, gamma) for ep in eps]
+    # Only the terminal GOAL step pays, so ``ep.reward`` is the undiscounted
+    # sum of the step rewards.
+    rewards = [float(ep.reward) for ep in eps]
     lengths = [float(ep.length) for ep in eps]
     r_mean, r_std = _mean_std(rewards)
     l_mean, l_std = _mean_std(lengths)
@@ -95,7 +91,6 @@ def aggregate(eps, gamma: float = 1.0) -> RunSummary:
         ir_percent=100.0 * ir,
         or_percent=100.0 * orate,
         episode_count=len(eps),
-        gamma=gamma,
     )
 
 
@@ -145,7 +140,6 @@ def render_trajectory(context: Context, actions, cap: int) -> str:
     """Grid overlay of the episode that ``actions`` play on ``context`` under step
     cap ``cap``: S start, G goal, * visited, H holes, then the outcome line.
     Raises ``ValueError`` unless the episode ends exactly at the last action."""
-    grid = context.grid
     state = env_mod.reset(context)
     visited = set()
     for action in actions:
@@ -157,18 +151,15 @@ def render_trajectory(context: Context, actions, cap: int) -> str:
         raise ValueError(f"{len(actions)} logged actions do not fit context {context.id}: "
                          f"after {state.step_count} the outcome is {state.outcome.value}")
     rows = []
-    for r in range(grid.size):
+    for r, line in enumerate(context.grid.rows):
         chars = []
-        for c in range(grid.size):
-            tile = grid.tile(r, c)
-            if tile is TileKind.START:
-                chars.append("S")
-            elif tile is TileKind.GOAL:
-                chars.append("G")
+        for c, tile in enumerate(line):
+            if tile == TileKind.START.value or tile == TileKind.GOAL.value:
+                chars.append(tile)
             elif (r, c) in visited:
                 chars.append("*")
-            elif tile is TileKind.HOLE:
-                chars.append("H")
+            elif tile == TileKind.HOLE.value:
+                chars.append(tile)
             else:
                 chars.append(".")
         rows.append("".join(chars))

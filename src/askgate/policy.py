@@ -15,8 +15,8 @@ biases are stored with rows = 1.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,19 +245,9 @@ def sampling_cdf(dist: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-def select_action(dist: np.ndarray, mode: str = "greedy", rng: np.random.Generator | None = None) -> Action:
-    """Greedy argmax (ties toward the lowest action index) or seeded sampling.
-
-    Sampling draws from :func:`sampling_cdf`, so it is ``rng.choice(N_ACTIONS,
-    p=dist)`` draw for draw.
-    """
-    if mode == "greedy":
-        return Action(int(np.argmax(dist)))
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sampling requires an rng")
-        return Action(bisect_right(sampling_cdf(dist), rng.random()))
-    raise ValueError(f"unknown selection mode: {mode!r}")
+def select_action(dist: np.ndarray) -> Action:
+    """Greedy argmax, ties toward the lowest action index."""
+    return Action(int(np.argmax(dist)))
 
 
 def save_weights(policy: MlpPolicy, path: str) -> None:
@@ -270,10 +260,13 @@ def save_weights(policy: MlpPolicy, path: str) -> None:
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise WeightTruncationError(f"file ended while reading {what}")
-    return data
+    # ``size`` comes from the file's own header, so it is checked against the
+    # bytes left before the read: a corrupted one may declare more than memory.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise WeightTruncationError(f"file ended while reading {what}: "
+                                    f"needs {size} bytes, {left} left")
+    return fh.read(size)
 
 
 def load_weights(path: str) -> MlpPolicy:

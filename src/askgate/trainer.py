@@ -187,9 +187,12 @@ class _Adam:
     may reuse its buffer.
     """
 
-    def __init__(self, flat: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.lr = lr
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self._num = np.empty_like(flat)

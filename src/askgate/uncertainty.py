@@ -8,7 +8,8 @@ pass) with mean p-bar:
 * total      = epistemic + aleatoric = H(p-bar)
 
 Everything is in nats; 0 * ln 0 is taken as 0, and p-bar(a) = 0 forces every
-p_i(a) = 0, so no division by zero can occur.
+p_i(a) = 0, so no division by zero can occur. :func:`mc_estimate` draws the
+passes and :func:`estimate_from_passes` is the one decomposition of them.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ class UncertaintyEstimate:
     pass_count: int
 
 
-def _as_matrix(dists) -> np.ndarray:
-    mat = np.asarray(dists, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise ValueError(f"expected a non-empty list of distributions, got shape {mat.shape}")
-    return mat
-
-
 def _xlogx(p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
     nz = p > 0.0
@@ -45,41 +37,21 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _epistemic(mat: np.ndarray, xlogx: np.ndarray, mean: np.ndarray) -> float:
+def estimate_from_passes(dists) -> UncertaintyEstimate:
+    """Both terms of the decomposition from one pass over ``dists``, a list of
+    N distributions or one distribution."""
+    mat = np.asarray(dists, dtype=np.float64)
+    if mat.ndim == 1:
+        mat = mat[None, :]
+    if mat.ndim != 2 or mat.shape[0] < 1:
+        raise ValueError(f"expected a non-empty list of distributions, got shape {mat.shape}")
+    xlogx = _xlogx(mat)
+    mean = mat.mean(axis=0)
     # mean > 0 wherever any pass is positive, so the masked log never applies
     # to a cell with nonzero weight in the sum.
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
-    return float((xlogx - mat * log_mean).sum(axis=1).mean())
-
-
-def _aleatoric(xlogx: np.ndarray) -> float:
-    return float((-xlogx.sum(axis=1)).mean())
-
-
-def epistemic(dists) -> float:
-    """Mean KL divergence of each pass from the mean distribution."""
-    mat = _as_matrix(dists)
-    return _epistemic(mat, _xlogx(mat), mat.mean(axis=0))
-
-
-def aleatoric(dists) -> float:
-    """Mean entropy of the individual passes."""
-    return _aleatoric(_xlogx(_as_matrix(dists)))
-
-
-def predictive_entropy(dists) -> float:
-    """Entropy of the mean distribution (equals epistemic + aleatoric)."""
-    mean = _as_matrix(dists).mean(axis=0)
-    return float(-_xlogx(mean).sum())
-
-
-def estimate_from_passes(dists) -> UncertaintyEstimate:
-    """Both terms of the decomposition from one pass over ``dists``; each equals
-    what :func:`epistemic` and :func:`aleatoric` return for the same input."""
-    mat = _as_matrix(dists)
-    xlogx = _xlogx(mat)
-    e = _epistemic(mat, xlogx, mat.mean(axis=0))
-    a = _aleatoric(xlogx)
+    e = float((xlogx - mat * log_mean).sum(axis=1).mean())
+    a = float((-xlogx.sum(axis=1)).mean())
     return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=mat.shape[0])
 
 

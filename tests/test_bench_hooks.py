@@ -1,0 +1,62 @@
+"""The benchmark's tracer wraps askgate functions by name; they must all exist.
+
+``bench/tracing.py`` looks up every entry of its ``SPANS`` table with
+``getattr`` when a traced run starts, so a renamed or deleted function would
+fail every benchmark workload. These tests load the tracer from its file
+(``bench/`` is not a package) and check each target against this checkout.
+"""
+
+import importlib.util
+import inspect
+import os
+
+import askgate
+from askgate.env import Split, generate_context_set
+from askgate.gate import GateConfig, RunMode, run_batch
+from askgate.lm import RuleClient
+from askgate.policy import init_policy
+from askgate.tuner import tune_threshold
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_DIR = os.path.dirname(os.path.abspath(askgate.__file__))
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(REPO, "bench", "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_resolves_to_a_function_of_the_package():
+    tracing = load_tracing()
+    assert tracing.SPANS
+    for span, (module_name, attr_path) in tracing.SPANS.items():
+        owner, attr = tracing._resolve(module_name, attr_path)
+        target = getattr(owner, attr, None)
+        assert callable(target), f"{span}: {module_name}.{attr_path} does not exist"
+        source = os.path.abspath(inspect.getsourcefile(target))
+        assert os.path.dirname(source) == PACKAGE_DIR, f"{span} resolves to {source}"
+
+
+def test_a_traced_tuning_run_calls_the_hooks_and_restores_the_originals():
+    tracing = load_tracing()
+    originals = {span: getattr(*tracing._resolve(*target))
+                 for span, target in tracing.SPANS.items()}
+    contexts = generate_context_set(4, 6, 7).split(Split.EVAL)
+    policy = init_policy(seed=0)
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        tune_threshold(policy, RuleClient(), contexts, trials=2, episodes_per_trial=2,
+                       gate=GateConfig(passes=5, max_steps=8))
+        run_batch(policy, RuleClient(), contexts, GateConfig(mode=RunMode.ASK, tau=0.0,
+                                                             passes=5, max_steps=8), 2)
+    for span in ("gate.run_episode", "policy.select_action", "uncertainty.mc_estimate",
+                 "uncertainty.estimate_from_passes", "lm.query", "lm.parse_decision",
+                 "env.encode_observation", "tuner.run_batch"):
+        assert tracer.stats[span].calls > 0, span
+    assert tracer.statuses["ok"] > 0
+    for span, target in tracing.SPANS.items():
+        assert getattr(*tracing._resolve(*target)) is originals[span], span

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -88,12 +89,16 @@ def test_missing_context_file_is_a_runtime_error(tmp_path, capsys):
 
 
 def test_corrupt_weights_are_a_runtime_error(workspace, tmp_path, capsys):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"JUNKJUNKJUNK")
-    code = main(["run", "--mode", "ppo", "--contexts", workspace["ctx"],
-                 "--weights", str(bad), "--out", str(tmp_path)])
-    assert code == EXIT_RUNTIME
-    assert "bad weights file" in capsys.readouterr().err
+    # Junk, and a first array whose header declares more than the file holds.
+    huge = bytearray(open(workspace["weights"], "rb").read())
+    huge[12:20] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+    for blob in (b"JUNKJUNKJUNK", bytes(huge)):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        code = main(["run", "--mode", "ppo", "--contexts", workspace["ctx"],
+                     "--weights", str(bad), "--out", str(tmp_path)])
+        assert code == EXIT_RUNTIME
+        assert "bad weights file" in capsys.readouterr().err
 
 
 def test_out_of_range_dropout_rate_is_a_runtime_error(workspace, tmp_path, capsys):
@@ -333,6 +338,17 @@ def test_trajectory_for_a_missing_episode_is_a_runtime_error(workspace, capsys):
                            "ask_rule_test_s4_tau0.2_seed1.csv")
     assert main(["report", "--trajectory", summary]) == EXIT_RUNTIME
     assert "not an episode CSV" in capsys.readouterr().err
+
+
+def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(
+        workspace, tmp_path, capsys):
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    lines = open(episodes).read().splitlines(keepends=True)
+    odd = tmp_path / "odd.csv"
+    odd.write_text("# config [1]\n" + "".join(lines[1:]))
+    assert main(["report", "--trajectory", str(odd), "--contexts", workspace["ctx"]]) == EXIT_RUNTIME
+    assert "JSON object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

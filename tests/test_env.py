@@ -69,11 +69,16 @@ def test_action_deltas():
 
 
 def test_tile_labels():
-    assert TileKind.START.label == "START"
-    assert TileKind.FROZEN.label == "FROZEN"
-    assert TileKind.HOLE.label == "HOLE"
-    assert TileKind.GOAL.label == "GOAL"
-    assert EDGE_LABEL == "EDGE"
+    # Prompts name each tile kind by its enum name, and off-grid cells EDGE.
+    grid = GridMap(("SFFF", "FHFF", "FFFF", "FFFG"))
+    view = local_view(EnvState(make_context(grid), 0, 1, 0, Outcome.RUNNING))
+    assert view["left_tile"] == "START"
+    assert view["right_tile"] == "FROZEN"
+    assert view["down_tile"] == "HOLE"
+    assert view["up_tile"] == EDGE_LABEL == "EDGE"
+    view = local_view(EnvState(make_context(grid), 3, 2, 0, Outcome.RUNNING))
+    assert view["right_tile"] == "GOAL"
+    assert [t.name for t in TileKind] == ["START", "FROZEN", "HOLE", "GOAL"]
 
 
 def test_grid_text_round_trip():
@@ -197,17 +202,26 @@ def test_deterministic_replay():
     assert traces[0] == traces[1]
 
 
+def tile_at(grid, row, col):
+    """The tile at a cell as a ``TileKind``, the way the first oracles read maps."""
+    return TileKind(grid.rows[row][col])
+
+
+def in_bounds(grid, row, col):
+    return 0 <= row < grid.size and 0 <= col < grid.size
+
+
 def reference_step(state, action, max_steps=DEFAULT_MAX_STEPS):
-    """The step function as first written: GridMap, TileKind and ``replace``."""
+    """The step function as first written: TileKind reads and ``replace``."""
     if state.done:
         raise TerminalStateError(f"episode already ended with outcome {state.outcome.value}")
     grid = state.context.grid
     dr, dc = action.delta
     row, col = state.row + dr, state.col + dc
-    if not grid.in_bounds(row, col):
+    if not in_bounds(grid, row, col):
         row, col = state.row, state.col
     steps = state.step_count + 1
-    tile = grid.tile(row, col)
+    tile = tile_at(grid, row, col)
     if tile is TileKind.GOAL:
         outcome = Outcome.GOAL
     elif tile is TileKind.HOLE:
@@ -270,7 +284,7 @@ def test_local_view_sees_goal_two_cells_away():
 
 def reference_view(grid, row, col):
     def label(r, c):
-        return grid.tile(r, c).label if grid.in_bounds(r, c) else EDGE_LABEL
+        return tile_at(grid, r, c).name if in_bounds(grid, r, c) else EDGE_LABEL
 
     n = grid.size
     view = {"agent_row": row, "agent_col": col, "goal_row": n - 1, "goal_col": n - 1}
@@ -340,20 +354,20 @@ def test_unsolvable_sampling_skips_corridor_and_bfs():
 
 
 def reference_bfs_solvable(grid):
-    """``bfs_solvable`` as first written: ``GridMap.tile`` and ``in_bounds``."""
+    """``bfs_solvable`` as first written, on ``TileKind`` reads."""
     n = grid.size
     seen = {(0, 0)}
     queue = deque([(0, 0)])
     while queue:
         row, col = queue.popleft()
-        if grid.tile(row, col) is TileKind.GOAL:
+        if tile_at(grid, row, col) is TileKind.GOAL:
             return True
         for action in Action:
             dr, dc = action.delta
             nr, nc = row + dr, col + dc
-            if (nr, nc) in seen or not grid.in_bounds(nr, nc):
+            if (nr, nc) in seen or not in_bounds(grid, nr, nc):
                 continue
-            if grid.tile(nr, nc) is TileKind.HOLE:
+            if tile_at(grid, nr, nc) is TileKind.HOLE:
                 continue
             seen.add((nr, nc))
             queue.append((nr, nc))

@@ -308,7 +308,7 @@ def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
         steps = []
         while not state.done:
             obs = encode_observation(state, dim=policy.input_dim)
-            action = select_action(forward(policy, obs)[0], "greedy")
+            action = select_action(forward(policy, obs)[0])
             estimate = unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
             if cfg.mode is RunMode.ASK:
                 consulted = estimate.total >= cfg.tau
@@ -369,6 +369,14 @@ def test_read_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
     path = tmp_path / "cut.csv"
     path.write_text("a,b,c\n1,2,3\n4,5\n")
     with pytest.raises(ValueError, match="2 fields"):
+        read_csv(str(path))
+
+
+@pytest.mark.parametrize("config", ["[1]", '"text"', "3", "null"])
+def test_read_csv_rejects_a_config_line_that_is_not_an_object(tmp_path, config):
+    path = tmp_path / "odd.csv"
+    path.write_text(f"# config {config}\na,b\n1,2\n")
+    with pytest.raises(ValueError, match="JSON object"):
         read_csv(str(path))
 
 

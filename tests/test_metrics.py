@@ -12,7 +12,6 @@ from askgate.metrics import (
     RunSummary,
     SummaryRow,
     aggregate,
-    episode_return,
     format_mean_std,
     intervention_rate,
     overwrite_rate,
@@ -82,12 +81,6 @@ def test_overwrite_rate_is_per_consulted_step():
 def test_overwrite_rate_without_consultation_is_zero():
     ep = make_episode([(False, False)] * 4)
     assert overwrite_rate(ep) == 0.0
-
-
-def test_episode_return_discounts_by_step():
-    ep = goal_episode(length=3)
-    assert episode_return(ep, gamma=1.0) == 1.0
-    assert episode_return(ep, gamma=0.5) == 0.25  # reward lands on step index 2
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +199,16 @@ def test_trajectory_overlay_marks_the_walk():
         render_trajectory(context, actions + [Action.LEFT], 100)
     with pytest.raises(ValueError, match="3 logged actions .* after 2 the outcome is truncated"):
         render_trajectory(context, [Action.RIGHT, Action.LEFT, Action.RIGHT], 2)
+    # Back over S, then into the hole at (1, 1): the hole fallen into shows *,
+    # the other holes stay H, and S keeps its letter though it was revisited.
+    fall = [Action.RIGHT, Action.LEFT, Action.DOWN, Action.RIGHT]
+    assert render_trajectory(context, fall, 100) == (
+        "S*..\n"
+        "**.H\n"
+        "...H\n"
+        "H..G\n"
+        "context 3: outcome hole, reward 0, length 4\n"
+    )
 
 
 def test_render_report_dispatch(tmp_path):

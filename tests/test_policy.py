@@ -204,21 +204,23 @@ def test_greedy_selection_takes_argmax():
     assert select_action(np.array([0.4, 0.4, 0.1, 0.1])) is Action.UP  # tie -> lowest index
 
 
+def sample(dist, rng):
+    """One draw the way the trainer samples: ``bisect_right`` on the CDF."""
+    return bisect_right(sampling_cdf(dist), rng.random())
+
+
 def test_sampled_selection_is_seeded():
     dist = np.array([0.25, 0.25, 0.25, 0.25])
-    a = select_action(dist, "sample", np.random.default_rng(7))
-    b = select_action(dist, "sample", np.random.default_rng(7))
-    assert a is b
-    with pytest.raises(ValueError):
-        select_action(dist, "sample")
-    with pytest.raises(ValueError):
-        select_action(dist, "boltzmann")
+    first, second = ([sample(dist, rng) for _ in range(50)]
+                     for rng in (np.random.default_rng(7), np.random.default_rng(7)))
+    assert first == second
+    assert set(first) == {0, 1, 2, 3}
 
 
 def test_sampled_selection_follows_the_distribution():
     rng = np.random.default_rng(0)
     dist = np.array([0.0, 0.0, 1.0, 0.0])
-    assert all(select_action(dist, "sample", rng) is Action.LEFT for _ in range(20))
+    assert all(sample(dist, rng) == Action.LEFT for _ in range(20))
 
 
 def test_sampling_matches_rng_choice_draw_for_draw():
@@ -232,13 +234,8 @@ def test_sampling_matches_rng_choice_draw_for_draw():
     dists += [d * (1.0 + 1e-9) for d in dists[:1000]]  # inside choice's sum tolerance
     ours, twin = np.random.default_rng(5), np.random.default_rng(5)
     for dist in dists:
-        assert select_action(dist, "sample", ours) == twin.choice(4, p=dist)
+        assert sample(dist, ours) == twin.choice(4, p=dist)
     assert ours.bit_generator.state == twin.bit_generator.state
-    # The trainer's path: one CDF list per cell, then bisect_right per draw.
-    table, twin = np.random.default_rng(6), np.random.default_rng(6)
-    for dist in dists:
-        assert bisect_right(sampling_cdf(dist), table.random()) == twin.choice(4, p=dist)
-    assert table.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("dist", [
@@ -251,8 +248,6 @@ def test_sampling_matches_rng_choice_draw_for_draw():
 def test_sampling_rejects_what_rng_choice_rejects(dist):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(4, p=dist)
-    with pytest.raises(ValueError):
-        select_action(np.array(dist), "sample", np.random.default_rng(0))
     with pytest.raises(ValueError):
         sampling_cdf(np.array(dist))
 
@@ -321,6 +316,23 @@ def test_truncated_file_raises_truncation_error(tmp_path, policy):
         path.write_bytes(blob[:cut])
         with pytest.raises(WeightTruncationError):
             load_weights(str(path))
+
+
+@pytest.mark.parametrize("index", [0, 5])
+@pytest.mark.parametrize("shape", [(0xFFFFFFFF, 0xFFFFFFFF), (1000, 64)])
+def test_a_shape_larger_than_the_file_raises_truncation_error(tmp_path, policy, index, shape):
+    # The declared size is checked against the bytes left before any read, so
+    # a corrupted header can neither overflow the read size nor exhaust memory.
+    path = tmp_path / "w.bin"
+    save_weights(policy, str(path))
+    blob = bytearray(path.read_bytes())
+    offset = 12
+    for arr in policy.parameters()[:index]:
+        offset += 8 + 8 * arr.size
+    blob[offset:offset + 8] = struct.pack("<II", *shape)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(WeightTruncationError, match=r"array \d: needs \d+ bytes, \d+ left"):
+        load_weights(str(path))
 
 
 def test_trailing_bytes_raise_shape_error(tmp_path, policy):

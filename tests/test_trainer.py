@@ -487,7 +487,7 @@ def reference_greedy_rollout(policy, context, cap):
     while not state.done:
         obs = encode_observation(state, dim=policy.input_dim)
         dist, _ = forward(policy, obs)
-        action = select_action(dist, "greedy")
+        action = select_action(dist)
         index = state.row * n + state.col
         state, reward, done = step(state, action, cap)
         steps.append(StepRecord(
@@ -509,9 +509,9 @@ def test_evaluate_policy_matches_a_step_by_step_greedy_loop(size, monkeypatch):
                        tiny_config(total_timesteps=2048, eval_interval=1024))
     seen = []
 
-    def recording_aggregate(eps, gamma=1.0):
+    def recording_aggregate(eps):
         seen.append(list(eps))
-        return aggregate(seen[-1], gamma)
+        return aggregate(seen[-1])
 
     monkeypatch.setattr(metrics_mod, "aggregate", recording_aggregate)
     pool = ctx.split(Split.TEST)

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askgate.policy import dropout_passes, init_policy
-from askgate.uncertainty import (
-    UncertaintyEstimate,
-    aleatoric,
-    epistemic,
-    estimate_from_passes,
-    mc_estimate,
-    predictive_entropy,
-)
+from askgate.uncertainty import UncertaintyEstimate, estimate_from_passes, mc_estimate
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -58,45 +51,63 @@ def random_distributions(rng, n_passes):
     return (raw / raw.sum(axis=1, keepdims=True)).tolist()
 
 
+def reference_epistemic(dists):
+    """The separate epistemic term as first written: mean KL in NumPy."""
+    mat = np.asarray(dists, dtype=np.float64)
+    xlogx = np.where(mat > 0.0, mat * np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
+    mean = mat.mean(axis=0)
+    log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
+    return float((xlogx - mat * log_mean).sum(axis=1).mean())
+
+
+def reference_aleatoric(dists):
+    """The separate aleatoric term as first written: mean entropy in NumPy."""
+    mat = np.asarray(dists, dtype=np.float64)
+    xlogx = np.where(mat > 0.0, mat * np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
+    return float((-xlogx.sum(axis=1)).mean())
+
+
 # ---------------------------------------------------------------------------
 # Hand-derived values
 
 
 def test_identical_passes_have_zero_epistemic():
     dists = [[0.7, 0.1, 0.1, 0.1]] * 5
-    assert epistemic(dists) == 0.0
+    assert estimate_from_passes(dists).epistemic == 0.0
 
 
 def test_two_disjoint_one_hots_split_ln2():
     dists = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
-    assert abs(epistemic(dists) - LN2) < 1e-12
-    assert aleatoric(dists) == 0.0
-    assert abs(predictive_entropy(dists) - LN2) < 1e-12
+    est = estimate_from_passes(dists)
+    assert abs(est.epistemic - LN2) < 1e-12
+    assert est.aleatoric == 0.0
+    assert abs(est.total - LN2) < 1e-12
+    assert abs(est.total - brute_mean_entropy(dists)) < 1e-12
 
 
 def test_one_hots_have_zero_aleatoric():
     dists = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
-    assert aleatoric(dists) == 0.0
+    assert estimate_from_passes(dists).aleatoric == 0.0
 
 
 def test_uniform_passes_hit_the_entropy_bound():
     dists = [[0.25, 0.25, 0.25, 0.25]] * 7
-    assert aleatoric(dists) == LN4
-    assert epistemic(dists) == 0.0
-    assert predictive_entropy(dists) == LN4
+    est = estimate_from_passes(dists)
+    assert est.aleatoric == LN4
+    assert est.epistemic == 0.0
+    assert est.total == LN4 == brute_mean_entropy(dists)
 
 
 def test_one_hot_plus_uniform_averages_entropies():
     dists = [[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]
-    assert abs(aleatoric(dists) - LN4 / 2.0) < 1e-12
+    assert abs(estimate_from_passes(dists).aleatoric - LN4 / 2.0) < 1e-12
 
 
 def test_single_pass_has_zero_epistemic():
     dist = [0.4, 0.3, 0.2, 0.1]
-    assert epistemic([dist]) == 0.0
-    assert abs(aleatoric([dist]) - brute_aleatoric([dist])) < 1e-15
-    est = estimate_from_passes([dist])
-    assert est.pass_count == 1 and est.epistemic == 0.0
+    for est in (estimate_from_passes([dist]), estimate_from_passes(dist)):
+        assert est.pass_count == 1 and est.epistemic == 0.0
+        assert abs(est.aleatoric - brute_aleatoric([dist])) < 1e-15
 
 
 def test_estimate_bundles_the_decomposition():
@@ -111,19 +122,21 @@ def test_estimate_bundles_the_decomposition():
 
 
 def test_estimate_equals_the_separate_terms_exactly():
-    # One pass over the matrix gives the very floats of the two oracles.
+    # The one-pass decomposition gives the very floats of the separate terms
+    # it replaced, so the u_* CSV columns keep their bits.
     rng = np.random.default_rng(4)
     for _ in range(300):
         dists = random_distributions(rng, int(rng.integers(1, 101)))
         est = estimate_from_passes(dists)
-        assert est.epistemic == epistemic(dists)
-        assert est.aleatoric == aleatoric(dists)
+        assert est.epistemic == reference_epistemic(dists)
+        assert est.aleatoric == reference_aleatoric(dists)
         assert est.total == est.epistemic + est.aleatoric
 
 
 def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        epistemic(np.zeros((0, 4)))
+    for empty in (np.zeros((0, 4)), np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError):
+            estimate_from_passes(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +147,10 @@ def test_matches_brute_force_on_random_sets():
     rng = np.random.default_rng(123)
     for _ in range(300):
         dists = random_distributions(rng, int(rng.integers(1, 11)))
-        e, a = epistemic(dists), aleatoric(dists)
-        assert abs(e - brute_epistemic(dists)) < 1e-9
-        assert abs(a - brute_aleatoric(dists)) < 1e-9
-        assert abs((e + a) - brute_mean_entropy(dists)) < 1e-9
+        est = estimate_from_passes(dists)
+        assert abs(est.epistemic - brute_epistemic(dists)) < 1e-9
+        assert abs(est.aleatoric - brute_aleatoric(dists)) < 1e-9
+        assert abs(est.total - brute_mean_entropy(dists)) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,10 +160,10 @@ def test_matches_brute_force_on_random_sets():
 ))
 def test_decomposition_properties_hold_everywhere(raw):
     dists = [[p / sum(row) for p in row] for row in raw]
-    e, a = epistemic(dists), aleatoric(dists)
-    assert e >= -1e-12                      # KL is non-negative
-    assert -1e-12 <= a <= LN4 + 1e-12       # entropy of a 4-way distribution
-    assert abs((e + a) - predictive_entropy(dists)) < 1e-9
+    est = estimate_from_passes(dists)
+    assert est.epistemic >= -1e-12                      # KL is non-negative
+    assert -1e-12 <= est.aleatoric <= LN4 + 1e-12       # entropy of a 4-way distribution
+    assert abs(est.total - brute_mean_entropy(dists)) < 1e-9  # total = H(p-bar)
 
 
 # ---------------------------------------------------------------------------
