@@ -130,13 +130,17 @@ def run_episode(
         raise ValueError(f"mode {cfg.mode.value} requires a client")
     if cfg.mode is RunMode.ASK and uncertainty is None:
         raise ValueError("mode ask requires an uncertainty source")
-    rng = _episode_rng(cfg.seed, episode_index)
+    rng = _episode_rng(cfg.seed, episode_index) if uncertainty is not None else None
     greedy = {} if greedy is None else greedy
+    # The cell index comes from the state; the map's own size, not the
+    # policy's input width, since a policy may run on smaller maps.
+    n = context.grid.size
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
     while not state.done:
+        # The forward, the uncertainty source and the tuner memo's key read obs.
         obs = env_mod.encode_observation(state, dim=policy.input_dim)
-        obs_index = int(np.argmax(obs))
+        obs_index = state.row * n + state.col
         policy_action = greedy.get(obs_index)
         if policy_action is None:
             dist, _ = policy_mod.forward(policy, obs)

@@ -153,9 +153,12 @@ def apply_dropout(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, shifted by the maximum, worked in place on
+    one temporary; ``logits`` is left as is."""
+    out = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
 
 
 def trunk_activations(
@@ -175,7 +178,9 @@ def trunk_activations(
     """
     acts = [x]
     for w, b in policy.trunk:
-        h = np.tanh(acts[-1] @ w + b)
+        h = acts[-1] @ w
+        h += b
+        np.tanh(h, out=h)
         if rng is not None:
             h = apply_dropout(h, dropout_rate, rng, passes if len(acts) == 1 else None)
         acts.append(h)

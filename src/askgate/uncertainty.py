@@ -31,6 +31,8 @@ class UncertaintyEstimate:
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
+    if np.minimum.reduce(p, axis=None) > 0.0:  # false for NaN too
+        return p * np.log(p)
     out = np.zeros_like(p)
     nz = p > 0.0
     out[nz] = p[nz] * np.log(p[nz])
@@ -43,16 +45,18 @@ def estimate_from_passes(dists) -> UncertaintyEstimate:
     mat = np.asarray(dists, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[0] < 1:
+    if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a non-empty list of distributions, got shape {mat.shape}")
+    # Each mean is np.mean's own reduction and division, without its wrapper.
+    n = mat.shape[0]
     xlogx = _xlogx(mat)
-    mean = mat.mean(axis=0)
+    mean = np.add.reduce(mat, axis=0) / n
     # mean > 0 wherever any pass is positive, so the masked log never applies
     # to a cell with nonzero weight in the sum.
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
-    e = float((xlogx - mat * log_mean).sum(axis=1).mean())
-    a = float((-xlogx.sum(axis=1)).mean())
-    return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=mat.shape[0])
+    e = float(np.add.reduce(np.add.reduce(xlogx - mat * log_mean, axis=1)) / n)
+    a = float(np.add.reduce(-np.add.reduce(xlogx, axis=1)) / n)
+    return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=n)
 
 
 def mc_estimate(

@@ -60,3 +60,23 @@ def test_a_traced_tuning_run_calls_the_hooks_and_restores_the_originals():
     assert tracer.statuses["ok"] > 0
     for span, target in tracing.SPANS.items():
         assert getattr(*tracing._resolve(*target)) is originals[span], span
+
+
+def test_the_step_counter_sees_every_gated_step():
+    # bench/run.py takes steps_per_s from the env.step calls under
+    # gate.run_episode, and every ask-mode step draws one MC estimate. A loop
+    # that bound either function where the tracer cannot replace it would
+    # read zero here instead of quietly zeroing the benchmark's numerator.
+    tracing = load_tracing()
+    contexts = generate_context_set(4, 6, 7).split(Split.EVAL)
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        records = run_batch(init_policy(seed=0), RuleClient(), contexts,
+                            GateConfig(mode=RunMode.ASK, tau=0.0, passes=5, max_steps=8), 3)
+    steps = sum(record.length for record in records)
+    assert steps > 0
+    assert tracer.edges[("gate.run_episode", "env.step")] == steps
+    assert tracer.stats["env.step"].calls == steps
+    assert tracer.edges[("gate.run_episode", "uncertainty.mc_estimate")] == steps
+    assert tracer.stats["uncertainty.mc_estimate"].calls == steps

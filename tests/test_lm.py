@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askgate.env import Action, generate_context_set
 from askgate.gate import GateConfig, RunMode, run_episode
@@ -146,6 +148,33 @@ def test_parse_tolerates_whitespace():
 def test_parse_takes_the_first_object():
     decision = parse_decision('{"action":"UP"} {"action":"DOWN"}')
     assert decision.action is Action.UP
+
+
+def assert_well_formed(decision):
+    assert isinstance(decision, LmDecision)
+    assert decision.status in ("ok", "parse_failure", "invalid_action")
+    assert decision.is_action == (decision.status == "ok")
+    assert isinstance(decision.action, Action) if decision.is_action else decision.action is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_decision_is_total_on_any_text(raw):
+    assert_well_formed(parse_decision(raw))
+
+
+NAMES = [a.name for a in Action]
+NEAR_MISSES = [variant for name in NAMES for variant in (name.lower(), name.title(), f" {name}", f"{name} ")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.one_of(st.sampled_from(NAMES), st.sampled_from(NEAR_MISSES), st.text()), st.text())
+def test_parse_decision_is_total_around_an_embedded_object(before, token, after):
+    decision = parse_decision(before + '{"action":"%s"}' % token + after)
+    assert_well_formed(decision)
+    if "{" not in before and '"' not in token:  # the embedded object is the first match
+        assert decision.status == ("ok" if token in Action.__members__ else "invalid_action")
+        assert decision.action is Action.__members__.get(token)
 
 
 def test_rendered_actions_round_trip():

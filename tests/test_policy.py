@@ -195,6 +195,23 @@ def test_softmax_matches_reference():
     assert np.isfinite(big).all() and abs(big.sum() - 1.0) < 1e-12
 
 
+def test_softmax_equals_the_allocating_reference_bit_for_bit():
+    # Every greedy action and every u_* column reads softmax, so its in-place
+    # form must give the very bits of the plain one, and leave its input alone.
+    rng = np.random.default_rng(3)
+    inputs = [np.array([2.0, -1.0, 0.5, 0.0]), np.array([1000.0, 0.0, 0.0, 0.0]),
+              np.array([[1000.0, 0.0, -3.0, 999.5], [0.0, 0.0, 0.0, 0.0]])]
+    inputs += [rng.normal(scale=scale, size=shape)
+               for scale in (0.01, 1.0, 30.0) for shape in [(4,), (1, 4), (7, 4), (100, 4)]]
+    for x in inputs:
+        before = x.copy()
+        e = np.exp(x - x.max(-1, keepdims=True))
+        expected = e / e.sum(-1, keepdims=True)
+        out = softmax(x)
+        assert out.shape == x.shape and out.tobytes() == expected.tobytes()
+        assert np.array_equal(x, before)
+
+
 # ---------------------------------------------------------------------------
 # Action selection
 

@@ -133,9 +133,32 @@ def test_estimate_equals_the_separate_terms_exactly():
         assert est.total == est.epistemic + est.aleatoric
 
 
+def test_positive_passes_equal_the_separate_terms_exactly():
+    # Passes with no zero entry take _xlogx's unmasked path, which the random
+    # distributions above almost never reach. Real MC-Dropout passes of every
+    # cell, and random matrices with entries down to about 1e-300, must still
+    # give the very floats of the separate terms.
+    policy = init_policy(seed=0)
+    inputs = []
+    for cell in range(policy.input_dim):
+        obs = np.zeros(policy.input_dim)
+        obs[cell] = 1.0
+        inputs.append(dropout_passes(policy, obs, 100, 0.2, np.random.default_rng([1, cell])))
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        raw = 10.0 ** -rng.uniform(0.0, 300.0, (int(rng.integers(1, 101)), 4))
+        inputs.append(raw / raw.sum(axis=1, keepdims=True))
+    for mat in inputs:
+        assert mat.min() > 0.0
+        est = estimate_from_passes(mat)
+        assert est.epistemic == reference_epistemic(mat)
+        assert est.aleatoric == reference_aleatoric(mat)
+        assert est.total == est.epistemic + est.aleatoric
+
+
 def test_empty_input_rejected():
-    for empty in (np.zeros((0, 4)), np.zeros((2, 2, 4))):
-        with pytest.raises(ValueError):
+    for empty in (np.zeros((0, 4)), np.zeros((2, 2, 4)), [], np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="non-empty list of distributions"):
             estimate_from_passes(empty)
 
 
