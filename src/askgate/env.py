@@ -14,7 +14,7 @@ by index order (first third Train, second Eval, third Test).
 from __future__ import annotations
 
 import enum
-from collections import deque
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,26 +238,41 @@ def local_view(state: EnvState) -> dict[str, int | str]:
     return view
 
 
+# Tile character to the bit of an open (non-hole) cell and of a goal cell.
+_OPEN_BITS = str.maketrans({t.value: "0" if t.value == _HOLE_CHAR else "1" for t in TileKind})
+_GOAL_BITS = str.maketrans({t.value: "1" if t.value == _GOAL_CHAR else "0" for t in TileKind})
+
+
+@functools.lru_cache(maxsize=16)
+def _column_masks(n: int) -> tuple[int, int]:
+    """Bit masks of every cell outside the first and outside the last column."""
+    first = sum(1 << (row * n) for row in range(n))
+    full = (1 << (n * n)) - 1
+    return full ^ first, full ^ (first << (n - 1))
+
+
 def bfs_solvable(grid: GridMap) -> bool:
-    """Breadth-first reachability from S to G over non-hole tiles."""
-    # Every generated map runs this, so it compares tile characters.
-    rows = grid.rows
-    n = len(rows)
-    seen = {(0, 0)}
-    queue = deque([(0, 0)])
-    while queue:
-        row, col = queue.popleft()
-        if rows[row][col] == _GOAL_CHAR:
-            return True
-        for dr, dc in _DELTAS.values():
-            nr, nc = row + dr, col + dc
-            if (nr, nc) in seen or not (0 <= nr < n and 0 <= nc < n):
-                continue
-            if rows[nr][nc] == _HOLE_CHAR:
-                continue
-            seen.add((nr, nc))
-            queue.append((nr, nc))
-    return False
+    """Breadth-first reachability from S to G over non-hole tiles.
+
+    The reached set is a Python int with bit ``row*n + col`` per cell, grown
+    by one BFS layer per round, so a map of any size takes one shift and mask
+    per direction and layer.
+    """
+    n = grid.size
+    # Reversed, so that character ``row*n + col`` becomes bit ``row*n + col``.
+    cells = "".join(grid.rows)[::-1]
+    open_cells = int(cells.translate(_OPEN_BITS), 2)
+    goal = int(cells.translate(_GOAL_BITS), 2)
+    not_first_col, not_last_col = _column_masks(n)
+    reached = 1  # S, top-left
+    while not reached & goal:
+        grown = reached | (open_cells & (
+            (reached << n) | (reached >> n)
+            | ((reached << 1) & not_first_col) | ((reached >> 1) & not_last_col)))
+        if grown == reached:
+            return False
+        reached = grown
+    return True
 
 
 def corridor_cells(n: int) -> tuple[tuple[int, int], ...]:
@@ -284,17 +299,28 @@ def corridor_cells(n: int) -> tuple[tuple[int, int], ...]:
 
 # Byte 0/1 of a boolean hole mask to its tile character.
 _HOLE_MASK_TILES = bytes.maketrans(b"\0\1", (TileKind.FROZEN.value + _HOLE_CHAR).encode())
+# Doubles per draw: candidates are drawn this many cells at a time.
+_DRAW_CELLS = 4096
 
 
-def _sample_grid(n: int, rng: np.random.Generator, may_hole: np.ndarray,
-                 hole_probability: float) -> GridMap:
-    """One map from one ``rng.random((n, n))`` draw; ``may_hole`` masks the
-    cells a draw below ``hole_probability`` turns into holes."""
-    holes = rng.random((n, n)) < hole_probability
-    holes &= may_hole
-    text = holes.tobytes().translate(_HOLE_MASK_TILES).decode("ascii")
-    text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
-    return GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
+def _hole_masks(rng: np.random.Generator, may_hole: np.ndarray, hole_probability: float):
+    """Endless candidate hole masks, ``n*n`` bytes of 0/1 each.
+
+    A candidate's cell is a hole where its uniform double is below
+    ``hole_probability`` and ``may_hole`` allows one. The candidates are drawn
+    a block at a time, the same doubles in the same order as one
+    ``rng.random((n, n))`` each, so the unused tail of the last block leaves
+    the maps as they are.
+    """
+    n = len(may_hole)
+    cells = n * n
+    block = max(1, _DRAW_CELLS // cells)
+    while True:
+        holes = rng.random((block, n, n)) < hole_probability
+        holes &= may_hole
+        masks = holes.tobytes()
+        for offset in range(0, len(masks), cells):
+            yield masks[offset:offset + cells]
 
 
 def generate_context_set(
@@ -310,24 +336,33 @@ def generate_context_set(
     additionally verified with BFS; unsolvable sets sample cells independently
     with no reachability requirement. Duplicates are always rejected. Raises
     :class:`MapGenerationError` if any single map exhausts the attempt budget,
-    and ``ValueError`` for a size below 2, which no map file can hold.
+    and ``ValueError`` for a size below 2, which no map file can hold, or a
+    count below 1.
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2x2, got {n}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     may_hole = np.ones((n, n), dtype=bool)
     for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
         may_hole[row, col] = False
-    seen: set[tuple[str, ...]] = set()
+    candidates = _hole_masks(rng, may_hole, hole_probability)
+    # S and G never hold a hole, so the mask fixes the map, and a mask seen
+    # before is a duplicate or an unsolvable map: rejected before any text.
+    seen: set[bytes] = set()
     grids: list[GridMap] = []
     while len(grids) < count:
         for _ in range(GENERATION_BUDGET):
-            grid = _sample_grid(n, rng, may_hole, hole_probability)
-            if grid.rows in seen:
+            mask = next(candidates)
+            if mask in seen:
                 continue
+            seen.add(mask)
+            text = mask.translate(_HOLE_MASK_TILES).decode("ascii")
+            text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
+            grid = GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
             if solvable and not bfs_solvable(grid):
                 continue
-            seen.add(grid.rows)
             grids.append(grid)
             break
         else:

@@ -138,6 +138,15 @@ def test_map_size_below_two_is_a_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "contexts").exists()
 
 
+def test_count_below_one_is_a_runtime_error(tmp_path, capsys):
+    for count in ("0", "-5"):
+        assert main(["contexts", "gen", "--size", "4", "--count", count,
+                     "--out", str(tmp_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "generation failed" in err and "count must be at least 1" in err
+    assert not (tmp_path / "contexts").exists()
+
+
 def test_report_without_inputs_is_a_usage_error():
     assert main(["report"]) == EXIT_USAGE
 

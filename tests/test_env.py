@@ -10,8 +10,10 @@ from atomiccheck import assert_writes_atomically
 
 from askgate.env import (
     DEFAULT_MAX_STEPS,
+    GENERATION_BUDGET,
     Action,
     Context,
+    ContextSet,
     EDGE_LABEL,
     EnvState,
     GridMap,
@@ -20,6 +22,7 @@ from askgate.env import (
     Split,
     TerminalStateError,
     TileKind,
+    _split_for_index,
     bfs_solvable,
     corridor_cells,
     encode_observation,
@@ -375,8 +378,9 @@ def reference_bfs_solvable(grid):
 
 
 def test_bfs_matches_the_tile_reference_on_random_grids():
+    # Sizes 9-12 hold more cells than a 64-bit word.
     rng = np.random.default_rng(2024)
-    for n in range(2, 9):
+    for n in range(2, 13):
         answers = []
         for hole_probability in (0.1, 0.3, 0.5, 0.7):
             for _ in range(60):
@@ -387,6 +391,49 @@ def test_bfs_matches_the_tile_reference_on_random_grids():
                 assert bfs_solvable(grid) is want, grid.rows
                 answers.append(want)
         assert True in answers and False in answers  # both sides of the answer, per size
+
+
+def grid_of(cells):
+    cells[0][0], cells[-1][-1] = "S", "G"
+    return GridMap(tuple("".join(row) for row in cells))
+
+
+def serpentine(n):
+    """``n`` of the form 4k + 1: full even rows joined by one open cell per odd
+    row, at the right and left ends in turn, so every open cell lies on the one
+    path from S to G, about n*n/2 cells long."""
+    cells = [["F"] * n if row % 2 == 0 else ["H"] * n for row in range(n)]
+    for row in range(1, n, 2):
+        cells[row][n - 1 if row % 4 == 1 else 0] = "F"
+    return cells
+
+
+@pytest.mark.parametrize("n", [5, 9, 13])
+def test_bfs_follows_a_single_serpentine_path(n):
+    cells = serpentine(n)
+    assert bfs_solvable(grid_of(cells)) is reference_bfs_solvable(grid_of(cells)) is True
+    path = [(r, c) for r in range(n) for c in range(n) if cells[r][c] != "H"]  # S first, G last
+    assert len(path) == n * (n + 1) // 2 + (n - 1) // 2
+    for row, col in path[1:-1]:  # S and G stay, every other path cell blocks
+        blocked = [list(line) for line in cells]
+        blocked[row][col] = "H"
+        assert bfs_solvable(grid_of(blocked)) is False, (row, col)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bfs_on_open_and_walled_off_maps(n):
+    open_map = grid_of([["F"] * n for _ in range(n)])
+    assert bfs_solvable(open_map) is True
+    walled = [["F"] * n for _ in range(n)]
+    walled[n - 2][n - 1] = walled[n - 1][n - 2] = "H"  # both neighbours of G
+    assert bfs_solvable(grid_of(walled)) is reference_bfs_solvable(grid_of(walled)) is False
+    if n > 2:
+        # An anti-diagonal wall of holes: a diagonal step would cross it,
+        # a single gap lets the walk through.
+        wall = [["H" if row + col == n - 1 else "F" for col in range(n)] for row in range(n)]
+        assert bfs_solvable(grid_of(wall)) is False
+        wall[n // 2][n - 1 - n // 2] = "F"
+        assert bfs_solvable(grid_of(wall)) is reference_bfs_solvable(grid_of(wall)) is True
 
 
 # sha256 of ``save_context_set(generate_context_set(n, count, seed, solvable))``,
@@ -413,11 +460,92 @@ def test_generation_rejects_sizes_below_two():
                 generate_context_set(n, 1, 0, solvable=solvable)
 
 
+def test_generation_rejects_counts_below_one():
+    # A count of 0 or less used to give an empty set that no command accepts.
+    for count in (0, -5):
+        for solvable in (True, False):
+            with pytest.raises(ValueError, match="count must be at least 1, got"):
+                generate_context_set(4, count, 0, solvable=solvable)
+
+
+def reference_sample_grid(n, rng, may_hole, hole_probability):
+    """One map from one ``rng.random((n, n))`` draw, as the generator first did."""
+    holes = rng.random((n, n)) < hole_probability
+    holes &= may_hole
+    text = holes.tobytes().translate(bytes.maketrans(b"\0\1", b"FH")).decode("ascii")
+    text = "S" + text[1:-1] + "G"
+    return GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
+
+
+def reference_generate_context_set(n, count, seed, solvable=True, hole_probability=0.2):
+    """``generate_context_set`` as written before the block draw: one draw,
+    one ``GridMap`` and one BFS per candidate, deduplicated on the rows."""
+    rng = np.random.default_rng(seed)
+    may_hole = np.ones((n, n), dtype=bool)
+    for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
+        may_hole[row, col] = False
+    seen = set()
+    grids = []
+    while len(grids) < count:
+        for _ in range(GENERATION_BUDGET):
+            grid = reference_sample_grid(n, rng, may_hole, hole_probability)
+            if grid.rows in seen:
+                continue
+            if solvable and not reference_bfs_solvable(grid):
+                continue
+            seen.add(grid.rows)
+            grids.append(grid)
+            break
+        else:
+            raise MapGenerationError(
+                f"exhausted {GENERATION_BUDGET} attempts at map {len(grids) + 1}/{count} "
+                f"(size {n}, solvable={solvable})"
+            )
+    contexts = tuple(
+        Context(id=i, grid=g, split=_split_for_index(i, count)) for i, g in enumerate(grids)
+    )
+    return ContextSet(size=n, seed=seed, contexts=contexts)
+
+
+def saved_bytes(context_set, path):
+    save_context_set(context_set, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_generation_matches_the_per_candidate_reference(tmp_path, n):
+    # Counts that end inside the first block (1, 7) and after several (300);
+    # a probability of 0 or 1 leaves one map per size, so those ask for one.
+    path = tmp_path / "ctx.txt"
+    cases = [(count, seed, solvable, p)
+             for solvable in (True, False)
+             for p in (0.2, 0.5)
+             for count, seed in ((1, 0), (7, 3), (300, 7))]
+    cases += [(1, 5, solvable, p) for solvable in (True, False) for p in (0.0, 1.0)]
+    for count, seed, solvable, p in cases:
+        try:
+            want = saved_bytes(reference_generate_context_set(n, count, seed, solvable, p), path)
+        except MapGenerationError as exc:
+            with pytest.raises(MapGenerationError) as got:
+                generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
+            assert str(got.value) == str(exc)
+            continue
+        got = generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
+        assert saved_bytes(got, path) == want, (count, seed, solvable, p)
+
+
 def test_generation_budget_exhaustion_raises():
     # With hole probability 0 there is exactly one distinct map per size,
-    # so asking for two must exhaust the attempt budget.
-    with pytest.raises(MapGenerationError):
-        generate_context_set(4, 2, 0, solvable=False, hole_probability=0.0)
+    # so asking for two must exhaust the attempt budget; only two solvable
+    # 2x2 maps exist, so the third does. Both fail at the reference's map.
+    for args, kwargs in (((4, 2, 0), {"solvable": False, "hole_probability": 0.0}),
+                         ((2, 3, 0), {})):
+        with pytest.raises(MapGenerationError) as want:
+            reference_generate_context_set(*args, **kwargs)
+        with pytest.raises(MapGenerationError) as got:
+            generate_context_set(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+        assert f"at map {args[1]}/{args[1]}" in str(got.value)
 
 
 def test_context_set_file_round_trip(tmp_path):

@@ -1,0 +1,111 @@
+"""Loaders on damaged files: truncated and byte-flipped copies of a context
+set, a weights file and an episode CSV, and episode CSVs with ragged rows.
+
+Each loader either returns or raises its own error type: ``load_context_set``
+and ``read_csv`` only ``ValueError`` (``UnicodeDecodeError`` included),
+``load_weights`` only ``WeightsError`` subclasses. The files are small, and a
+one-second deadline per example stands in for "never hangs".
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from askgate.env import GridMap, generate_context_set, load_context_set, save_context_set
+from askgate.gate import GateConfig, RunMode, read_csv, run_batch, write_episode_csv
+from askgate.lm import RuleClient
+from askgate.policy import WeightsError, init_policy, load_weights, save_weights
+
+FUZZ = settings(max_examples=200, deadline=1000,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Bytes that mean something to one of the formats, besides any byte at all.
+SPECIAL_BYTES = list(b"\n\r\0 ,\"-.0123456789SFHG{}[]:#e\x7f\x80\xc3\xff")
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """Bytes of one small file of each format."""
+    root = tmp_path_factory.mktemp("originals")
+    context_set = generate_context_set(4, 3, 7)
+    ctx_path = str(root / "ctx.txt")
+    save_context_set(context_set, ctx_path)
+    weights_path = str(root / "w.bin")
+    save_weights(init_policy(input_dim=16, hidden=(3,), seed=0), weights_path)
+    policy = init_policy(input_dim=16, hidden=(8,), seed=1)
+    records = run_batch(policy, RuleClient(), context_set.contexts[:2],
+                        GateConfig(tau=0.3, passes=5, mode=RunMode.ASK, seed=2),
+                        total_episodes=2)
+    csv_path = str(root / "episodes.csv")
+    write_episode_csv(records, csv_path, {"cmd": "run", "contexts": "ctx.txt", "size": 4})
+    blobs = {}
+    for name, path in (("contexts", ctx_path), ("weights", weights_path), ("csv", csv_path)):
+        with open(path, "rb") as fh:
+            blobs[name] = fh.read()
+    return blobs
+
+
+LOADERS = {
+    "contexts": (load_context_set, ValueError),
+    "weights": (load_weights, WeightsError),
+    "csv": (read_csv, ValueError),
+}
+
+
+@st.composite
+def damage(draw, blob):
+    """A truncated copy, or one with one to four bytes replaced."""
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(SPECIAL_BYTES))
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(blob) - 1))] = draw(byte)
+    return bytes(out)
+
+
+def load_damaged(path, name, blob):
+    loader, allowed = LOADERS[name]
+    path.write_bytes(blob)
+    try:
+        loaded = loader(str(path))
+    except allowed:
+        return
+    if name == "contexts":  # what loads is a valid set: each map re-validates
+        for ctx in loaded.contexts:
+            assert GridMap.from_text(ctx.grid.to_text()) == ctx.grid
+            assert ctx.grid.size == loaded.size
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_the_originals_load(tmp_path, originals, name):
+    loader, _ = LOADERS[name]
+    path = tmp_path / name
+    path.write_bytes(originals[name])
+    loader(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@FUZZ
+@given(data=st.data())
+def test_a_damaged_file_raises_only_the_loaders_own_error(tmp_path, originals, name, data):
+    blob = data.draw(damage(originals[name]), label="blob")
+    load_damaged(tmp_path / name, name, blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_ragged_episode_row_is_a_value_error(tmp_path, originals, data):
+    lines = originals["csv"].decode("utf-8").split("\n")
+    rows = range(2, len(lines) - 1)  # after the config and header lines
+    index = data.draw(st.sampled_from(rows), label="row")
+    fields = lines[index].split(",")
+    if data.draw(st.booleans(), label="drop"):
+        del fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
+    else:
+        fields.insert(data.draw(st.integers(0, len(fields)), label="at"), "x")
+    lines[index] = ",".join(fields)
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="fields, the header"):
+        read_csv(str(path))
