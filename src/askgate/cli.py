@@ -62,6 +62,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("--out", default=None, help="output directory (default: runs)")
+        p.set_defaults(_parser=p)  # its actions type the config file's values
 
     ctx = sub.add_parser("contexts", help="context-set operations")
     ctx_sub = ctx.add_subparsers(dest="contexts_command", metavar="ACTION")
@@ -135,6 +136,25 @@ class _Config:
                 raise RuntimeFailure(f"unreadable config {args.config}: {exc}")
             if not isinstance(self.file, dict):
                 raise RuntimeFailure(f"config {args.config} must hold a JSON object")
+            for action in args._parser._actions:
+                if action.dest not in self.file:
+                    continue
+                value = self.file[action.dest]
+                if action.nargs == 0:
+                    ok = isinstance(value, bool)
+                elif action.nargs == "*":
+                    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+                elif action.type is None:
+                    ok = isinstance(value, str)
+                else:  # int or float: a number or a numeric string, never a boolean
+                    ok = not isinstance(value, bool)
+                    try:
+                        self.file[action.dest] = action.type(value)
+                    except (TypeError, ValueError, OverflowError):
+                        ok = False
+                if not ok:
+                    raise RuntimeFailure(f"config {args.config}: {action.dest!r} does not fit "
+                                         f"{action.option_strings[0]}, got {value!r}")
 
     def get(self, key: str, default=None):
         flag = getattr(self.args, key, None)
@@ -144,10 +164,10 @@ class _Config:
             return self.file[key]
         return default
 
-    def require(self, key: str, flag_name: str | None = None):
+    def require(self, key: str):
         value = self.get(key)
         if value is None:
-            raise UsageError(f"missing required --{flag_name or key.replace('_', '-')}")
+            raise UsageError(f"missing required --{key.replace('_', '-')}")
         return value
 
 
@@ -202,9 +222,9 @@ def _safe_name(text: str) -> str:
 
 
 def _cmd_contexts_gen(cfg: _Config) -> int:
-    size = int(cfg.require("size"))
-    count = int(cfg.get("count", 300))
-    seed = int(cfg.get("seed", 0))
+    size = cfg.require("size")
+    count = cfg.get("count", 300)
+    seed = cfg.get("seed", 0)
     solvable = not cfg.get("unsolvable", False)
     try:
         context_set = env_mod.generate_context_set(size, count, seed, solvable=solvable)
@@ -220,11 +240,11 @@ def _cmd_contexts_gen(cfg: _Config) -> int:
 def _cmd_train(cfg: _Config) -> int:
     contexts_path = cfg.require("contexts")
     context_set = _load_contexts(contexts_path)
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     ppo = trainer_mod.PpoConfig(
-        total_timesteps=int(cfg.get("timesteps", 1_000_000)),
-        eval_interval=int(cfg.get("eval_interval", 50_000)),
-        eval_episodes=int(cfg.get("eval_episodes", 100)),
+        total_timesteps=cfg.get("timesteps", trainer_mod.PpoConfig.total_timesteps),
+        eval_interval=cfg.get("eval_interval", trainer_mod.PpoConfig.eval_interval),
+        eval_episodes=cfg.get("eval_episodes", trainer_mod.PpoConfig.eval_episodes),
         seed=seed,
     )
     policy, log = trainer_mod.train(
@@ -252,11 +272,11 @@ def _cmd_train(cfg: _Config) -> int:
 
 def _gate_config(cfg: _Config, mode: RunMode, seed: int) -> GateConfig:
     return GateConfig(
-        tau=float(cfg.get("tau", 0.5)),
-        passes=int(cfg.get("passes", 100)),
-        dropout_rate=float(cfg.get("dropout_rate", 0.2)),
+        tau=cfg.get("tau", GateConfig.tau),
+        passes=cfg.get("passes", GateConfig.passes),
+        dropout_rate=cfg.get("dropout_rate", GateConfig.dropout_rate),
         mode=mode,
-        max_steps=int(cfg.get("max_steps", env_mod.DEFAULT_MAX_STEPS)),
+        max_steps=cfg.get("max_steps", GateConfig.max_steps),
         seed=seed,
     )
 
@@ -264,14 +284,14 @@ def _gate_config(cfg: _Config, mode: RunMode, seed: int) -> GateConfig:
 def _cmd_run(cfg: _Config) -> int:
     mode = RunMode(cfg.get("mode", "ask"))
     split = Split(cfg.get("split", "test"))
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     context_set = _load_contexts(cfg.require("contexts"))
     gate_cfg = _gate_config(cfg, mode, seed)
     policy = _load_weights(cfg.require("weights"))
     client, label = (None, "ppo") if mode is RunMode.PPO_ONLY else _make_client(
         cfg.get("client", "rule"), cfg.get("model", "default")
     )
-    episodes = int(cfg.get("episodes", 100))
+    episodes = cfg.get("episodes", 100)
     contexts = context_set.split(split)
     if not contexts:
         raise RuntimeFailure(f"context set has no {split.value} contexts")
@@ -303,7 +323,7 @@ def _cmd_run(cfg: _Config) -> int:
 
 
 def _cmd_tune(cfg: _Config) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     context_set = _load_contexts(cfg.require("contexts"))
     gate_cfg = _gate_config(cfg, RunMode.ASK, seed)
     policy = _load_weights(cfg.require("weights"))
@@ -312,18 +332,18 @@ def _cmd_tune(cfg: _Config) -> int:
         raise UsageError("tune requires a client (the gate must have someone to ask)")
     study = tuner_mod.tune_threshold(
         policy, client, context_set.split(Split.EVAL),
-        lo=float(cfg.get("lo", tuner_mod.DEFAULT_LO)),
-        hi=float(cfg.get("hi", tuner_mod.DEFAULT_HI)),
-        trials=int(cfg.get("trials", tuner_mod.DEFAULT_TRIALS)),
+        lo=cfg.get("lo", tuner_mod.DEFAULT_LO),
+        hi=cfg.get("hi", tuner_mod.DEFAULT_HI),
+        trials=cfg.get("trials", tuner_mod.DEFAULT_TRIALS),
         seed=seed,
-        episodes_per_trial=int(cfg.get("episodes", 100)),
+        episodes_per_trial=cfg.get("episodes", 100),
         gate=gate_cfg,
     )
     snapshot = {
         "cmd": "tune", "contexts": cfg.require("contexts"),
         "weights": cfg.require("weights"), "client": cfg.get("client", "rule"),
         "model": label, "lo": study.lo, "hi": study.hi, "trials": study.trials,
-        "episodes": int(cfg.get("episodes", 100)), "passes": gate_cfg.passes,
+        "episodes": cfg.get("episodes", 100), "passes": gate_cfg.passes,
         "dropout_rate": gate_cfg.dropout_rate, "seed": seed, "size": context_set.size,
     }
     path = os.path.join(
@@ -340,7 +360,7 @@ def _cmd_tune(cfg: _Config) -> int:
 def _cmd_report(cfg: _Config) -> int:
     trajectory = cfg.get("trajectory")
     if trajectory:
-        episode = int(cfg.get("episode", 0))
+        episode = cfg.get("episode", 0)
         if not os.path.exists(trajectory):
             raise RuntimeFailure(f"episode CSV not found: {trajectory}")
         snapshot, header, rows = gate_mod.read_csv(trajectory)

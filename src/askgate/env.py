@@ -283,17 +283,8 @@ def corridor_cells(n: int) -> tuple[tuple[int, int], ...]:
     for a policy that cannot observe the layout.
     """
     cells = [(0, 0)]
-    row, col = 0, 0
-    move_right = True
-    while (row, col) != (n - 1, n - 1):
-        if move_right and col < n - 1:
-            col += 1
-        elif row < n - 1:
-            row += 1
-        else:
-            col += 1
-        move_right = not move_right
-        cells.append((row, col))
+    for k in range(n - 1):  # one step right, then one down
+        cells += [(k, k + 1), (k + 1, k + 1)]
     return tuple(cells)
 
 
@@ -336,13 +327,15 @@ def generate_context_set(
     additionally verified with BFS; unsolvable sets sample cells independently
     with no reachability requirement. Duplicates are always rejected. Raises
     :class:`MapGenerationError` if any single map exhausts the attempt budget,
-    and ``ValueError`` for a size below 2, which no map file can hold, or a
-    count below 1.
+    and ``ValueError`` for a size below 2, which no map file can hold, a
+    count below 1, or a ``hole_probability`` outside [0, 1].
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2x2, got {n}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if not 0.0 <= hole_probability <= 1.0:  # false for NaN too
+        raise ValueError(f"hole_probability must lie in [0, 1], got {hole_probability}")
     rng = np.random.default_rng(seed)
     may_hole = np.ones((n, n), dtype=bool)
     for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):

@@ -8,8 +8,8 @@ dropout, and the rate is the caller's (the gate's) setting, not the network's.
 
 Weights file layout (little-endian): magic ``MLPW``, version u32, array count
 u32, then per array rows u32, cols u32, row-major f64 data. Arrays appear as
-trunk (W, b) pairs followed by the action head (W, b) and value head (W, b);
-biases are stored with rows = 1.
+one or more trunk (W, b) pairs followed by the action head (W, b) and value
+head (W, b); biases are stored with rows = 1.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ class MlpPolicy:
 
     @property
     def input_dim(self) -> int:
-        if self.trunk:
-            return self.trunk[0][0].shape[0]
-        return self.action_head[0].shape[0]
+        return self.trunk[0][0].shape[0]
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -89,10 +87,12 @@ class MlpPolicy:
 def build_policy(widths, flat: np.ndarray | None = None) -> MlpPolicy:
     """Policy with trunk layer sizes ``widths`` = (input_dim, *hidden) over ``flat``.
 
-    ``flat`` holds each trunk layer's W then b, then the action head's and the
-    value head's, each row-major; it is used in place, not copied. None
-    allocates zeros.
+    Every policy has at least one hidden layer. ``flat`` holds each trunk
+    layer's W then b, then the action head's and the value head's, each
+    row-major; it is used in place, not copied. None allocates zeros.
     """
+    if len(widths) < 2:
+        raise ValueError(f"widths {tuple(widths)} need an input and at least one hidden layer")
     shapes = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         shapes += [(fan_in, fan_out), (fan_out,)]
@@ -219,8 +219,6 @@ def dropout_passes(
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
     x = np.asarray(obs, dtype=np.float64)
-    if not policy.trunk:
-        x = np.tile(x, (n_passes, 1))
     h = trunk_activations(policy, x, dropout_rate, rng, n_passes)[-1]
     wa, ba = policy.action_head
     return softmax(h @ wa + ba)
@@ -283,7 +281,7 @@ def load_weights(path: str) -> MlpPolicy:
         version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != WEIGHTS_VERSION:
             raise WeightVersionError(f"unsupported weights version {version}")
-        if count < 4 or count % 2 != 0:
+        if count < 6 or count % 2 != 0:
             raise WeightShapeError(f"array count {count} cannot form trunk plus two heads")
         arrays = []
         for i in range(count):

@@ -42,6 +42,14 @@ TRAINLOG_CSV_HEADER = ["timestep", "eval_reward_mean", "eval_reward_std", "eval_
 _ACTIONS = tuple(Action)
 _ONE_HOT = np.eye(policy_mod.N_ACTIONS)  # row a: the one-hot of action a
 
+# The standard PPO loss settings (Schulman et al., arXiv 1707.06347); the
+# learning rate is ``_Adam.lr``.
+CLIP = 0.2
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+ENTROPY_COEF = 0.01
+VALUE_COEF = 0.5
+
 
 @dataclass(frozen=True)
 class PpoConfig:
@@ -49,12 +57,6 @@ class PpoConfig:
     rollout_steps: int = 2048
     minibatch_size: int = 64
     epochs: int = 10
-    clip: float = 0.2
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    learning_rate: float = 3e-4
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
     eval_interval: int = 50_000
     eval_episodes: int = 100
     max_steps: int = env_mod.DEFAULT_MAX_STEPS
@@ -63,18 +65,10 @@ class PpoConfig:
     def __post_init__(self):
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
-        for name in ("rollout_steps", "minibatch_size", "epochs", "learning_rate",
+        for name in ("rollout_steps", "minibatch_size", "epochs",
                      "eval_interval", "eval_episodes", "max_steps"):
             if not getattr(self, name) > 0:  # false for NaN too
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip must lie in (0, 1)")
-        for name in ("gamma", "gae_lambda"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("entropy_coef", "value_coef"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must lie in [0, inf)")
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig) -> float:
+def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray]) -> float:
     """Clipped surrogate + value MSE - entropy bonus on one frozen batch."""
     h = policy_mod.trunk_activations(policy, batch["obs"])[-1]
     (wa, ba), (wv, bv) = policy.action_head, policy.value_head
@@ -111,23 +105,21 @@ def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig) ->
     ratio = np.exp(logp - batch["logp_old"])
     adv = batch["advantages"]
     surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
+    surr2 = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv
     policy_loss = -np.minimum(surr1, surr2).mean()
     value_loss = ((values - batch["returns"]) ** 2).mean()
     probs = np.exp(logp_all)
     entropy = -(probs * logp_all).sum(axis=1).mean()
-    return float(policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy)
+    return float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
 
 
 def ppo_grads(
-    policy: MlpPolicy, batch: dict[str, np.ndarray], cfg: PpoConfig,
-    grad: MlpPolicy | None = None,
+    policy: MlpPolicy, batch: dict[str, np.ndarray], grad: MlpPolicy,
 ) -> tuple[float, np.ndarray]:
     """Loss plus the hand-derived gradient, one vector laid out like ``policy.flat``.
 
     The gradient is written into ``grad``, a layout of the policy's widths whose
-    vector is returned and overwritten by the next call that gets it; None
-    allocates a fresh one.
+    vector is returned and overwritten by the next call that gets it.
     """
     actions = batch["actions"]
     adv = batch["advantages"]
@@ -143,24 +135,22 @@ def ppo_grads(
     ratio = np.exp(logp - batch["logp_old"])
     surr1 = ratio * adv
     # np.clip and np.mean give these bits too, through slower wrappers.
-    surr2 = np.minimum(np.maximum(ratio, 1.0 - cfg.clip), 1.0 + cfg.clip) * adv
+    surr2 = np.minimum(np.maximum(ratio, 1.0 - CLIP), 1.0 + CLIP) * adv
     policy_loss = -np.minimum(surr1, surr2).sum() / n
     value_loss = ((values - batch["returns"]) ** 2).sum() / n
     per_pass_entropy = -(probs * logp_all).sum(axis=1)
     entropy = per_pass_entropy.sum() / n
-    loss = float(policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy)
+    loss = float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
 
     # d(policy_loss)/dlogits: gradient flows through the unclipped branch only.
     take = surr1 <= surr2
     coeff = np.where(take, -adv * ratio, 0.0) / n
     dz = coeff[:, None] * (_ONE_HOT[actions] - probs)
     # d(-entropy_coef * mean entropy)/dlogits
-    dz += (cfg.entropy_coef / n) * probs * (logp_all + per_pass_entropy[:, None])
+    dz += (ENTROPY_COEF / n) * probs * (logp_all + per_pass_entropy[:, None])
     # d(value_coef * value mse)/dvalues
-    dv = (2.0 * cfg.value_coef / n) * (values - batch["returns"])
+    dv = (2.0 * VALUE_COEF / n) * (values - batch["returns"])
 
-    if grad is None:
-        grad = policy_mod.build_policy(policy.widths, np.empty_like(policy.flat))
     (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
     gwa[...] = acts[-1].T @ dz
     gba[...] = dz.sum(axis=0)
@@ -187,12 +177,12 @@ class _Adam:
     may reuse its buffer.
     """
 
+    lr = 3e-4
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, flat: np.ndarray, lr: float):
-        self.lr = lr
+    def __init__(self, flat: np.ndarray):
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self._num = np.empty_like(flat)
@@ -259,7 +249,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     if n * n > obs_dim:
         raise ValueError(f"observation index {n * n - 1} does not fit dim {obs_dim} (grid size {n})")
     cells = np.eye(n * n, obs_dim)  # row i: the observation of cell i
-    adam = _Adam(policy.flat, config.learning_rate)
+    adam = _Adam(policy.flat)
     grad = policy_mod.build_policy(policy.widths)  # reused by every update
 
     entries: list[TrainLogEntry] = []
@@ -337,7 +327,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         if not ends[t_steps - 1]:
             boot[t_steps - 1] = table[state.row * n + state.col][2]
 
-        advantages, returns = _gae(rewards, values, ends, boot, config.gamma, config.gae_lambda)
+        advantages, returns = _gae(rewards, values, ends, boot, GAMMA, GAE_LAMBDA)
         for _ in range(config.epochs):
             # One gather per epoch; each minibatch is then a slice of it.
             order = rng.permutation(t_steps)
@@ -357,7 +347,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
                     "advantages": d / (math.sqrt((d * d).sum() / k) + 1e-8),
                     "returns": epoch_returns[mb],
                 }
-                adam.step(policy.flat, ppo_grads(policy, batch, config, grad)[1])
+                adam.step(policy.flat, ppo_grads(policy, batch, grad)[1])
 
         timestep += t_steps
         while timestep >= next_eval:

@@ -40,11 +40,9 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 
 
 def estimate_from_passes(dists) -> UncertaintyEstimate:
-    """Both terms of the decomposition from one pass over ``dists``, a list of
-    N distributions or one distribution."""
+    """Both terms of the decomposition from one pass over ``dists``, an (N, 4)
+    matrix (or list) of N distributions."""
     mat = np.asarray(dists, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a non-empty list of distributions, got shape {mat.shape}")
     # Each mean is np.mean's own reduction and division, without its wrapper.

@@ -29,7 +29,7 @@ def synthetic_batch(policy, rng, n=32):
     }
 
 
-def finite_difference_errors(policy, batch, cfg, h=1e-5):
+def finite_difference_errors(policy, batch, h=1e-5):
     """Compare the analytic gradient against central differences over ``policy.flat``.
 
     Returns (worst_coordinate_rel_error, worst_array_norm_rel_error) where the
@@ -38,15 +38,15 @@ def finite_difference_errors(policy, batch, cfg, h=1e-5):
     ||a - f|| / (||a|| + ||f||) per parameter array, read through the
     policy's named layer views. Every coordinate is restored after use.
     """
-    _, analytic = ppo_grads(policy, batch, cfg)
+    _, analytic = ppo_grads(policy, batch, build_policy(policy.widths))
     flat = policy.flat
     fd = np.zeros_like(analytic)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        hi = ppo_loss(policy, batch, cfg)
+        hi = ppo_loss(policy, batch)
         flat[i] = orig - h
-        lo = ppo_loss(policy, batch, cfg)
+        lo = ppo_loss(policy, batch)
         flat[i] = orig
         fd[i] = (hi - lo) / (2.0 * h)
     denom = np.maximum(np.abs(analytic) + np.abs(fd), 1e-4)

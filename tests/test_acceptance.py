@@ -200,7 +200,7 @@ def test_criterion_3_training_reaches_held_out_reward(trained6, contexts6):
 
     policy = build_policy(trained6.policy.widths, trained6.policy.flat.copy())
     batch = synthetic_batch(policy, np.random.default_rng(0))
-    worst_coord, worst_norm = finite_difference_errors(policy, batch, trained6.config)
+    worst_coord, worst_norm = finite_difference_errors(policy, batch)
     assert worst_coord < 1e-4, (
         f"analytic gradient disagrees with central differences: "
         f"worst coordinate rel. error {worst_coord:.3e} >= 1e-4 (norm {worst_norm:.3e})")

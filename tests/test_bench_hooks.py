@@ -15,6 +15,7 @@ from askgate.env import Split, generate_context_set
 from askgate.gate import GateConfig, RunMode, run_batch
 from askgate.lm import RuleClient
 from askgate.policy import init_policy
+from askgate.trainer import PpoConfig, train
 from askgate.tuner import tune_threshold
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,3 +81,22 @@ def test_the_step_counter_sees_every_gated_step():
     assert tracer.stats["env.step"].calls == steps
     assert tracer.edges[("gate.run_episode", "uncertainty.mc_estimate")] == steps
     assert tracer.stats["uncertainty.mc_estimate"].calls == steps
+
+
+def test_a_traced_training_run_calls_the_training_hooks():
+    # The train-6x6 workload's per-layer numbers come from these spans; a
+    # training loop that bound them where the tracer cannot replace them
+    # would report no gradient or optimizer time at all.
+    tracing = load_tracing()
+    contexts = generate_context_set(4, 30, 2)
+    config = PpoConfig(total_timesteps=512, rollout_steps=256, minibatch_size=64, epochs=2,
+                       eval_interval=512, eval_episodes=2, seed=3)
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), config)
+    updates = 2 * config.epochs * (config.rollout_steps // config.minibatch_size)
+    assert tracer.stats["trainer.ppo_grads"].calls == updates
+    assert tracer.stats["trainer.adam_step"].calls == updates
+    assert tracer.stats["trainer.gae"].calls == 2  # one per rollout
+    assert tracer.stats["trainer.evaluate_policy"].calls == 1

@@ -24,7 +24,7 @@ from askgate.metrics import (
     read_summary_csv,
     write_summary_csv,
 )
-from askgate.policy import load_weights
+from askgate.policy import MlpPolicy, load_weights, save_weights
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +89,15 @@ def test_missing_context_file_is_a_runtime_error(tmp_path, capsys):
 
 
 def test_corrupt_weights_are_a_runtime_error(workspace, tmp_path, capsys):
-    # Junk, and a first array whose header declares more than the file holds.
+    # Junk, a first array whose header declares more than the file holds, and
+    # the two heads of a trained policy without its trunk.
     huge = bytearray(open(workspace["weights"], "rb").read())
     huge[12:20] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
-    for blob in (b"JUNKJUNKJUNK", bytes(huge)):
+    trained = load_weights(workspace["weights"])
+    save_weights(MlpPolicy(trained.flat, (), trained.action_head, trained.value_head),
+                 str(tmp_path / "heads.bin"))
+    heads = (tmp_path / "heads.bin").read_bytes()
+    for blob in (b"JUNKJUNKJUNK", bytes(huge), heads):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(blob)
         code = main(["run", "--mode", "ppo", "--contexts", workspace["ctx"],
@@ -228,6 +233,37 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert main(["contexts", "gen", "--config", str(config), "--count", "3",
                  "--out", out]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "contexts", "s4_c3_seed9.txt"))
+    # Numeric strings and whole floats read as the flags read them.
+    config.write_text(json.dumps({"size": "4", "count": 6.0, "seed": "9", "unsolvable": False}))
+    assert main(["contexts", "gen", "--config", str(config), "--out", out]) == EXIT_OK
+    assert os.path.exists(os.path.join(out, "contexts", "s4_c6_seed9.txt"))
+
+
+_GEN = ["contexts", "gen", "--size", "4", "--count", "6"]
+
+
+@pytest.mark.parametrize("command, config", [
+    (_GEN, {"count": None}),
+    (_GEN, {"count": [3]}),
+    (_GEN, {"count": True}),
+    (_GEN, {"count": 1e400}),
+    (_GEN, {"seed": None}),
+    (_GEN, {"out": 5}),
+    (_GEN, {"unsolvable": "no"}),
+    (["report"], {"summaries": "x.csv"}),
+])
+def test_config_values_of_the_wrong_type_are_a_runtime_error(tmp_path, monkeypatch, capsys,
+                                                            command, config):
+    # Each used to end in a traceback, a write under a mangled path, or a
+    # value read as something else ("no" as true, a string as its letters).
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    [key] = config
+    monkeypatch.chdir(tmp_path)  # a stray write would land here
+    code = main([*command, "--config", str(path)])
+    assert code == EXIT_RUNTIME
+    assert f"{key!r} does not fit --{key}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,28 @@ def test_corridor_runs_corner_to_corner():
             assert abs(r1 - r0) + abs(c1 - c0) == 1
 
 
+def reference_corridor_cells(n):
+    """The corridor as first written, with edge guards a square grid never trips."""
+    cells = [(0, 0)]
+    row, col = 0, 0
+    move_right = True
+    while (row, col) != (n - 1, n - 1):
+        if move_right and col < n - 1:
+            col += 1
+        elif row < n - 1:
+            row += 1
+        else:
+            col += 1
+        move_right = not move_right
+        cells.append((row, col))
+    return tuple(cells)
+
+
+def test_corridor_matches_the_guarded_reference():
+    for n in range(2, 17):
+        assert corridor_cells(n) == reference_corridor_cells(n)
+
+
 def test_generated_maps_are_solvable_and_distinct():
     cs = generate_context_set(4, 3, 7)
     assert cs.count == 3 and cs.size == 4 and cs.seed == 7
@@ -466,6 +488,14 @@ def test_generation_rejects_counts_below_one():
         for solvable in (True, False):
             with pytest.raises(ValueError, match="count must be at least 1, got"):
                 generate_context_set(4, count, 0, solvable=solvable)
+
+
+def test_generation_rejects_hole_probabilities_outside_the_unit_interval():
+    # These used to run the attempt budget out at the second map.
+    for p in (float("nan"), -0.5, 1.5, float("inf")):
+        for solvable in (True, False):
+            with pytest.raises(ValueError, match="hole_probability must lie in"):
+                generate_context_set(4, 3, 0, solvable=solvable, hole_probability=p)
 
 
 def reference_sample_grid(n, rng, may_hole, hole_probability):

@@ -144,14 +144,13 @@ def test_zero_rate_dropout_passes_equal_deterministic(policy):
     assert np.allclose(passes, np.tile(base, (10, 1)), atol=1e-15)
 
 
-@pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8), (16,)])
+@pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8), (16, 8, 8, 8)])
 @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
 @pytest.mark.parametrize("passes", [1, 7, 100])
 def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, passes):
     # The reference masks the whole trunk of ``passes`` stacked copies of the
     # observation; dropout_passes computes the first layer once. Both must give
-    # the same bits and leave the generator in the same state. Widths (16,) is
-    # a policy with no hidden layer, whose heads read the observation.
+    # the same bits and leave the generator in the same state.
     policy = build_policy(widths)
     policy.flat[:] = np.random.default_rng(2).normal(size=policy.flat.size)
     wa, ba = policy.action_head
@@ -405,19 +404,24 @@ def test_inconsistent_shapes_raise_shape_error(tmp_path):
     # Declared-empty arrays are rejected outright.
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", WEIGHTS_VERSION, 4))
+        fh.write(struct.pack("<II", WEIGHTS_VERSION, 6))
         fh.write(struct.pack("<II", 0, 4))
     with pytest.raises(WeightShapeError):
         load_weights(path)
 
 
-def test_loaded_policy_without_trunk_works(tmp_path):
-    # Minimum layout: action head plus value head, no trunk pairs.
+def test_a_policy_without_a_trunk_is_rejected(tmp_path):
+    # Every policy has at least one hidden layer: the two heads alone are
+    # neither a layout nor a weights file.
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        build_policy((16,))
     path = str(tmp_path / "w.bin")
-    wa = np.arange(8.0).reshape(2, 4)
-    _write_raw(path, [wa, np.zeros(4), np.zeros((2, 1)), np.zeros(1)])
+    _write_raw(path, [np.arange(8.0).reshape(2, 4), np.zeros(4), np.zeros((2, 1)), np.zeros(1)])
+    with pytest.raises(WeightShapeError, match="array count 4"):
+        load_weights(path)
+
+    # The smallest policy: one hidden layer of one unit.
+    _write_raw(path, [np.ones((2, 1)), np.zeros(1), np.ones((1, 4)), np.zeros(4),
+                      np.ones((1, 1)), np.zeros(1)])
     loaded = load_weights(path)
-    assert loaded.trunk == ()
-    assert loaded.input_dim == 2
-    probs, value = forward(loaded, np.array([1.0, 0.0]))
-    assert np.allclose(probs, softmax(wa[0]), atol=1e-15) and value == 0.0
+    assert loaded.widths == (2, 1) and loaded.input_dim == 2

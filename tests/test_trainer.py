@@ -1,5 +1,6 @@
 """PPO trainer: gradients, GAE, Adam, the training loop, and evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,12 @@ from askgate.policy import (
     trunk_activations,
 )
 from askgate.trainer import (
+    CLIP,
+    ENTROPY_COEF,
+    GAE_LAMBDA,
+    GAMMA,
     TRAINLOG_CSV_HEADER,
+    VALUE_COEF,
     PpoConfig,
     TrainLog,
     TrainLogEntry,
@@ -65,21 +71,22 @@ def tiny_config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         PpoConfig(total_timesteps=-1)
-    with pytest.raises(ValueError):
-        PpoConfig(rollout_steps=0)
-    with pytest.raises(ValueError):
-        PpoConfig(clip=1.5)
-    with pytest.raises(ValueError):
-        PpoConfig(gamma=0.0)
-    for name in ("learning_rate", "rollout_steps"):
-        for bad in (0.0, -1e-3, float("nan")):
+    for name in ("rollout_steps", "eval_interval"):
+        for bad in (0, -1, float("nan")):
             with pytest.raises(ValueError, match=name):
                 PpoConfig(**{name: bad})
-    for name in ("entropy_coef", "value_coef"):
-        PpoConfig(**{name: 0.0})
-        for bad in (-1e-3, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=name):
-                PpoConfig(**{name: bad})
+
+
+def test_the_loss_and_optimizer_settings_are_constants():
+    # The protocol trains with one set of PPO settings, so the config holds
+    # only the budget, the batching, the evaluation cadence and the seed.
+    assert [f.name for f in dataclasses.fields(PpoConfig)] == [
+        "total_timesteps", "rollout_steps", "minibatch_size", "epochs",
+        "eval_interval", "eval_episodes", "max_steps", "seed"]
+    with pytest.raises(TypeError):
+        PpoConfig(clip=0.1)
+    assert (CLIP, GAMMA, GAE_LAMBDA, ENTROPY_COEF, VALUE_COEF) == (0.2, 0.99, 0.95, 0.01, 0.5)
+    assert _Adam.lr == 3e-4
 
 
 def test_params_round_trip_and_isolation(tmp_path):
@@ -108,9 +115,8 @@ def test_params_round_trip_and_isolation(tmp_path):
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     policy = init_policy(input_dim=8, hidden=(6, 5), seed=10)
-    cfg = PpoConfig()
     batch = synthetic_batch(policy, rng)
-    coord_err, norm_err = finite_difference_errors(policy, batch, cfg)
+    coord_err, norm_err = finite_difference_errors(policy, batch)
     assert coord_err < 1e-4, f"worst per-coordinate relative error {coord_err:.3e}"
     assert norm_err < 1e-6, f"worst per-array norm relative error {norm_err:.3e}"
 
@@ -119,8 +125,8 @@ def test_gradients_cover_every_parameter():
     rng = np.random.default_rng(1)
     policy = init_policy(input_dim=8, hidden=(6, 5), seed=11)
     batch = synthetic_batch(policy, rng)
-    loss, grad = ppo_grads(policy, batch, PpoConfig())
-    assert loss == pytest.approx(ppo_loss(policy, batch, PpoConfig()))
+    loss, grad = ppo_grads(policy, batch, build_policy(policy.widths))
+    assert loss == pytest.approx(ppo_loss(policy, batch))
     assert grad.shape == policy.flat.shape
     assert np.isfinite(grad).all()
     names = ["w0", "b0", "w1", "b1", "wa", "ba", "wv", "bv"]
@@ -128,8 +134,9 @@ def test_gradients_cover_every_parameter():
         assert np.any(g != 0.0), f"gradient for {name} is identically zero"
 
 
-def reference_ppo_grads(policy, batch, cfg):
-    """``ppo_grads`` as first written: ``np.clip``, ``.mean()`` and a scattered one-hot."""
+def reference_ppo_grads(policy, batch):
+    """``ppo_grads`` as first written: ``np.clip``, ``.mean()`` and a scattered
+    one-hot, with clip 0.2, value coefficient 0.5 and entropy coefficient 0.01."""
     actions, adv = batch["actions"], batch["advantages"]
     n = len(actions)
     acts = trunk_activations(policy, batch["obs"])
@@ -140,17 +147,17 @@ def reference_ppo_grads(policy, batch, cfg):
     idx = np.arange(n)
     ratio = np.exp(logp_all[idx, actions] - batch["logp_old"])
     surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
+    surr2 = np.clip(ratio, 1.0 - 0.2, 1.0 + 0.2) * adv
     per_pass_entropy = -(probs * logp_all).sum(axis=1)
     loss = float(-np.minimum(surr1, surr2).mean()
-                 + cfg.value_coef * ((values - batch["returns"]) ** 2).mean()
-                 - cfg.entropy_coef * per_pass_entropy.mean())
+                 + 0.5 * ((values - batch["returns"]) ** 2).mean()
+                 - 0.01 * per_pass_entropy.mean())
     coeff = np.where(surr1 <= surr2, -adv * ratio, 0.0) / n
     onehot = np.zeros_like(probs)
     onehot[idx, actions] = 1.0
     dz = coeff[:, None] * (onehot - probs)
-    dz += (cfg.entropy_coef / n) * probs * (logp_all + per_pass_entropy[:, None])
-    dv = (2.0 * cfg.value_coef / n) * (values - batch["returns"])
+    dz += (0.01 / n) * probs * (logp_all + per_pass_entropy[:, None])
+    dv = (2.0 * 0.5 / n) * (values - batch["returns"])
     grad = build_policy(policy.widths, np.empty_like(policy.flat))
     (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
     gwa[...] = acts[-1].T @ dz
@@ -176,11 +183,10 @@ def test_ppo_grads_match_the_first_implementation_bit_for_bit():
             batch = synthetic_batch(policy, rng, n)
             for spread in (0.0, 0.6):  # 0.6 puts some ratios past the clip
                 batch["logp_old"] = batch["logp_old"] + rng.uniform(-spread, spread, n)
-                want_loss, want_grad = reference_ppo_grads(policy, batch, PpoConfig())
-                for got_loss, got_grad in (ppo_grads(policy, batch, PpoConfig()),
-                                           ppo_grads(policy, batch, PpoConfig(), layout)):
-                    assert got_loss == want_loss
-                    assert got_grad.tobytes() == want_grad.tobytes()
+                want_loss, want_grad = reference_ppo_grads(policy, batch)
+                got_loss, got_grad = ppo_grads(policy, batch, layout)
+                assert got_loss == want_loss
+                assert got_grad.tobytes() == want_grad.tobytes()
 
 
 def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it():
@@ -189,10 +195,10 @@ def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it(
     batches = [synthetic_batch(policy, rng) for _ in range(3)]
     layout = build_policy(policy.widths)
     layout.flat[:] = np.nan  # every entry must be written
-    adam = _Adam(policy.flat, lr=0.01)
+    adam = _Adam(policy.flat)
     for batch in batches:
-        fresh = ppo_grads(policy, batch, PpoConfig())
-        loss, grad = ppo_grads(policy, batch, PpoConfig(), layout)
+        fresh = ppo_grads(policy, batch, build_policy(policy.widths))
+        loss, grad = ppo_grads(policy, batch, layout)
         assert grad is layout.flat
         assert loss == fresh[0] and grad.tobytes() == fresh[1].tobytes()
         adam.step(policy.flat, grad)
@@ -205,18 +211,18 @@ def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it(
 
 def test_adam_first_step_matches_hand_update():
     flat = np.array([1.0])
-    adam = _Adam(flat, lr=0.001)
+    adam = _Adam(flat)
     adam.step(flat, np.array([0.5]))
     # Bias-corrected first step: mhat = g, vhat = g^2, so the update is
     # lr * g / (|g| + eps) regardless of the gradient's magnitude.
-    expected = 1.0 - 0.001 * (0.5 / (0.5 + 1e-8))
+    expected = 1.0 - 3e-4 * (0.5 / (0.5 + 1e-8))
     assert flat[0] == pytest.approx(expected, abs=1e-15)
     assert adam.t == 1
 
 
 def test_adam_is_stateful_per_parameter():
     flat = np.array([1.0, 2.0])
-    adam = _Adam(flat, lr=0.1)
+    adam = _Adam(flat)
     adam.step(flat, np.array([1.0, 0.0]))
     assert flat[0] != 1.0
     assert flat[1] == 2.0  # zero gradient leaves the value in place
@@ -313,7 +319,7 @@ def test_adam_matches_the_allocating_reference_bit_for_bit():
     rng = np.random.default_rng(4)
     ours = rng.normal(size=500)
     theirs = ours.copy()
-    adam, reference = _Adam(ours, lr=3e-4), ReferenceAdam(theirs, lr=3e-4)
+    adam, reference = _Adam(ours), ReferenceAdam(theirs, lr=3e-4)
     for scale in (1e-6, 1.0, 1e3) * 20:
         grad = rng.normal(size=500) * scale
         adam.step(ours, grad)
@@ -332,7 +338,8 @@ def reference_train(train_contexts, cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
-    adam = ReferenceAdam(policy.flat, cfg.learning_rate)
+    adam = ReferenceAdam(policy.flat, 3e-4)
+    layout = build_policy(policy.widths)
     t_steps = cfg.rollout_steps
     state = reset(train_contexts[rng.integers(len(train_contexts))])
     for _ in range(cfg.total_timesteps // t_steps):
@@ -357,7 +364,7 @@ def reference_train(train_contexts, cfg):
         if not ends[-1]:
             boot[-1] = forward(policy, encode_observation(state))[1]
         advantages, returns = _gae(np.array(rewards), np.array(values), np.array(ends),
-                                   np.array(boot), cfg.gamma, cfg.gae_lambda)
+                                   np.array(boot), 0.99, 0.95)
         obs, actions, logps = np.array(obs), np.array(actions), np.array(logps)
         for _ in range(cfg.epochs):
             order = rng.permutation(t_steps)
@@ -371,7 +378,7 @@ def reference_train(train_contexts, cfg):
                     "advantages": (mb_adv - mb_adv.mean()) / (mb_adv.std() + 1e-8),
                     "returns": returns[mb],
                 }
-                adam.step(policy.flat, ppo_grads(policy, batch, cfg)[1])
+                adam.step(policy.flat, ppo_grads(policy, batch, layout)[1])
     return policy
 
 

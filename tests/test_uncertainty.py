@@ -105,9 +105,16 @@ def test_one_hot_plus_uniform_averages_entropies():
 
 def test_single_pass_has_zero_epistemic():
     dist = [0.4, 0.3, 0.2, 0.1]
-    for est in (estimate_from_passes([dist]), estimate_from_passes(dist)):
-        assert est.pass_count == 1 and est.epistemic == 0.0
-        assert abs(est.aleatoric - brute_aleatoric([dist])) < 1e-15
+    est = estimate_from_passes([dist])
+    assert est.pass_count == 1 and est.epistemic == 0.0
+    assert abs(est.aleatoric - brute_aleatoric([dist])) < 1e-15
+
+
+def test_a_lone_distribution_is_not_a_pass_matrix():
+    # One pass is a (1, 4) matrix; a bare distribution is rejected, not promoted.
+    for lone in ([0.4, 0.3, 0.2, 0.1], np.full(4, 0.25)):
+        with pytest.raises(ValueError, match="non-empty list of distributions"):
+            estimate_from_passes(lone)
 
 
 def test_estimate_bundles_the_decomposition():
