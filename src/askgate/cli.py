@@ -53,129 +53,142 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _usage(message: str):
+    """A handler for a command line that names nothing to run."""
+    def handler(args):
+        raise UsageError(message)
+    return handler
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="askgate", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.set_defaults(handler=_usage("missing subcommand (contexts, train, run, tune, report)"))
+    sub = parser.add_subparsers(metavar="COMMAND")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, handler):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--out", default=None, help="output directory (default: runs)")
-        p.set_defaults(_parser=p)  # its actions type the config file's values
+        p.add_argument("--out", default="runs", help="output directory (default: runs)")
+        p.set_defaults(handler=handler, _parser=p)  # its actions type the config file's values
 
     ctx = sub.add_parser("contexts", help="context-set operations")
-    ctx_sub = ctx.add_subparsers(dest="contexts_command", metavar="ACTION")
+    ctx.set_defaults(handler=_usage("contexts supports exactly one action: gen"))
+    ctx_sub = ctx.add_subparsers(metavar="ACTION")
     gen = ctx_sub.add_parser("gen", help="generate a context-set file")
     gen.add_argument("--size", type=int, default=None)
-    gen.add_argument("--count", type=int, default=None)
+    gen.add_argument("--count", type=int, default=300)
     gen.add_argument("--unsolvable", action="store_true",
                      help="skip the safe corridor and reachability check (diagnostics)")
-    common(gen)
+    common(gen, _cmd_contexts_gen)
 
+    ppo = trainer_mod.PpoConfig
     tr = sub.add_parser("train", help="train a policy on a context set")
     tr.add_argument("--contexts", default=None, help="context-set file")
-    tr.add_argument("--timesteps", type=int, default=None)
-    tr.add_argument("--eval-interval", type=int, default=None)
-    tr.add_argument("--eval-episodes", type=int, default=None)
+    tr.add_argument("--timesteps", type=int, default=ppo.total_timesteps)
+    tr.add_argument("--eval-interval", type=int, default=ppo.eval_interval)
+    tr.add_argument("--eval-episodes", type=int, default=ppo.eval_episodes)
     tr.add_argument("--name", default=None, help="weights artifact name")
-    common(tr)
+    common(tr, _cmd_train)
 
     run = sub.add_parser("run", help="evaluate a policy with/without the gate")
-    run.add_argument("--mode", choices=[m.value for m in RunMode], default=None)
-    run.add_argument("--split", choices=[s.value for s in Split], default=None)
+    run.add_argument("--mode", choices=[m.value for m in RunMode], default=RunMode.ASK.value)
+    run.add_argument("--split", choices=[s.value for s in Split], default=Split.TEST.value)
     run.add_argument("--contexts", default=None)
     run.add_argument("--weights", default=None)
-    run.add_argument("--client", default=None,
+    run.add_argument("--client", default="rule",
                      help="'endpoint' | 'rule' | 'scripted:<file>' (one response per line)")
-    run.add_argument("--model", default=None, help="endpoint model name / report label")
-    run.add_argument("--tau", type=float, default=None)
-    run.add_argument("--passes", type=int, default=None)
-    run.add_argument("--dropout-rate", type=float, default=None)
-    run.add_argument("--episodes", type=int, default=None)
-    run.add_argument("--max-steps", type=int, default=None)
-    common(run)
+    run.add_argument("--model", default="default", help="endpoint model name / report label")
+    run.add_argument("--tau", type=float, default=GateConfig.tau)
+    run.add_argument("--passes", type=int, default=GateConfig.passes)
+    run.add_argument("--dropout-rate", type=float, default=GateConfig.dropout_rate)
+    run.add_argument("--episodes", type=int, default=100)
+    run.add_argument("--max-steps", type=int, default=GateConfig.max_steps)
+    common(run, _cmd_run)
 
     tune = sub.add_parser("tune", help="search tau on the eval split")
     tune.add_argument("--contexts", default=None)
     tune.add_argument("--weights", default=None)
-    tune.add_argument("--client", default=None)
-    tune.add_argument("--model", default=None)
-    tune.add_argument("--lo", type=float, default=None)
-    tune.add_argument("--hi", type=float, default=None)
-    tune.add_argument("--trials", type=int, default=None)
-    tune.add_argument("--episodes", type=int, default=None)
-    tune.add_argument("--passes", type=int, default=None)
-    tune.add_argument("--dropout-rate", type=float, default=None)
-    common(tune)
+    tune.add_argument("--client", default="rule")
+    tune.add_argument("--model", default="default")
+    tune.add_argument("--lo", type=float, default=tuner_mod.DEFAULT_LO)
+    tune.add_argument("--hi", type=float, default=tuner_mod.DEFAULT_HI)
+    tune.add_argument("--trials", type=int, default=tuner_mod.DEFAULT_TRIALS)
+    tune.add_argument("--episodes", type=int, default=100)
+    tune.add_argument("--passes", type=int, default=GateConfig.passes)
+    tune.add_argument("--dropout-rate", type=float, default=GateConfig.dropout_rate)
+    common(tune, _cmd_tune)
 
     rep = sub.add_parser("report", help="render summaries or a trajectory")
     rep.add_argument("--summaries", nargs="*", default=None, help="summary CSV files")
-    rep.add_argument("--format", dest="fmt", choices=["table", "csv"], default=None)
+    rep.add_argument("--format", dest="fmt", choices=["table", "csv"], default="table")
     rep.add_argument("--trajectory", default=None, help="episode CSV to overlay")
-    rep.add_argument("--episode", type=int, default=None)
+    rep.add_argument("--episode", type=int, default=0)
     rep.add_argument("--contexts", default=None,
                      help="context-set file (default: path recorded in the episode CSV)")
-    common(rep)
+    common(rep, _cmd_report)
     return parser
 
 
-class _Config:
-    """Resolution order: CLI flag, then config-file key, then default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file: dict = {}
-        if args.config:
-            if not os.path.exists(args.config):
-                raise RuntimeFailure(f"config file not found: {args.config}")
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values, checked and typed as the subcommand's
+    flags read them, for use as that subcommand's defaults."""
+    path = args.config
+    if not os.path.exists(path):
+        raise RuntimeFailure(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise RuntimeFailure(f"unreadable config {path}: {exc}")
+    if not isinstance(values, dict):
+        raise RuntimeFailure(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in args._parser._actions if a.dest not in ("help", "config")}
+    for key, value in values.items():
+        action = actions.get(key)
+        if action is None:
+            raise RuntimeFailure(f"config {path}: {key!r} is not an option of "
+                                 f"{args._parser.prog}; use one of {', '.join(actions)}")
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        elif action.nargs == "*":
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        elif action.type is None:
+            ok = isinstance(value, str)
+        else:  # int or float: a number or a numeric string, never a boolean
+            ok = not isinstance(value, bool)
             try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    self.file = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise RuntimeFailure(f"unreadable config {args.config}: {exc}")
-            if not isinstance(self.file, dict):
-                raise RuntimeFailure(f"config {args.config} must hold a JSON object")
-            for action in args._parser._actions:
-                if action.dest not in self.file:
-                    continue
-                value = self.file[action.dest]
-                if action.nargs == 0:
-                    ok = isinstance(value, bool)
-                elif action.nargs == "*":
-                    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-                elif action.type is None:
-                    ok = isinstance(value, str)
-                else:  # int or float: a number or a numeric string, never a boolean
-                    ok = not isinstance(value, bool)
-                    try:
-                        self.file[action.dest] = action.type(value)
-                    except (TypeError, ValueError, OverflowError):
-                        ok = False
-                if not ok:
-                    raise RuntimeFailure(f"config {args.config}: {action.dest!r} does not fit "
-                                         f"{action.option_strings[0]}, got {value!r}")
-
-    def get(self, key: str, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None and flag is not False:
-            return flag
-        if key in self.file:
-            return self.file[key]
-        return default
-
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise UsageError(f"missing required --{key.replace('_', '-')}")
-        return value
+                values[key] = action.type(value)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+        if not ok:
+            raise RuntimeFailure(f"config {path}: {key!r} does not fit "
+                                 f"{action.option_strings[0]}, got {value!r}")
+    return values
 
 
-def _outdir(cfg: _Config, kind: str) -> str:
-    base = cfg.get("out", "runs")
-    path = os.path.join(base, kind)
-    os.makedirs(path, exist_ok=True)
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise UsageError(f"missing required --{key.replace('_', '-')}")
+    return value
+
+
+def _writable(path: str) -> str:
+    """``path``, once its directory exists."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
+
+
+def _refuse_overwrite(snapshot: dict, *paths: str) -> None:
+    """Stop before a run replaces a CSV that another config line wrote."""
+    line = gate_mod.config_line(snapshot)
+    for path in paths:
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                if fh.readline() != line:
+                    raise RuntimeFailure(f"{path} holds the results of another config; "
+                                         f"remove it or choose another --out")
 
 
 def _load_contexts(path: str) -> env_mod.ContextSet:
@@ -196,9 +209,7 @@ def _load_weights(path: str) -> policy_mod.MlpPolicy:
         raise RuntimeFailure(f"bad weights file {path}: {exc}")
 
 
-def _make_client(spec: str | None, model: str):
-    if spec is None or spec == "":
-        return None, "ppo"
+def _make_client(spec: str, model: str):
     if spec == "rule":
         return lm_mod.RuleClient(), "rule"
     if spec == "endpoint":
@@ -221,41 +232,34 @@ def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "-" for c in text)
 
 
-def _cmd_contexts_gen(cfg: _Config) -> int:
-    size = cfg.require("size")
-    count = cfg.get("count", 300)
-    seed = cfg.get("seed", 0)
-    solvable = not cfg.get("unsolvable", False)
+def _cmd_contexts_gen(args: argparse.Namespace) -> int:
+    size, count, seed = _require(args, "size"), args.count, args.seed
     try:
-        context_set = env_mod.generate_context_set(size, count, seed, solvable=solvable)
+        context_set = env_mod.generate_context_set(size, count, seed, solvable=not args.unsolvable)
     except (ValueError, env_mod.MapGenerationError) as exc:
         raise RuntimeFailure(f"generation failed: {exc}")
-    outdir = _outdir(cfg, "contexts")
-    path = os.path.join(outdir, f"s{size}_c{count}_seed{seed}.txt")
-    env_mod.save_context_set(context_set, path)
+    path = os.path.join(args.out, "contexts", f"s{size}_c{count}_seed{seed}.txt")
+    env_mod.save_context_set(context_set, _writable(path))
     print(f"wrote {path} ({count} maps, size {size}, seed {seed})")
     return EXIT_OK
 
 
-def _cmd_train(cfg: _Config) -> int:
-    contexts_path = cfg.require("contexts")
+def _cmd_train(args: argparse.Namespace) -> int:
+    contexts_path = _require(args, "contexts")
     context_set = _load_contexts(contexts_path)
-    seed = cfg.get("seed", 0)
     ppo = trainer_mod.PpoConfig(
-        total_timesteps=cfg.get("timesteps", trainer_mod.PpoConfig.total_timesteps),
-        eval_interval=cfg.get("eval_interval", trainer_mod.PpoConfig.eval_interval),
-        eval_episodes=cfg.get("eval_episodes", trainer_mod.PpoConfig.eval_episodes),
-        seed=seed,
+        total_timesteps=args.timesteps, eval_interval=args.eval_interval,
+        eval_episodes=args.eval_episodes, seed=args.seed,
     )
     policy, log = trainer_mod.train(
         context_set.split(Split.TRAIN), context_set.split(Split.EVAL), ppo
     )
-    outdir = _outdir(cfg, "weights")
-    name = _safe_name(cfg.get("name", f"w{context_set.size}_seed{seed}"))
+    outdir = os.path.join(args.out, "weights")
+    name = _safe_name(args.name or f"w{context_set.size}_seed{args.seed}")
     weights_path = os.path.join(outdir, f"{name}.bin")
-    policy_mod.save_weights(policy, weights_path)
+    policy_mod.save_weights(policy, _writable(weights_path))
     snapshot = {
-        "cmd": "train", "contexts": contexts_path, "seed": seed,
+        "cmd": "train", "contexts": contexts_path, "seed": args.seed,
         "timesteps": ppo.total_timesteps, "eval_interval": ppo.eval_interval,
         "eval_episodes": ppo.eval_episodes, "size": context_set.size,
     }
@@ -270,97 +274,76 @@ def _cmd_train(cfg: _Config) -> int:
     return EXIT_OK
 
 
-def _gate_config(cfg: _Config, mode: RunMode, seed: int) -> GateConfig:
-    return GateConfig(
-        tau=cfg.get("tau", GateConfig.tau),
-        passes=cfg.get("passes", GateConfig.passes),
-        dropout_rate=cfg.get("dropout_rate", GateConfig.dropout_rate),
-        mode=mode,
-        max_steps=cfg.get("max_steps", GateConfig.max_steps),
-        seed=seed,
-    )
-
-
-def _cmd_run(cfg: _Config) -> int:
-    mode = RunMode(cfg.get("mode", "ask"))
-    split = Split(cfg.get("split", "test"))
-    seed = cfg.get("seed", 0)
-    context_set = _load_contexts(cfg.require("contexts"))
-    gate_cfg = _gate_config(cfg, mode, seed)
-    policy = _load_weights(cfg.require("weights"))
+def _cmd_run(args: argparse.Namespace) -> int:
+    mode, split, seed = RunMode(args.mode), Split(args.split), args.seed
+    context_set = _load_contexts(_require(args, "contexts"))
+    gate_cfg = GateConfig(tau=args.tau, passes=args.passes, dropout_rate=args.dropout_rate,
+                          mode=mode, max_steps=args.max_steps, seed=seed)
+    policy = _load_weights(_require(args, "weights"))
     client, label = (None, "ppo") if mode is RunMode.PPO_ONLY else _make_client(
-        cfg.get("client", "rule"), cfg.get("model", "default")
+        args.client, args.model
     )
-    episodes = cfg.get("episodes", 100)
     contexts = context_set.split(split)
     if not contexts:
         raise RuntimeFailure(f"context set has no {split.value} contexts")
-    records = gate_mod.run_batch(policy, client, contexts, gate_cfg, total_episodes=episodes)
+    snapshot = {
+        "cmd": "run", "mode": mode.value, "split": split.value,
+        "contexts": args.contexts, "weights": args.weights,
+        "client": args.client if mode is not RunMode.PPO_ONLY else "",
+        "model": label, "tau": args.tau, "passes": args.passes,
+        "dropout_rate": args.dropout_rate, "episodes": args.episodes,
+        "max_steps": args.max_steps, "seed": seed, "size": context_set.size,
+    }
+    run_id = _safe_name(
+        f"{mode.value}_{label}_{split.value}_s{context_set.size}_tau{args.tau:g}_seed{seed}"
+    )
+    episodes_path = os.path.join(args.out, "episodes", f"{run_id}.csv")
+    summary_path = os.path.join(args.out, "summaries", f"{run_id}.csv")
+    _refuse_overwrite(snapshot, episodes_path, summary_path)
+    records = gate_mod.run_batch(policy, client, contexts, gate_cfg, total_episodes=args.episodes)
     summary = metrics_mod.aggregate(records)
     row = metrics_mod.SummaryRow(
         size=context_set.size, model=label, mode=mode.value, split=split.value,
-        tau=gate_cfg.tau, seed=seed, summary=summary,
+        tau=args.tau, seed=seed, summary=summary,
     )
-    snapshot = {
-        "cmd": "run", "mode": mode.value, "split": split.value,
-        "contexts": cfg.require("contexts"), "weights": cfg.require("weights"),
-        "client": cfg.get("client", "rule") if mode is not RunMode.PPO_ONLY else "",
-        "model": label, "tau": gate_cfg.tau, "passes": gate_cfg.passes,
-        "dropout_rate": gate_cfg.dropout_rate, "episodes": episodes,
-        "max_steps": gate_cfg.max_steps, "seed": seed, "size": context_set.size,
-    }
-    run_id = _safe_name(
-        f"{mode.value}_{label}_{split.value}_s{context_set.size}_tau{gate_cfg.tau:g}_seed{seed}"
-    )
-    episodes_path = os.path.join(_outdir(cfg, "episodes"), f"{run_id}.csv")
-    gate_mod.write_episode_csv(records, episodes_path, snapshot)
-    summary_path = os.path.join(_outdir(cfg, "summaries"), f"{run_id}.csv")
-    metrics_mod.write_summary_csv([row], summary_path, snapshot)
+    gate_mod.write_episode_csv(records, _writable(episodes_path), snapshot)
+    metrics_mod.write_summary_csv([row], _writable(summary_path), snapshot)
     print(metrics_mod.render_report([row], "table"), end="")
     print(f"wrote {episodes_path}")
     print(f"wrote {summary_path}")
     return EXIT_OK
 
 
-def _cmd_tune(cfg: _Config) -> int:
-    seed = cfg.get("seed", 0)
-    context_set = _load_contexts(cfg.require("contexts"))
-    gate_cfg = _gate_config(cfg, RunMode.ASK, seed)
-    policy = _load_weights(cfg.require("weights"))
-    client, label = _make_client(cfg.get("client", "rule"), cfg.get("model", "default"))
-    if client is None:
-        raise UsageError("tune requires a client (the gate must have someone to ask)")
-    study = tuner_mod.tune_threshold(
-        policy, client, context_set.split(Split.EVAL),
-        lo=cfg.get("lo", tuner_mod.DEFAULT_LO),
-        hi=cfg.get("hi", tuner_mod.DEFAULT_HI),
-        trials=cfg.get("trials", tuner_mod.DEFAULT_TRIALS),
-        seed=seed,
-        episodes_per_trial=cfg.get("episodes", 100),
-        gate=gate_cfg,
-    )
+def _cmd_tune(args: argparse.Namespace) -> int:
+    seed = args.seed
+    context_set = _load_contexts(_require(args, "contexts"))
+    gate_cfg = GateConfig(passes=args.passes, dropout_rate=args.dropout_rate, seed=seed)
+    policy = _load_weights(_require(args, "weights"))
+    client, label = _make_client(args.client, args.model)
     snapshot = {
-        "cmd": "tune", "contexts": cfg.require("contexts"),
-        "weights": cfg.require("weights"), "client": cfg.get("client", "rule"),
-        "model": label, "lo": study.lo, "hi": study.hi, "trials": study.trials,
-        "episodes": cfg.get("episodes", 100), "passes": gate_cfg.passes,
-        "dropout_rate": gate_cfg.dropout_rate, "seed": seed, "size": context_set.size,
+        "cmd": "tune", "contexts": args.contexts, "weights": args.weights,
+        "client": args.client, "model": label, "lo": args.lo, "hi": args.hi,
+        "trials": args.trials, "episodes": args.episodes, "passes": args.passes,
+        "dropout_rate": args.dropout_rate, "seed": seed, "size": context_set.size,
     }
-    path = os.path.join(
-        _outdir(cfg, "summaries"),
-        _safe_name(f"tune_{label}_s{context_set.size}_seed{seed}.csv"),
+    path = os.path.join(args.out, "summaries",
+                        _safe_name(f"tune_{label}_s{context_set.size}_seed{seed}.csv"))
+    _refuse_overwrite(snapshot, path)
+    study = tuner_mod.tune_threshold(
+        policy, client, context_set.split(Split.EVAL), lo=args.lo, hi=args.hi,
+        trials=args.trials, seed=seed, episodes_per_trial=args.episodes, gate=gate_cfg,
     )
-    tuner_mod.write_study_csv(study, path, snapshot)
+    tuner_mod.write_study_csv(study, _writable(path), snapshot)
     print(f"best tau {study.best_tau!r} (mean reward {study.best_reward:.2f} over "
           f"{study.trials} trials)")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_report(cfg: _Config) -> int:
-    trajectory = cfg.get("trajectory")
+def _cmd_report(args: argparse.Namespace) -> int:
+    trajectory = args.trajectory
     if trajectory:
-        episode = cfg.get("episode", 0)
+        episode = args.episode
         if not os.path.exists(trajectory):
             raise RuntimeFailure(f"episode CSV not found: {trajectory}")
         snapshot, header, rows = gate_mod.read_csv(trajectory)
@@ -371,7 +354,7 @@ def _cmd_report(cfg: _Config) -> int:
                    if int(row[episode_col]) == episode]
         if not actions:
             raise RuntimeFailure(f"episode {episode} not present in {trajectory}")
-        contexts_path = cfg.get("contexts", snapshot.get("contexts"))
+        contexts_path = args.contexts or snapshot.get("contexts")
         if not contexts_path:
             raise UsageError("--contexts required (episode CSV carries no context path)")
         context_set = _load_contexts(contexts_path)
@@ -388,11 +371,10 @@ def _cmd_report(cfg: _Config) -> int:
         print(metrics_mod.render_trajectory(context, actions, cap), end="")
         return EXIT_OK
 
-    paths = cfg.get("summaries") or []
-    if not paths:
+    if not args.summaries:
         raise UsageError("report needs --summaries files or --trajectory")
     rows = []
-    for path in paths:
+    for path in args.summaries:
         if not os.path.exists(path):
             raise RuntimeFailure(f"summary file not found: {path}")
         if gate_mod.read_csv(path)[1] == tuner_mod.STUDY_CSV_HEADER:
@@ -404,26 +386,19 @@ def _cmd_report(cfg: _Config) -> int:
             raise RuntimeFailure(str(exc))
     if not rows:
         raise RuntimeFailure("no summary rows found in the given files")
-    print(metrics_mod.render_report(rows, cfg.get("fmt", "table")), end="")
+    print(metrics_mod.render_report(rows, args.fmt), end="")
     return EXIT_OK
 
 
 def dispatch(argv) -> int:
+    """Parse ``argv``; with ``--config``, parse it again over the file's values,
+    so a flag beats the file and the file beats the parser's default."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        raise UsageError("missing subcommand (contexts, train, run, tune, report)")
-    if args.command == "contexts":
-        if getattr(args, "contexts_command", None) != "gen":
-            raise UsageError("contexts supports exactly one action: gen")
-        return _cmd_contexts_gen(_Config(args))
-    handlers = {
-        "train": _cmd_train,
-        "run": _cmd_run,
-        "tune": _cmd_tune,
-        "report": _cmd_report,
-    }
-    return handlers[args.command](_Config(args))
+    if getattr(args, "config", None):
+        args._parser.set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)
+    return args.handler(args)
 
 
 def main(argv=None) -> int:
@@ -432,10 +407,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (env_mod.MapGenerationError, policy_mod.WeightsError, OSError, ValueError) as exc:
+    except (RuntimeFailure, env_mod.MapGenerationError, policy_mod.WeightsError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -215,12 +215,17 @@ def run_batch(
     ]
 
 
+def config_line(config: dict) -> str:
+    """The first line of a CSV artifact that records ``config``."""
+    return CONFIG_PREFIX + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def csv_text(header, rows, config: dict | None = None) -> str:
     """The CSV artifact format: an optional ``# config <canonical JSON>`` line,
     the header, then the rows, quoted by ``csv.writer`` where a field needs it."""
     buf = io.StringIO()
     if config is not None:
-        buf.write(CONFIG_PREFIX + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n")
+        buf.write(config_line(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -11,6 +11,7 @@ logs can be audited afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,8 +101,8 @@ def tune_threshold(
     offsplit = [c.id for c in eval_contexts if c.split is not Split.EVAL]
     if offsplit:
         raise ValueError(f"tuning must only read Eval-split contexts; got ids {offsplit}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+        raise ValueError(f"need finite lo and hi with 0 <= lo < hi, got [{lo}, {hi}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 

@@ -74,11 +74,15 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     assert "--size" in capsys.readouterr().err
 
 
-def test_unknown_client_spec_is_a_usage_error(workspace):
-    code = main(["run", "--mode", "ask", "--client", "ouija",
-                 "--contexts", workspace["ctx"], "--weights", workspace["weights"],
-                 "--out", workspace["out"]])
-    assert code == EXIT_USAGE
+def test_unknown_client_spec_is_a_usage_error(workspace, tmp_path, capsys):
+    # The empty spec used to run ask mode without a client (exit 2).
+    for spec in ("ouija", ""):
+        for command in (["run", "--mode", "ask"], ["run", "--mode", "lm"], ["tune"]):
+            code = main([*command, "--client", spec, "--contexts", workspace["ctx"],
+                         "--weights", workspace["weights"], "--out", str(tmp_path)])
+            assert code == EXIT_USAGE
+            assert f"unknown client spec: {spec!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_context_file_is_a_runtime_error(tmp_path, capsys):
@@ -213,6 +217,40 @@ def test_runs_are_byte_stable(workspace, tmp_path):
     assert first == second
 
 
+def test_a_run_refuses_to_replace_the_results_of_another_config(workspace, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    run = ["run", "--mode", "ask", "--client", "rule", "--contexts", workspace["ctx"],
+           "--weights", workspace["weights"], "--episodes", "2", "--out", out]
+    tune = ["tune", "--contexts", workspace["ctx"], "--weights", workspace["weights"],
+            "--trials", "2", "--episodes", "2", "--passes", "3", "--out", out]
+    assert main([*run, "--passes", "3"]) == EXIT_OK
+    assert main(tune) == EXIT_OK
+    before = _tree(out)
+    assert len(before) == 3  # one file name per run, whatever the passes or trials
+    for argv in ([*run, "--passes", "4"], [*run, "--passes", "3", "--max-steps", "9"],
+                 [*tune, "--trials", "3"], [*tune, "--lo", "0.2"]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_RUNTIME
+        assert "holds the results of another config" in capsys.readouterr().err
+        assert _tree(out) == before
+    # The same config may write its own files again.
+    assert main([*run, "--passes", "3"]) == EXIT_OK
+    assert main(tune) == EXIT_OK
+    assert _tree(out) == before
+
+
+def test_tune_bounds_outside_the_finite_non_negative_range_are_a_runtime_error(
+        workspace, tmp_path, capsys):
+    for bounds in (["--hi", "inf"], ["--lo=-1e308", "--hi=1e308"], ["--lo=-0.5"],
+                   ["--lo", "nan"], ["--lo", "0.5", "--hi", "0.5"]):
+        code = main(["tune", "--contexts", workspace["ctx"], "--weights", workspace["weights"],
+                     "--trials", "2", "--episodes", "2", "--passes", "3", *bounds,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_RUNTIME
+        assert "0 <= lo < hi" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_scripted_client_runs_from_a_response_file(workspace, tmp_path, capsys):
     script = tmp_path / "answers.txt"
     script.write_text('{"action":"RIGHT"}\n' * 300)
@@ -264,6 +302,140 @@ def test_config_values_of_the_wrong_type_are_a_runtime_error(tmp_path, monkeypat
     assert code == EXIT_RUNTIME
     assert f"{key!r} does not fit --{key}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def _options(command, tmp_path, capsys):
+    """The config keys ``command`` accepts, as its refusal of an unknown key lists them."""
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)  # a stray write under the default --out would land here
+        assert main([*command, "--config", str(path)]) == EXIT_RUNTIME
+    assert os.listdir(tmp_path) == ["unknown.json"]
+    path.unlink()
+    err = capsys.readouterr().err
+    assert "'bogus' is not an option of askgate " in err
+    return err.rpartition("use one of ")[2].strip().split(", ")
+
+
+def _flags(settings):
+    """The command-line form of a config file's settings."""
+    argv = []
+    for key, value in settings.items():
+        flag = "--format" if key == "fmt" else "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *value]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+            for d, _, names in os.walk(root) for name in names}
+
+
+def _config_cases(ws):
+    summaries = [os.path.join(ws["out"], "summaries", name) for name in
+                 ("ppo_ppo_test_s4_tau0.5_seed1.csv", "ask_rule_test_s4_tau0.2_seed1.csv")]
+    episodes = os.path.join(ws["out"], "episodes", "ask_rule_test_s4_tau0.2_seed1.csv")
+    return {
+        "contexts gen": [{"size": 4, "count": 12, "unsolvable": True, "seed": 3}],
+        "train": [{"contexts": ws["ctx"], "timesteps": 2048, "eval_interval": 1024,
+                   "eval_episodes": 4, "name": "cfg", "seed": 1}],
+        "run": [{"mode": "ask", "split": "eval", "contexts": ws["ctx"], "weights": ws["weights"],
+                 "client": "rule", "model": "m", "tau": 0.3, "passes": 4, "dropout_rate": 0.1,
+                 "episodes": 3, "max_steps": 9, "seed": 2}],
+        "tune": [{"contexts": ws["ctx"], "weights": ws["weights"], "client": "rule",
+                  "model": "m", "lo": 0.2, "hi": 0.9, "trials": 2, "episodes": 2, "passes": 4,
+                  "dropout_rate": 0.1, "seed": 2}],
+        "report": [{"summaries": summaries, "fmt": "csv", "seed": 4},
+                   {"trajectory": episodes, "episode": 1, "contexts": ws["ctx"]}],
+    }
+
+
+def test_config_cases_hold_every_option(workspace, tmp_path, capsys):
+    for command, cases in _config_cases(workspace).items():
+        keys = {"out"}.union(*cases)  # each case's file gives its own --out
+        assert keys == set(_options(command.split(), tmp_path, capsys)), command
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, i) for command, n in
+    (("contexts gen", 1), ("train", 1), ("run", 1), ("tune", 1), ("report", 2))
+    for i in range(n)])
+def test_a_config_file_and_the_same_flags_give_the_same_bytes(workspace, tmp_path, capsys,
+                                                              command, case):
+    settings = _config_cases(workspace)[command][case]
+    results = []
+    for via in ("config", "flags"):
+        out = str(tmp_path / via)
+        if via == "config":
+            path = tmp_path / "settings.json"
+            path.write_text(json.dumps({**settings, "out": out}))
+            argv = [*command.split(), "--config", str(path)]
+        else:
+            argv = [*command.split(), *_flags(settings), "--out", out]
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        captured = capsys.readouterr()
+        results.append((captured.out.replace(out, "OUT"), captured.err,
+                        _tree(out) if os.path.exists(out) else None))
+    assert results[0] == results[1]
+    if command != "report":
+        assert results[0][2]
+
+
+@pytest.mark.parametrize("command, config", [
+    (["tune"], {"max_steps": 3}),
+    (["tune"], {"tau": 0.3}),
+    (["report"], {"format": "csv"}),
+    (["run", "--mode", "ask"], {"dropout-rate": 0.5}),
+])
+def test_a_config_key_the_command_has_no_option_for_is_a_runtime_error(
+        workspace, tmp_path, monkeypatch, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    [key] = config
+    monkeypatch.chdir(tmp_path)
+    extra = [] if command == ["report"] else ["--contexts", workspace["ctx"],
+                                              "--weights", workspace["weights"]]
+    assert main([*command, *extra, "--config", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{key!r} is not an option of askgate {command[0]}" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("train", ("weights", "w4_seed0_trainlog.csv")),
+    ("run", ("episodes", "ask_rule_test_s4_tau0.2_seed1.csv")),
+    ("run", ("summaries", "ask_rule_test_s4_tau0.2_seed1.csv")),
+    ("tune", ("summaries", "tune_rule_s4_seed2.csv")),
+])
+def test_every_setting_is_recorded_in_the_config_line(workspace, tmp_path, capsys,
+                                                      command, artifact):
+    recorded = read_csv(os.path.join(workspace["out"], *artifact))[0]
+    settings = set(_options([command], tmp_path, capsys)) - {"config", "out", "name"}
+    assert settings <= set(recorded)
+
+
+@pytest.mark.parametrize("command", [["contexts", "gen"], ["train"], ["run"], ["tune"],
+                                     ["report"]])
+def test_usage_lists_the_command_flags_before_the_common_ones(tmp_path, capsys, command):
+    own = [option for option in _options(command, tmp_path, capsys)
+           if option not in ("seed", "out")]
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+
+    def at(option):
+        flag = "--format" if option == "fmt" else "--" + option.replace("_", "-")
+        return re.search(rf"\[{flag}[ \]]", usage).start()
+
+    common = [at("seed"), at("config"), at("out")]
+    assert max(map(at, own)) < common[0] < common[1] < common[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Threshold search: seeded reproducibility, split hygiene, and the known optimum."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,12 @@ def test_parameter_validation(contexts4):
         tune_threshold(half_nat_policy(), None, [], seed=0)
     with pytest.raises(ValueError):
         tune_threshold(half_nat_policy(), None, eval_contexts, lo=1.0, hi=0.5)
+    # The first two ended in an OverflowError from the draw, the third only
+    # when a negative tau was drawn.
+    for lo, hi in ((0.1, math.inf), (-1e308, 1e308), (-0.5, 1.0), (math.nan, 1.0),
+                   (0.1, math.nan), (-math.inf, 0.5), (0.5, 0.5)):
+        with pytest.raises(ValueError, match=r"0 <= lo < hi"):
+            tune_threshold(half_nat_policy(), None, eval_contexts, lo=lo, hi=hi, trials=3)
     with pytest.raises(ValueError):
         tune_threshold(half_nat_policy(), None, eval_contexts, trials=0)
 
