@@ -155,8 +155,10 @@ def _config_defaults(args: argparse.Namespace) -> dict:
             ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
         elif action.type is None:
             ok = isinstance(value, str)
-        else:  # int or float: a number or a numeric string, never a boolean
-            ok = not isinstance(value, bool)
+        else:  # int or float: a number or a numeric string, never a boolean,
+            # and for an int never a fraction, which int() would truncate
+            ok = not isinstance(value, bool) and not (
+                action.type is int and isinstance(value, float) and not value.is_integer())
             try:
                 values[key] = action.type(value)
             except (TypeError, ValueError, OverflowError):
@@ -181,7 +183,7 @@ def _writable(path: str) -> str:
 
 
 def _refuse_overwrite(snapshot: dict, *paths: str) -> None:
-    """Stop before a run replaces a CSV that another config line wrote."""
+    """Stop before a command replaces a CSV that another config line wrote."""
     line = gate_mod.config_line(snapshot)
     for path in paths:
         if os.path.exists(path):
@@ -251,21 +253,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
         total_timesteps=args.timesteps, eval_interval=args.eval_interval,
         eval_episodes=args.eval_episodes, seed=args.seed,
     )
-    policy, log = trainer_mod.train(
-        context_set.split(Split.TRAIN), context_set.split(Split.EVAL), ppo
-    )
     outdir = os.path.join(args.out, "weights")
     name = _safe_name(args.name or f"w{context_set.size}_seed{args.seed}")
     weights_path = os.path.join(outdir, f"{name}.bin")
-    policy_mod.save_weights(policy, _writable(weights_path))
+    trainlog_path = os.path.join(outdir, f"{name}_trainlog.csv")
     snapshot = {
         "cmd": "train", "contexts": contexts_path, "seed": args.seed,
         "timesteps": ppo.total_timesteps, "eval_interval": ppo.eval_interval,
         "eval_episodes": ppo.eval_episodes, "size": context_set.size,
     }
+    _refuse_overwrite(snapshot, trainlog_path)  # before any training time is spent
+    policy, log = trainer_mod.train(
+        context_set.split(Split.TRAIN), context_set.split(Split.EVAL), ppo
+    )
+    policy_mod.save_weights(policy, _writable(weights_path))
     write_atomic(os.path.join(outdir, f"{name}.meta.json"),
                  json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
-    trainer_mod.write_trainlog_csv(log, os.path.join(outdir, f"{name}_trainlog.csv"), snapshot)
+    trainer_mod.write_trainlog_csv(log, trainlog_path, snapshot)
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     best = log.entries[log.best_index] if log.best_index >= 0 else None

@@ -6,18 +6,21 @@ holds every cell's value, probabilities and sampling CDF), compute GAE
 advantages, then run several epochs of shuffled minibatch updates on the
 clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
 gathers the rollout once in its shuffled order and slices the minibatches out
-of it. Truncated episodes bootstrap the value of the successor state;
-terminal episodes do not. Greedy evaluations on the eval contexts run on a
-fixed timestep interval and the best-scoring parameters are the ones
-returned.
+of it; one vectorised pass per epoch finds every minibatch's distinct cells.
+A minibatch holds cell indices, not one-hot rows: the update's forward reads
+layer 0 as a row of W0 and runs once per distinct cell, and the layer-0
+weight gradient is computed for the cells seen only. Truncated episodes
+bootstrap the value of the successor state; terminal episodes do not. Greedy
+evaluations on the eval contexts run on a fixed timestep interval and the
+best-scoring parameters are the ones returned.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
-whole run bit-for-bit: the table, the gathers and the in-place Adam keep the
-arithmetic and the rng draws of a forward, an ``rng.choice``, a fresh
-minibatch and an allocating Adam per step. Training updates the policy's
-parameter vector in place. Gradients are hand-derived and come back as one
-vector laid out like ``MlpPolicy.flat``, so they can be checked against
-finite differences.
+whole run bit-for-bit: the table, the gathers, the per-cell forward and the
+in-place Adam keep the arithmetic and the rng draws of a forward, an
+``rng.choice``, a fresh one-hot minibatch and an allocating Adam per step.
+Training updates the policy's parameter vector in place. Gradients are
+hand-derived and come back as one vector laid out like ``MlpPolicy.flat``, so
+they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -94,42 +97,45 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def ppo_loss(policy: MlpPolicy, batch: dict[str, np.ndarray]) -> float:
-    """Clipped surrogate + value MSE - entropy bonus on one frozen batch."""
-    h = policy_mod.trunk_activations(policy, batch["obs"])[-1]
-    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
-    logp_all = _log_softmax(h @ wa + ba)
-    values = (h @ wv + bv).reshape(-1)
-    b = np.arange(len(values))
-    logp = logp_all[b, batch["actions"]]
-    ratio = np.exp(logp - batch["logp_old"])
-    adv = batch["advantages"]
-    surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv
-    policy_loss = -np.minimum(surr1, surr2).mean()
-    value_loss = ((values - batch["returns"]) ** 2).mean()
-    probs = np.exp(logp_all)
-    entropy = -(probs * logp_all).sum(axis=1).mean()
-    return float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
-
-
 def ppo_grads(
     policy: MlpPolicy, batch: dict[str, np.ndarray], grad: MlpPolicy,
 ) -> tuple[float, np.ndarray]:
     """Loss plus the hand-derived gradient, one vector laid out like ``policy.flat``.
 
-    The gradient is written into ``grad``, a layout of the policy's widths whose
-    vector is returned and overwritten by the next call that gets it.
+    The batch holds cell indices, not observations: ``cells`` are the
+    minibatch's distinct cells and ``inverse`` gives each row's position in
+    them, as ``np.unique(..., return_inverse=True)`` returns them. The bits
+    are those of the same batch as one-hot rows. The gradient is written into
+    ``grad``, a layout of the policy's widths whose vector is returned and
+    overwritten by the next call that gets it.
     """
+    cells, inverse = batch["cells"], batch["inverse"]
     actions = batch["actions"]
     adv = batch["advantages"]
     n = len(actions)
+    # A one-row product takes gemv, whose bits differ from gemm's.
+    table = np.repeat(cells, 2) if len(cells) == 1 < n else cells
 
-    acts = policy_mod.trunk_activations(policy, batch["obs"])
+    # The trunk, the action head and the log-softmax run once per table row,
+    # whose results the batch rows gather. Layer 0 of a one-hot row is a row
+    # of W0.
+    hidden = []
+    for w, b in policy.trunk:
+        h = hidden[-1] @ w if hidden else w.take(table, axis=0)
+        h += b
+        np.tanh(h, out=h)
+        hidden.append(h)
     (wa, ba), (wv, bv) = policy.action_head, policy.value_head
-    logp_all = _log_softmax(acts[-1] @ wa + ba)
+    table_logp = _log_softmax(h @ wa + ba)
+    table_probs = np.exp(table_logp)
+    table_entropy = -(table_probs * table_logp).sum(axis=1)
+    # take copies the same rows as fancy indexing, faster.
+    acts = [rows.take(inverse, axis=0) for rows in hidden]
+    logp_all, probs = table_logp.take(inverse, axis=0), table_probs.take(inverse, axis=0)
+    per_pass_entropy = table_entropy.take(inverse)
+    # A one-column product is not row-independent, so the value head reads
+    # the batch rows.
     values = (acts[-1] @ wv + bv).reshape(-1)
-    probs = np.exp(logp_all)
     idx = np.arange(n)
     logp = logp_all[idx, actions]
     ratio = np.exp(logp - batch["logp_old"])
@@ -138,7 +144,6 @@ def ppo_grads(
     surr2 = np.minimum(np.maximum(ratio, 1.0 - CLIP), 1.0 + CLIP) * adv
     policy_loss = -np.minimum(surr1, surr2).sum() / n
     value_loss = ((values - batch["returns"]) ** 2).sum() / n
-    per_pass_entropy = -(probs * logp_all).sum(axis=1)
     entropy = per_pass_entropy.sum() / n
     loss = float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
 
@@ -156,14 +161,26 @@ def ppo_grads(
     gba[...] = dz.sum(axis=0)
     gwv[...] = acts[-1].T @ dv[:, None]
     gbv[...] = dv.sum()
-    dh = dz @ wa.T + dv[:, None] @ wv.T
+    # In place: the same sums and products as the allocating forms, without
+    # their 64 x 64 temporaries.
+    dh = dz @ wa.T
+    dh += dv[:, None] @ wv.T
     for i in range(len(policy.trunk) - 1, -1, -1):
-        da = dh * (1.0 - acts[i + 1] ** 2)
+        da = np.multiply(acts[i], acts[i])
+        np.subtract(1.0, da, out=da)
+        da *= dh  # dh * (1 - h**2)
         gw, gb = grad.trunk[i]
-        gw[...] = acts[i].T @ da
         gb[...] = da.sum(axis=0)
-        if i:  # nothing reads the gradient of the input
+        if i:
+            gw[...] = acts[i - 1].T @ da
             dh = da @ policy.trunk[i][0].T
+        else:
+            # The one-hot rows of the batch, with only the table's columns:
+            # the rows of W0 no cell in the batch reads get no gradient.
+            onehot = np.zeros((n, len(table)))
+            onehot[idx, inverse] = 1.0
+            gw[...] = 0.0
+            gw[cells] = (onehot.T @ da)[:len(cells)]
     return loss, grad.flat
 
 
@@ -248,7 +265,6 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     (n,) = sizes
     if n * n > obs_dim:
         raise ValueError(f"observation index {n * n - 1} does not fit dim {obs_dim} (grid size {n})")
-    cells = np.eye(n * n, obs_dim)  # row i: the observation of cell i
     adam = _Adam(policy.flat)
     grad = policy_mod.build_policy(policy.widths)  # reused by every update
 
@@ -294,6 +310,11 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     rewards = np.zeros(t_steps, dtype=np.float64)
     ends = np.zeros(t_steps, dtype=bool)
     boot = np.zeros(t_steps, dtype=np.float64)
+    # Each row's key in an epoch is minibatch * n*n + cell.
+    cell_count = n * n
+    row_block = np.arange(t_steps) // config.minibatch_size
+    row_key = row_block * cell_count
+    seen = np.zeros((row_block[-1] + 1) * cell_count, dtype=bool)
 
     while timestep < config.total_timesteps:
         # The parameters are fixed until the update phase, so one single-row
@@ -301,8 +322,8 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         # bit-equal to it. Each cell keeps its sampling CDF and its
         # probabilities as lists, so a step samples and logs in plain Python.
         table = []
-        for cell in cells:
-            dist, value = policy_mod.forward(policy, cell)
+        for obs in np.eye(n * n, obs_dim):  # row i: the observation of cell i
+            dist, value = policy_mod.forward(policy, obs)
             table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
         for t in range(t_steps):
             index = state.row * n + state.col
@@ -331,17 +352,29 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         for _ in range(config.epochs):
             # One gather per epoch; each minibatch is then a slice of it.
             order = rng.permutation(t_steps)
-            epoch_obs = cells[obs_idx[order]]
+            epoch_cells = obs_idx[order]
             epoch_actions, epoch_logps = actions[order], logps[order]
             epoch_adv, epoch_returns = advantages[order], returns[order]
-            for start in range(0, t_steps, config.minibatch_size):
+            # The distinct cells of every minibatch in one pass, ascending as
+            # np.unique gives them; a call to np.unique per minibatch would
+            # cost as much as the per-cell forward saves.
+            key = row_key + epoch_cells
+            seen[...] = False
+            seen[key] = True
+            rank = np.cumsum(seen)
+            distinct = np.flatnonzero(seen) % cell_count
+            bounds = np.concatenate(([0], rank[cell_count - 1::cell_count]))
+            epoch_inverse = rank[key] - bounds[row_block] - 1
+            bounds = bounds.tolist()
+            for m, start in enumerate(range(0, t_steps, config.minibatch_size)):
                 mb = slice(start, start + config.minibatch_size)
                 # (adv - adv.mean()) / (adv.std() + 1e-8) with the same reductions
                 d = epoch_adv[mb]
                 k = len(d)
                 d = d - d.sum() / k
                 batch = {
-                    "obs": epoch_obs[mb],
+                    "cells": distinct[bounds[m]:bounds[m + 1]],
+                    "inverse": epoch_inverse[mb],
                     "actions": epoch_actions[mb],
                     "logp_old": epoch_logps[mb],
                     "advantages": d / (math.sqrt((d * d).sum() / k) + 1e-8),

@@ -3,30 +3,57 @@
 import numpy as np
 
 from askgate.policy import build_policy, trunk_activations
-from askgate.trainer import _log_softmax, ppo_grads, ppo_loss
+from askgate.trainer import CLIP, ENTROPY_COEF, VALUE_COEF, _log_softmax, ppo_grads
 
 
-def synthetic_batch(policy, rng, n=32):
-    """A PPO minibatch whose ratios sit well inside the clip region.
+def onehot_rows(policy, batch):
+    """The observations of a cell-index batch: one one-hot row per batch row."""
+    return np.eye(policy.input_dim)[batch["cells"][batch["inverse"]]]
+
+
+def synthetic_batch(policy, rng, n=32, index=None):
+    """A PPO minibatch on the cells ``index`` (random when None) whose ratios
+    sit well inside the clip region.
 
     Keeping every ratio in [0.95, 1.05] guarantees the surrogate is smooth at
     the evaluation point, so central differences measure the true derivative
     instead of straddling the clip kink.
     """
-    dim = policy.input_dim
-    obs = np.zeros((n, dim))
-    obs[np.arange(n), rng.integers(0, dim, n)] = 1.0
+    if index is None:
+        index = rng.integers(0, policy.input_dim, n)
+    cells, inverse = np.unique(index, return_inverse=True)
     actions = rng.integers(0, 4, n)
     wa, ba = policy.action_head
-    logits = trunk_activations(policy, obs)[-1] @ wa + ba
+    logits = trunk_activations(policy, np.eye(policy.input_dim)[index])[-1] @ wa + ba
     logp = _log_softmax(logits)[np.arange(n), actions]
     return {
-        "obs": obs,
+        "cells": cells,
+        "inverse": inverse,
         "actions": actions,
         "logp_old": logp - rng.uniform(-0.05, 0.05, n),
         "advantages": rng.normal(size=n),
         "returns": rng.normal(size=n),
     }
+
+
+def ppo_loss(policy, batch):
+    """Clipped surrogate + value MSE - entropy bonus on one frozen batch,
+    computed on its one-hot rows."""
+    h = trunk_activations(policy, onehot_rows(policy, batch))[-1]
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    logp_all = _log_softmax(h @ wa + ba)
+    values = (h @ wv + bv).reshape(-1)
+    b = np.arange(len(values))
+    logp = logp_all[b, batch["actions"]]
+    ratio = np.exp(logp - batch["logp_old"])
+    adv = batch["advantages"]
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv
+    policy_loss = -np.minimum(surr1, surr2).mean()
+    value_loss = ((values - batch["returns"]) ** 2).mean()
+    probs = np.exp(logp_all)
+    entropy = -(probs * logp_all).sum(axis=1).mean()
+    return float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
 
 
 def finite_difference_errors(policy, batch, h=1e-5):

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import askgate
+from askgate import trainer as trainer_mod
 from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from askgate.env import Split, load_context_set
@@ -239,6 +240,33 @@ def test_a_run_refuses_to_replace_the_results_of_another_config(workspace, tmp_p
     assert _tree(out) == before
 
 
+def test_a_train_refuses_to_replace_the_weights_of_another_config(
+        workspace, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "runs")
+    train = ["train", "--contexts", workspace["ctx"], "--eval-interval", "512",
+             "--eval-episodes", "2", "--out", out]
+    assert main([*train, "--timesteps", "512"]) == EXIT_OK
+    before = _tree(out)
+    assert sorted(before) == [os.path.join("weights", name) for name in
+                              ("w4_seed0.bin", "w4_seed0.meta.json", "w4_seed0_trainlog.csv")]
+    real_train = trainer_mod.train
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(trainer_mod, "train", no_training)
+    for argv in ([*train, "--timesteps", "1024"], [*train, "--timesteps", "512", "--eval-episodes", "3"],
+                 [*train, "--timesteps", "512", "--eval-interval", "256"]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_RUNTIME
+        assert "holds the results of another config" in capsys.readouterr().err
+        assert _tree(out) == before
+    # The same config may write its own files again.
+    monkeypatch.setattr(trainer_mod, "train", real_train)
+    assert main([*train, "--timesteps", "512"]) == EXIT_OK
+    assert _tree(out) == before
+
+
 def test_tune_bounds_outside_the_finite_non_negative_range_are_a_runtime_error(
         workspace, tmp_path, capsys):
     for bounds in (["--hi", "inf"], ["--lo=-1e308", "--hi=1e308"], ["--lo=-0.5"],
@@ -285,6 +313,8 @@ _GEN = ["contexts", "gen", "--size", "4", "--count", "6"]
     (_GEN, {"count": [3]}),
     (_GEN, {"count": True}),
     (_GEN, {"count": 1e400}),
+    (_GEN, {"count": 6.5}),  # int() would truncate it to 6
+    (_GEN, {"seed": -0.5}),
     (_GEN, {"seed": None}),
     (_GEN, {"out": 5}),
     (_GEN, {"unsolvable": "no"}),

@@ -1,12 +1,13 @@
 """PPO trainer: gradients, GAE, Adam, the training loop, and evaluation."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from gradcheck import finite_difference_errors, synthetic_batch
+from gradcheck import finite_difference_errors, onehot_rows, ppo_loss, synthetic_batch
 
 from askgate import metrics as metrics_mod
 from askgate.env import (
@@ -46,7 +47,6 @@ from askgate.trainer import (
     _log_softmax,
     evaluate_policy,
     ppo_grads,
-    ppo_loss,
     train,
     write_trainlog_csv,
 )
@@ -175,15 +175,19 @@ def reference_ppo_grads(policy, batch):
 
 
 def test_ppo_grads_match_the_first_implementation_bit_for_bit():
+    # ppo_grads reads cell indices; the reference reads the matching one-hot rows.
     rng = np.random.default_rng(8)
-    policies = [init_policy(input_dim=8, hidden=(6, 5), seed=11), init_policy(seed=4)]
+    policies = [init_policy(input_dim=8, hidden=(6, 5), seed=11), init_policy(seed=4),
+                init_policy(input_dim=8, hidden=(7, 6, 5), seed=12)]
     for policy in policies:
         layout = build_policy(policy.widths)
-        for n in (1, 17, 64):
-            batch = synthetic_batch(policy, rng, n)
+        # One row; 64 rows on one cell, whose table still needs two rows; random cells.
+        for n, index in ((1, None), (64, np.full(64, 3)), (17, None), (64, None)):
+            batch = synthetic_batch(policy, rng, n, index)
             for spread in (0.0, 0.6):  # 0.6 puts some ratios past the clip
                 batch["logp_old"] = batch["logp_old"] + rng.uniform(-spread, spread, n)
-                want_loss, want_grad = reference_ppo_grads(policy, batch)
+                want_loss, want_grad = reference_ppo_grads(
+                    policy, {**batch, "obs": onehot_rows(policy, batch)})
                 got_loss, got_grad = ppo_grads(policy, batch, layout)
                 assert got_loss == want_loss
                 assert got_grad.tobytes() == want_grad.tobytes()
@@ -333,13 +337,14 @@ def reference_train(train_contexts, cfg):
     """The training loop with one forward and one ``rng.choice`` per step.
 
     It has no evaluation, so it matches ``train`` when the only evaluation
-    is the one after the last rollout. Its optimizer is :class:`ReferenceAdam`
-    and its minibatches are gathered and centred one by one.
+    is the one after the last rollout. Its gradient is
+    :func:`reference_ppo_grads` on one-hot rows, its optimizer is
+    :class:`ReferenceAdam`, and its minibatches are gathered and centred one
+    by one.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
     adam = ReferenceAdam(policy.flat, 3e-4)
-    layout = build_policy(policy.widths)
     t_steps = cfg.rollout_steps
     state = reset(train_contexts[rng.integers(len(train_contexts))])
     for _ in range(cfg.total_timesteps // t_steps):
@@ -378,7 +383,7 @@ def reference_train(train_contexts, cfg):
                     "advantages": (mb_adv - mb_adv.mean()) / (mb_adv.std() + 1e-8),
                     "returns": returns[mb],
                 }
-                adam.step(policy.flat, ppo_grads(policy, batch, layout)[1])
+                adam.step(policy.flat, reference_ppo_grads(policy, batch)[1])
     return policy
 
 
@@ -400,6 +405,25 @@ def test_training_matches_the_per_step_reference_bit_for_bit(size):
 def test_a_short_last_minibatch_matches_the_reference_bit_for_bit():
     # 256 steps in minibatches of 100 leave a last one of 56, centred on its own.
     assert_training_matches_the_reference(6, minibatch_size=100)
+
+
+@pytest.mark.parametrize("size, weights_digest, trainlog_digest", [
+    (4, "21bb72a0fef8b898c6d28081f772c8ffd79b53b2a77871dac5b8f9505c72ddfb",
+     "f44f3fa9554d5ddab501f8e941b2e9d573a207ae739803e9bc8fd844c7511e05"),
+    (6, "c3ec140e89248de89effa1e0fac33386591a9a87f42368c36bf4b90ee35252e6",
+     "a6b0ad461be34c20885d069846336b542fb83ec085efe40585a35c42758c7dd9"),
+])
+def test_training_bytes_are_pinned(tmp_path, size, weights_digest, trainlog_digest):
+    # Recorded while ppo_grads still read one-hot rows, under NumPy 2.4.6 and
+    # OpenBLAS 0.3.31 on x86-64. A kernel change that moves a low bit changes
+    # these digests; another BLAS build may too.
+    contexts = generate_context_set(size, 300, 7)
+    policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL),
+                        PpoConfig(total_timesteps=4096, eval_interval=2048, seed=0))
+    save_weights(policy, str(tmp_path / "w.bin"))
+    write_trainlog_csv(log, str(tmp_path / "trainlog.csv"))
+    assert hashlib.sha256((tmp_path / "w.bin").read_bytes()).hexdigest() == weights_digest
+    assert hashlib.sha256((tmp_path / "trainlog.csv").read_bytes()).hexdigest() == trainlog_digest
 
 
 def test_zero_budget_returns_the_initial_policy(contexts):
