@@ -5,22 +5,32 @@ uniformly at each reset; the policy is read from a per-rollout table that
 holds every cell's value, probabilities and sampling CDF), compute GAE
 advantages, then run several epochs of shuffled minibatch updates on the
 clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
-gathers the rollout once in its shuffled order and slices the minibatches out
+gathers the rollout once in its shuffled order, centres and scales the
+advantages of all its minibatches in one pass, and slices the minibatches out
 of it; one vectorised pass per epoch finds every minibatch's distinct cells.
 A minibatch holds cell indices, not one-hot rows: the update's forward reads
 layer 0 as a row of W0 and runs once per distinct cell, and the layer-0
 weight gradient is computed for the cells seen only. Truncated episodes
-bootstrap the value of the successor state; terminal episodes do not. Greedy
-evaluations on the eval contexts run on a fixed timestep interval and the
-best-scoring parameters are the ones returned.
+bootstrap the value of the successor state; terminal episodes do not. A
+greedy evaluation on the eval contexts runs at the end of each rollout that
+crosses a multiple of the evaluation interval, and once more after the last
+rollout if that one did not; the best-scoring parameters are the ones
+returned.
+
+Training works on a policy of the grid's own input width: the n² rows of W0
+a cell of an n x n grid reads, and every parameter after W0. The other rows
+would get no gradient, so their Adam moments would stay zero and their
+values would not move; the returned 64-input policy keeps their initial
+values. Once Adam's first bias correction rounds to 1.0, its step multiplies
+by the learning rate without dividing by it.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
 whole run bit-for-bit: the table, the gathers, the per-cell forward and the
 in-place Adam keep the arithmetic and the rng draws of a forward, an
-``rng.choice``, a fresh one-hot minibatch and an allocating Adam per step.
-Training updates the policy's parameter vector in place. Gradients are
-hand-derived and come back as one vector laid out like ``MlpPolicy.flat``, so
-they can be checked against finite differences.
+``rng.choice``, a fresh one-hot minibatch and an allocating Adam per step over
+the whole 64-input vector. Training updates the policy's parameter vector in
+place. Gradients are hand-derived and come back as one vector laid out like
+``MlpPolicy.flat``, so they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -218,8 +228,11 @@ class _Adam:
         np.multiply(grad, 1.0 - self.beta2, out=den)
         den *= grad
         v += den
-        np.divide(m, bc1, out=num)
-        num *= self.lr
+        if bc1 == 1.0:  # from t = 356 on; m / 1.0 is m
+            np.multiply(m, self.lr, out=num)
+        else:
+            np.divide(m, bc1, out=num)
+            num *= self.lr
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
         den += self.eps
@@ -249,6 +262,17 @@ def _gae(rewards, values, ends, boot, gamma: float, lam: float):
     return adv, adv + values
 
 
+def _normalise_rows(block: np.ndarray) -> None:
+    """``(row - row.mean()) / (row.std() + 1e-8)`` for each row, in place.
+
+    A row's sum has the bits of the same values' 1-D sum, so each row gets the
+    bits of the reductions ``np.mean`` and ``np.std`` make on it alone.
+    """
+    k = block.shape[1]
+    block -= block.sum(axis=1, keepdims=True) / k
+    block /= np.sqrt((block * block).sum(axis=1, keepdims=True) / k) + 1e-8
+
+
 def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, TrainLog]:
     """Run the full PPO loop; returns the best-evaluated policy and its log."""
     train_contexts = list(train_contexts)
@@ -260,11 +284,20 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         raise ValueError(f"contexts mix grid sizes: {sorted(sizes)}")
 
     rng = np.random.default_rng(config.seed)
-    policy = policy_mod.init_policy(seed=config.seed)
-    obs_dim = policy.input_dim
+    full = policy_mod.init_policy(seed=config.seed)
     (n,) = sizes
-    if n * n > obs_dim:
-        raise ValueError(f"observation index {n * n - 1} does not fit dim {obs_dim} (grid size {n})")
+    if n * n > full.input_dim:
+        raise ValueError(
+            f"observation index {n * n - 1} does not fit dim {full.input_dim} (grid size {n})")
+    if config.total_timesteps == 0:
+        return full, TrainLog((), -1)
+    # Training runs on W0's rows 0..n²-1, the ones a cell of the grid reads:
+    # the other rows get no gradient, so Adam would leave them as they are.
+    # W0 comes first in flat, row by row, so those rows are its first entries.
+    policy = policy_mod.build_policy((n * n, *full.widths[1:]))
+    kept, w0_size = policy.trunk[0][0].size, full.trunk[0][0].size
+    policy.flat[:kept] = full.flat[:kept]
+    policy.flat[kept:] = full.flat[w0_size:]
     adam = _Adam(policy.flat)
     grad = policy_mod.build_policy(policy.widths)  # reused by every update
 
@@ -273,8 +306,6 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     best_index = -1
     best_mean = -math.inf
     best_flat = policy.flat.copy()
-    if config.total_timesteps == 0:
-        return policy, TrainLog(tuple(entries), best_index)
 
     def run_eval(timestep: int) -> None:
         nonlocal best_index, best_mean
@@ -312,7 +343,9 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     boot = np.zeros(t_steps, dtype=np.float64)
     # Each row's key in an epoch is minibatch * n*n + cell.
     cell_count = n * n
-    row_block = np.arange(t_steps) // config.minibatch_size
+    mb_size = config.minibatch_size
+    whole = t_steps - t_steps % mb_size  # the rows of the whole minibatches
+    row_block = np.arange(t_steps) // mb_size
     row_key = row_block * cell_count
     seen = np.zeros((row_block[-1] + 1) * cell_count, dtype=bool)
 
@@ -322,7 +355,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         # bit-equal to it. Each cell keeps its sampling CDF and its
         # probabilities as lists, so a step samples and logs in plain Python.
         table = []
-        for obs in np.eye(n * n, obs_dim):  # row i: the observation of cell i
+        for obs in np.eye(n * n):  # row i: the observation of cell i
             dist, value = policy_mod.forward(policy, obs)
             table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
         for t in range(t_steps):
@@ -355,6 +388,10 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
             epoch_cells = obs_idx[order]
             epoch_actions, epoch_logps = actions[order], logps[order]
             epoch_adv, epoch_returns = advantages[order], returns[order]
+            # Each minibatch's advantages are centred and scaled on their own.
+            _normalise_rows(epoch_adv[:whole].reshape(-1, mb_size))
+            if whole < t_steps:
+                _normalise_rows(epoch_adv[whole:].reshape(1, -1))
             # The distinct cells of every minibatch in one pass, ascending as
             # np.unique gives them; a call to np.unique per minibatch would
             # cost as much as the per-cell forward saves.
@@ -366,31 +403,30 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
             bounds = np.concatenate(([0], rank[cell_count - 1::cell_count]))
             epoch_inverse = rank[key] - bounds[row_block] - 1
             bounds = bounds.tolist()
-            for m, start in enumerate(range(0, t_steps, config.minibatch_size)):
-                mb = slice(start, start + config.minibatch_size)
-                # (adv - adv.mean()) / (adv.std() + 1e-8) with the same reductions
-                d = epoch_adv[mb]
-                k = len(d)
-                d = d - d.sum() / k
+            for m, start in enumerate(range(0, t_steps, mb_size)):
+                mb = slice(start, start + mb_size)
                 batch = {
                     "cells": distinct[bounds[m]:bounds[m + 1]],
                     "inverse": epoch_inverse[mb],
                     "actions": epoch_actions[mb],
                     "logp_old": epoch_logps[mb],
-                    "advantages": d / (math.sqrt((d * d).sum() / k) + 1e-8),
+                    "advantages": epoch_adv[mb],
                     "returns": epoch_returns[mb],
                 }
                 adam.step(policy.flat, ppo_grads(policy, batch, grad)[1])
 
         timestep += t_steps
-        while timestep >= next_eval:
-            run_eval(next_eval)
-            next_eval += config.eval_interval
+        # One evaluation however many interval boundaries the rollout
+        # crossed: the parameters are the same at all of them.
+        if timestep >= next_eval:
+            run_eval(timestep)
+            next_eval = (timestep // config.eval_interval + 1) * config.eval_interval
 
     if not entries or entries[-1].timestep < timestep:
         run_eval(timestep)
-    policy.flat[...] = best_flat
-    return policy, TrainLog(tuple(entries), best_index, tuple(warnings))
+    full.flat[:kept] = best_flat[:kept]
+    full.flat[w0_size:] = best_flat[kept:]
+    return full, TrainLog(tuple(entries), best_index, tuple(warnings))
 
 
 def evaluate_policy(

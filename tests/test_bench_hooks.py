@@ -6,6 +6,7 @@ fail every benchmark workload. These tests load the tracer from its file
 (``bench/`` is not a package) and check each target against this checkout.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -100,3 +101,11 @@ def test_a_traced_training_run_calls_the_training_hooks():
     assert tracer.stats["trainer.adam_step"].calls == updates
     assert tracer.stats["trainer.gae"].calls == 2  # one per rollout
     assert tracer.stats["trainer.evaluate_policy"].calls == 1
+    # Every 100 steps with rollouts of 256: one evaluation per rollout, not
+    # one per boundary crossed plus a repeat of the last.
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL),
+              dataclasses.replace(config, eval_interval=100))
+    assert tracer.stats["trainer.evaluate_policy"].calls == 2

@@ -320,11 +320,14 @@ class ReferenceAdam:
 
 
 def test_adam_matches_the_allocating_reference_bit_for_bit():
+    # 402 steps: from t = 356 on, the first bias correction rounds to 1.0 and
+    # the step skips its division.
     rng = np.random.default_rng(4)
     ours = rng.normal(size=500)
     theirs = ours.copy()
     adam, reference = _Adam(ours), ReferenceAdam(theirs, lr=3e-4)
-    for scale in (1e-6, 1.0, 1e3) * 20:
+    assert 1.0 - _Adam.beta1 ** 355 < 1.0 == 1.0 - _Adam.beta1 ** 356
+    for scale in (1e-6, 1.0, 1e3) * 134:
         grad = rng.normal(size=500) * scale
         adam.step(ours, grad)
         reference.step(theirs, grad)
@@ -389,7 +392,8 @@ def reference_train(train_contexts, cfg):
 
 def assert_training_matches_the_reference(size, **overrides):
     # A step cap of 6 makes truncations, so the bootstrap values are read too.
-    contexts = generate_context_set(size, 20, 1)
+    # A 3x3 grid with the safe corridor has fewer than 20 distinct maps.
+    contexts = generate_context_set(size, 12 if size == 3 else 20, 1)
     cfg = tiny_config(total_timesteps=768, eval_interval=768, max_steps=6, **overrides)
     policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
     assert [e.timestep for e in log.entries] == [768]
@@ -397,7 +401,7 @@ def assert_training_matches_the_reference(size, **overrides):
     assert policy.flat.tobytes() == expected.flat.tobytes()
 
 
-@pytest.mark.parametrize("size", [4, 6, 8])
+@pytest.mark.parametrize("size", [3, 4, 6, 8])
 def test_training_matches_the_per_step_reference_bit_for_bit(size):
     assert_training_matches_the_reference(size)
 
@@ -405,6 +409,21 @@ def test_training_matches_the_per_step_reference_bit_for_bit(size):
 def test_a_short_last_minibatch_matches_the_reference_bit_for_bit():
     # 256 steps in minibatches of 100 leave a last one of 56, centred on its own.
     assert_training_matches_the_reference(6, minibatch_size=100)
+    # A rollout of 48 steps is one short minibatch and no whole one.
+    assert_training_matches_the_reference(6, rollout_steps=48)
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_the_rows_of_w0_no_cell_reads_keep_their_initial_values(size):
+    # Training works on a policy of the grid's n² inputs and returns the
+    # 64-input one, whose W0 rows past the grid's cells are the initial ones.
+    contexts = generate_context_set(size, 20, 1)
+    cfg = tiny_config(total_timesteps=512)
+    policy, _ = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
+    w0, init_w0 = policy.trunk[0][0], init_policy(seed=cfg.seed).trunk[0][0]
+    assert policy.input_dim == 64
+    assert w0[size * size:].tobytes() == init_w0[size * size:].tobytes()
+    assert (w0[:size * size] != init_w0[:size * size]).any(axis=1).sum() > 1
 
 
 @pytest.mark.parametrize("size, weights_digest, trainlog_digest", [
@@ -459,6 +478,12 @@ def test_eval_cadence_and_log_shape(contexts):
     assert 0 <= log.best_index < len(log.entries)
     best = max(e.reward_mean for e in log.entries)
     assert log.entries[log.best_index].reward_mean == best
+    # A rollout that crosses boundaries runs one evaluation, at the timestep
+    # it reached; the last rollout's evaluation is not repeated.
+    for interval, timesteps in ((100, [256, 512]), (300, [512])):
+        cfg = tiny_config(total_timesteps=512, rollout_steps=256, eval_interval=interval)
+        _, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
+        assert [e.timestep for e in log.entries] == timesteps
 
 
 def test_learning_solves_small_grids(contexts):
