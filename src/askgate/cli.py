@@ -182,6 +182,16 @@ def _writable(path: str) -> str:
     return path
 
 
+def _snapshot(args: argparse.Namespace, cmd: str, **overrides) -> dict:
+    """What a command's ``# config`` line records: ``cmd``, every option of its
+    parser but ``--config``, ``--out`` and ``--name``, then ``overrides``."""
+    snapshot = {"cmd": cmd}
+    for action in args._parser._actions:
+        if action.dest not in ("help", "config", "out", "name"):
+            snapshot[action.dest] = getattr(args, action.dest)
+    return {**snapshot, **overrides}
+
+
 def _refuse_overwrite(snapshot: dict, *paths: str) -> None:
     """Stop before a command replaces a CSV that another config line wrote."""
     line = gate_mod.config_line(snapshot)
@@ -247,8 +257,7 @@ def _cmd_contexts_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    contexts_path = _require(args, "contexts")
-    context_set = _load_contexts(contexts_path)
+    context_set = _load_contexts(_require(args, "contexts"))
     ppo = trainer_mod.PpoConfig(
         total_timesteps=args.timesteps, eval_interval=args.eval_interval,
         eval_episodes=args.eval_episodes, seed=args.seed,
@@ -257,11 +266,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     name = _safe_name(args.name or f"w{context_set.size}_seed{args.seed}")
     weights_path = os.path.join(outdir, f"{name}.bin")
     trainlog_path = os.path.join(outdir, f"{name}_trainlog.csv")
-    snapshot = {
-        "cmd": "train", "contexts": contexts_path, "seed": args.seed,
-        "timesteps": ppo.total_timesteps, "eval_interval": ppo.eval_interval,
-        "eval_episodes": ppo.eval_episodes, "size": context_set.size,
-    }
+    snapshot = _snapshot(args, "train", size=context_set.size)
     _refuse_overwrite(snapshot, trainlog_path)  # before any training time is spent
     policy, log = trainer_mod.train(
         context_set.split(Split.TRAIN), context_set.split(Split.EVAL), ppo
@@ -290,14 +295,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     contexts = context_set.split(split)
     if not contexts:
         raise RuntimeFailure(f"context set has no {split.value} contexts")
-    snapshot = {
-        "cmd": "run", "mode": mode.value, "split": split.value,
-        "contexts": args.contexts, "weights": args.weights,
-        "client": args.client if mode is not RunMode.PPO_ONLY else "",
-        "model": label, "tau": args.tau, "passes": args.passes,
-        "dropout_rate": args.dropout_rate, "episodes": args.episodes,
-        "max_steps": args.max_steps, "seed": seed, "size": context_set.size,
-    }
+    snapshot = _snapshot(args, "run", client="" if client is None else args.client,
+                         model=label, size=context_set.size)
     run_id = _safe_name(
         f"{mode.value}_{label}_{split.value}_s{context_set.size}_tau{args.tau:g}_seed{seed}"
     )
@@ -324,12 +323,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     gate_cfg = GateConfig(passes=args.passes, dropout_rate=args.dropout_rate, seed=seed)
     policy = _load_weights(_require(args, "weights"))
     client, label = _make_client(args.client, args.model)
-    snapshot = {
-        "cmd": "tune", "contexts": args.contexts, "weights": args.weights,
-        "client": args.client, "model": label, "lo": args.lo, "hi": args.hi,
-        "trials": args.trials, "episodes": args.episodes, "passes": args.passes,
-        "dropout_rate": args.dropout_rate, "seed": seed, "size": context_set.size,
-    }
+    snapshot = _snapshot(args, "tune", model=label, size=context_set.size)
     path = os.path.join(args.out, "summaries",
                         _safe_name(f"tune_{label}_s{context_set.size}_seed{seed}.csv"))
     _refuse_overwrite(snapshot, path)
@@ -354,8 +348,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if header != gate_mod.EPISODE_CSV_HEADER:
             raise RuntimeFailure(f"not an episode CSV: {trajectory}")
         episode_col, action_col = header.index("episode"), header.index("final_action")
-        actions = [env_mod.Action[row[action_col]] for row in rows
-                   if int(row[episode_col]) == episode]
+        try:
+            actions = [env_mod.Action[row[action_col]] for row in rows
+                       if int(row[episode_col]) == episode]
+        except KeyError as exc:
+            raise RuntimeFailure(
+                f"{trajectory}: final_action {exc.args[0]!r} is not an action name")
         if not actions:
             raise RuntimeFailure(f"episode {episode} not present in {trajectory}")
         contexts_path = args.contexts or snapshot.get("contexts")

@@ -21,7 +21,6 @@ import csv
 import enum
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ class GateConfig:
     mode: RunMode = RunMode.ASK
     max_steps: int = env_mod.DEFAULT_MAX_STEPS
     seed: int = 0
-    timeout: float = lm_mod.DEFAULT_TIMEOUT
 
     def __post_init__(self):
         if not self.tau >= 0:  # false for NaN too
@@ -68,8 +66,6 @@ class GateConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 0.0 < self.timeout < math.inf:  # false for NaN too
-            raise ValueError(f"timeout must lie in (0, inf), got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def run_episode(
             view = env_mod.local_view(state)
             prompt = lm_mod.build_prompt(lm_mod.PromptContext(**view, autopilot=policy_action))
             try:
-                raw = lm_mod.query(client, prompt, timeout=cfg.timeout)
+                raw = lm_mod.query(client, prompt)
             except lm_mod.LmTransportError:
                 lm_status = "transport_error"
             else:

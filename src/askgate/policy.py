@@ -51,6 +51,10 @@ class WeightTruncationError(WeightsError):
     """File ends before all declared data was read."""
 
 
+class WeightValueError(WeightsError):
+    """An array holds a NaN or an infinity."""
+
+
 @dataclass(frozen=True)
 class MlpPolicy:
     """Parameters in one contiguous float64 vector ``flat``.
@@ -174,7 +178,7 @@ def trunk_activations(
     in layer order. With ``passes`` too, ``x`` is one row that every pass
     shares: the first layer is computed once and each pass masks it with its
     own draw, so later activations have ``passes`` rows. The heads apply to
-    the last entry; the trainer's backward pass reads the rest.
+    the last entry; only the tests' reference gradient reads the rest.
     """
     acts = [x]
     for w, b in policy.trunk:
@@ -289,7 +293,11 @@ def load_weights(path: str) -> MlpPolicy:
             if rows == 0 or cols == 0:
                 raise WeightShapeError(f"array {i} declares empty shape {rows}x{cols}")
             raw = _read_exact(fh, 8 * rows * cols, f"data of array {i}")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64))
+            array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            finite = np.isfinite(array)
+            if not finite.all():
+                raise WeightValueError(f"array {i} holds {array[~finite][0]}, not a finite value")
+            arrays.append(array)
         if fh.read(1):
             raise WeightShapeError("trailing bytes after declared arrays")
     pairs = [(arrays[i], arrays[i + 1]) for i in range(0, count, 2)]

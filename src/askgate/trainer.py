@@ -62,24 +62,23 @@ GAMMA = 0.99
 GAE_LAMBDA = 0.95
 ENTROPY_COEF = 0.01
 VALUE_COEF = 0.5
+# The standard PPO batching.
+ROLLOUT_STEPS = 2048
+MINIBATCH_SIZE = 64
+EPOCHS = 10
 
 
 @dataclass(frozen=True)
 class PpoConfig:
     total_timesteps: int = 1_000_000
-    rollout_steps: int = 2048
-    minibatch_size: int = 64
-    epochs: int = 10
     eval_interval: int = 50_000
     eval_episodes: int = 100
-    max_steps: int = env_mod.DEFAULT_MAX_STEPS
     seed: int = 0
 
     def __post_init__(self):
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
-        for name in ("rollout_steps", "minibatch_size", "epochs",
-                     "eval_interval", "eval_episodes", "max_steps"):
+        for name in ("eval_interval", "eval_episodes"):
             if not getattr(self, name) > 0:  # false for NaN too
                 raise ValueError(f"{name} must be positive")
 
@@ -309,10 +308,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
     def run_eval(timestep: int) -> None:
         nonlocal best_index, best_mean
-        summary = evaluate_policy(
-            policy, eval_contexts,
-            episodes=config.eval_episodes, cap=config.max_steps,
-        )
+        summary = evaluate_policy(policy, eval_contexts, episodes=config.eval_episodes)
         entries.append(TrainLogEntry(
             timestep=timestep,
             reward_mean=summary.reward_mean,
@@ -333,19 +329,16 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
     timestep = 0
     next_eval = config.eval_interval
-    t_steps = config.rollout_steps
-    obs_idx = np.zeros(t_steps, dtype=np.int64)
-    actions = np.zeros(t_steps, dtype=np.int64)
-    logps = np.zeros(t_steps, dtype=np.float64)
-    values = np.zeros(t_steps, dtype=np.float64)
-    rewards = np.zeros(t_steps, dtype=np.float64)
-    ends = np.zeros(t_steps, dtype=bool)
-    boot = np.zeros(t_steps, dtype=np.float64)
+    obs_idx = np.zeros(ROLLOUT_STEPS, dtype=np.int64)
+    actions = np.zeros(ROLLOUT_STEPS, dtype=np.int64)
+    logps = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
+    values = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
+    rewards = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
+    ends = np.zeros(ROLLOUT_STEPS, dtype=bool)
+    boot = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
     # Each row's key in an epoch is minibatch * n*n + cell.
     cell_count = n * n
-    mb_size = config.minibatch_size
-    whole = t_steps - t_steps % mb_size  # the rows of the whole minibatches
-    row_block = np.arange(t_steps) // mb_size
+    row_block = np.arange(ROLLOUT_STEPS) // MINIBATCH_SIZE
     row_key = row_block * cell_count
     seen = np.zeros((row_block[-1] + 1) * cell_count, dtype=bool)
 
@@ -358,11 +351,11 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         for obs in np.eye(n * n):  # row i: the observation of cell i
             dist, value = policy_mod.forward(policy, obs)
             table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
-        for t in range(t_steps):
+        for t in range(ROLLOUT_STEPS):
             index = state.row * n + state.col
             cdf, probs, value = table[index]
             a = bisect_right(cdf, rng.random())
-            next_state, reward, done = env_mod.step(state, _ACTIONS[a], config.max_steps)
+            next_state, reward, done = env_mod.step(state, _ACTIONS[a])
 
             obs_idx[t] = index
             actions[t] = a
@@ -378,20 +371,19 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
-        if not ends[t_steps - 1]:
-            boot[t_steps - 1] = table[state.row * n + state.col][2]
+        if not ends[-1]:
+            boot[-1] = table[state.row * n + state.col][2]
 
         advantages, returns = _gae(rewards, values, ends, boot, GAMMA, GAE_LAMBDA)
-        for _ in range(config.epochs):
+        for _ in range(EPOCHS):
             # One gather per epoch; each minibatch is then a slice of it.
-            order = rng.permutation(t_steps)
+            order = rng.permutation(ROLLOUT_STEPS)
             epoch_cells = obs_idx[order]
             epoch_actions, epoch_logps = actions[order], logps[order]
             epoch_adv, epoch_returns = advantages[order], returns[order]
-            # Each minibatch's advantages are centred and scaled on their own.
-            _normalise_rows(epoch_adv[:whole].reshape(-1, mb_size))
-            if whole < t_steps:
-                _normalise_rows(epoch_adv[whole:].reshape(1, -1))
+            # Each minibatch's advantages are centred and scaled on their own;
+            # ROLLOUT_STEPS is a multiple of MINIBATCH_SIZE, so each row is one.
+            _normalise_rows(epoch_adv.reshape(-1, MINIBATCH_SIZE))
             # The distinct cells of every minibatch in one pass, ascending as
             # np.unique gives them; a call to np.unique per minibatch would
             # cost as much as the per-cell forward saves.
@@ -403,8 +395,8 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
             bounds = np.concatenate(([0], rank[cell_count - 1::cell_count]))
             epoch_inverse = rank[key] - bounds[row_block] - 1
             bounds = bounds.tolist()
-            for m, start in enumerate(range(0, t_steps, mb_size)):
-                mb = slice(start, start + mb_size)
+            for m, start in enumerate(range(0, ROLLOUT_STEPS, MINIBATCH_SIZE)):
+                mb = slice(start, start + MINIBATCH_SIZE)
                 batch = {
                     "cells": distinct[bounds[m]:bounds[m + 1]],
                     "inverse": epoch_inverse[mb],
@@ -415,7 +407,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
                 }
                 adam.step(policy.flat, ppo_grads(policy, batch, grad)[1])
 
-        timestep += t_steps
+        timestep += ROLLOUT_STEPS
         # One evaluation however many interval boundaries the rollout
         # crossed: the parameters are the same at all of them.
         if timestep >= next_eval:
@@ -429,15 +421,10 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     return full, TrainLog(tuple(entries), best_index, tuple(warnings))
 
 
-def evaluate_policy(
-    policy: MlpPolicy,
-    contexts,
-    episodes: int = 100,
-    cap: int = env_mod.DEFAULT_MAX_STEPS,
-) -> RunSummary:
+def evaluate_policy(policy: MlpPolicy, contexts, episodes: int = 100) -> RunSummary:
     """Greedy episodes, contexts cycled round-robin: ``run_batch`` in ``ppo``
     mode with no uncertainty source, aggregated via metrics."""
-    cfg = GateConfig(mode=RunMode.PPO_ONLY, max_steps=cap)
+    cfg = GateConfig(mode=RunMode.PPO_ONLY)
     return metrics_mod.aggregate(
         gate_mod.run_batch(policy, None, contexts, cfg, episodes, uncertainty=None))
 

@@ -16,7 +16,7 @@ from askgate.env import Split, generate_context_set
 from askgate.gate import GateConfig, RunMode, run_batch
 from askgate.lm import RuleClient
 from askgate.policy import init_policy
-from askgate.trainer import PpoConfig, train
+from askgate.trainer import EPOCHS, MINIBATCH_SIZE, ROLLOUT_STEPS, PpoConfig, train
 from askgate.tuner import tune_threshold
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,18 +90,17 @@ def test_a_traced_training_run_calls_the_training_hooks():
     # would report no gradient or optimizer time at all.
     tracing = load_tracing()
     contexts = generate_context_set(4, 30, 2)
-    config = PpoConfig(total_timesteps=512, rollout_steps=256, minibatch_size=64, epochs=2,
-                       eval_interval=512, eval_episodes=2, seed=3)
+    config = PpoConfig(total_timesteps=4096, eval_interval=4096, eval_episodes=2, seed=3)
     tracer = tracing.Tracer()
     with tracer:
         tracer.begin_command()
         train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), config)
-    updates = 2 * config.epochs * (config.rollout_steps // config.minibatch_size)
+    updates = 2 * EPOCHS * ROLLOUT_STEPS // MINIBATCH_SIZE
     assert tracer.stats["trainer.ppo_grads"].calls == updates
     assert tracer.stats["trainer.adam_step"].calls == updates
     assert tracer.stats["trainer.gae"].calls == 2  # one per rollout
     assert tracer.stats["trainer.evaluate_policy"].calls == 1
-    # Every 100 steps with rollouts of 256: one evaluation per rollout, not
+    # Every 100 steps with rollouts of 2048: one evaluation per rollout, not
     # one per boundary crossed plus a repeat of the last.
     tracer = tracing.Tracer()
     with tracer:

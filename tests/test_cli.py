@@ -111,6 +111,22 @@ def test_corrupt_weights_are_a_runtime_error(workspace, tmp_path, capsys):
         assert "bad weights file" in capsys.readouterr().err
 
 
+def test_non_finite_weights_are_a_runtime_error(workspace, tmp_path, capsys):
+    # A NaN weight makes every uncertainty NaN, which never reaches tau, so
+    # an ask run used to exit 0 having never consulted.
+    policy = load_weights(workspace["weights"])
+    policy.trunk[0][0][0, 0] = float("nan")
+    bad = str(tmp_path / "nan.bin")
+    save_weights(policy, bad)
+    for command in (["run", "--mode", "ask", "--tau", "0.1"], ["tune"]):
+        code = main([*command, "--client", "rule", "--contexts", workspace["ctx"],
+                     "--weights", bad, "--episodes", "2", "--passes", "5",
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_RUNTIME
+        assert f"bad weights file {bad}: array 0 holds nan" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_out_of_range_dropout_rate_is_a_runtime_error(workspace, tmp_path, capsys):
     out = tmp_path / "runs"
     for rate in ("1.0", "1.5", "-0.5"):
@@ -448,7 +464,7 @@ def test_every_setting_is_recorded_in_the_config_line(workspace, tmp_path, capsy
                                                       command, artifact):
     recorded = read_csv(os.path.join(workspace["out"], *artifact))[0]
     settings = set(_options([command], tmp_path, capsys)) - {"config", "out", "name"}
-    assert settings <= set(recorded)
+    assert set(recorded) == settings | {"cmd", "size"}
 
 
 @pytest.mark.parametrize("command", [["contexts", "gen"], ["train"], ["run"], ["tune"],
@@ -587,6 +603,17 @@ def test_trajectory_for_a_missing_episode_is_a_runtime_error(workspace, capsys):
     assert "not an episode CSV" in capsys.readouterr().err
 
 
+def test_trajectory_with_an_unknown_action_name_is_a_runtime_error(workspace, tmp_path, capsys):
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    config, header, rows = read_csv(episodes)
+    rows[0][header.index("final_action")] = "JUMP"
+    jump = str(tmp_path / "jump.csv")
+    write_atomic(jump, csv_text(header, rows, config))
+    assert main(["report", "--trajectory", jump, "--episode", "0"]) == EXIT_RUNTIME
+    assert f"{jump}: final_action 'JUMP' is not an action name" in capsys.readouterr().err
+
+
 def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(
         workspace, tmp_path, capsys):
     episodes = os.path.join(workspace["out"], "episodes",
@@ -637,10 +664,14 @@ def _assert_full_help(result):
 
 
 def test_console_script_runs_in_a_subprocess(tmp_path):
+    # The child finds this checkout's package whether or not PYTHONPATH names it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(askgate.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
         [sys.executable, "-m", "askgate.cli", "contexts", "gen", "--size", "4",
          "--count", "3", "--seed", "7", "--out", str(tmp_path / "runs")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == EXIT_OK, result.stderr
     assert "wrote" in result.stdout
@@ -650,7 +681,7 @@ def test_console_script_runs_in_a_subprocess(tmp_path):
     wrapper = (f"import sys; from {module} import {attr}; "
                f"sys.argv[0] = 'askgate'; sys.exit({attr}())")
     _assert_full_help(subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                                     capture_output=True, text=True, timeout=120))
+                                     capture_output=True, text=True, timeout=120, env=env))
 
 
 HTTP_MODULES = ("requests", "urllib3", "http.client")

@@ -59,11 +59,6 @@ def test_gate_config_validation():
         with pytest.raises(ValueError, match="dropout_rate"):
             GateConfig(dropout_rate=rate)
     assert GateConfig(dropout_rate=0.0).dropout_rate == 0.0
-    # requests.post raises ValueError or OverflowError for these, which would end a run.
-    for timeout in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="timeout"):
-            GateConfig(timeout=timeout)
-    assert GateConfig(timeout=0.5).timeout == 0.5
 
 
 def test_non_policy_modes_require_a_client(policy, contexts):

@@ -15,6 +15,7 @@ from askgate.policy import (
     WeightFormatError,
     WeightShapeError,
     WeightTruncationError,
+    WeightValueError,
     WeightVersionError,
     apply_dropout,
     build_policy,
@@ -367,6 +368,18 @@ def _write_raw(path, arrays, version=WEIGHTS_VERSION):
             arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
             fh.write(struct.pack("<II", *arr.shape))
             fh.write(arr.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("array, value", [(0, np.nan), (3, np.inf), (7, -np.inf)])
+def test_a_non_finite_value_raises_value_error_naming_its_array(tmp_path, array, value):
+    # One NaN in W0 would reach every cell's forward, and every uncertainty
+    # would be NaN, which no tau gates on.
+    policy = init_policy(seed=0)
+    policy.parameters()[array].reshape(-1)[-1] = value
+    path = str(tmp_path / "w.bin")
+    save_weights(policy, path)
+    with pytest.raises(WeightValueError, match=rf"array {array} holds {value}, not a finite"):
+        load_weights(path)
 
 
 def test_inconsistent_shapes_raise_shape_error(tmp_path):

@@ -35,8 +35,11 @@ from askgate.policy import (
 from askgate.trainer import (
     CLIP,
     ENTROPY_COEF,
+    EPOCHS,
     GAE_LAMBDA,
     GAMMA,
+    MINIBATCH_SIZE,
+    ROLLOUT_STEPS,
     TRAINLOG_CSV_HEADER,
     VALUE_COEF,
     PpoConfig,
@@ -58,8 +61,7 @@ def contexts():
 
 
 def tiny_config(**overrides):
-    base = dict(total_timesteps=1024, rollout_steps=256, minibatch_size=64,
-                epochs=2, eval_interval=512, eval_episodes=6, seed=3)
+    base = dict(total_timesteps=4096, eval_interval=2048, eval_episodes=6, seed=3)
     base.update(overrides)
     return PpoConfig(**base)
 
@@ -71,7 +73,7 @@ def tiny_config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         PpoConfig(total_timesteps=-1)
-    for name in ("rollout_steps", "eval_interval"):
+    for name in ("eval_interval", "eval_episodes"):
         for bad in (0, -1, float("nan")):
             with pytest.raises(ValueError, match=name):
                 PpoConfig(**{name: bad})
@@ -79,13 +81,15 @@ def test_config_validation():
 
 def test_the_loss_and_optimizer_settings_are_constants():
     # The protocol trains with one set of PPO settings, so the config holds
-    # only the budget, the batching, the evaluation cadence and the seed.
+    # only the budget, the evaluation cadence and the seed.
     assert [f.name for f in dataclasses.fields(PpoConfig)] == [
-        "total_timesteps", "rollout_steps", "minibatch_size", "epochs",
-        "eval_interval", "eval_episodes", "max_steps", "seed"]
-    with pytest.raises(TypeError):
-        PpoConfig(clip=0.1)
+        "total_timesteps", "eval_interval", "eval_episodes", "seed"]
+    for name in ("clip", "rollout_steps", "minibatch_size", "epochs", "max_steps"):
+        with pytest.raises(TypeError):
+            PpoConfig(**{name: 1})
     assert (CLIP, GAMMA, GAE_LAMBDA, ENTROPY_COEF, VALUE_COEF) == (0.2, 0.99, 0.95, 0.01, 0.5)
+    assert (ROLLOUT_STEPS, MINIBATCH_SIZE, EPOCHS) == (2048, 64, 10)
+    assert ROLLOUT_STEPS % MINIBATCH_SIZE == 0  # no short last minibatch
     assert _Adam.lr == 3e-4
 
 
@@ -343,12 +347,13 @@ def reference_train(train_contexts, cfg):
     is the one after the last rollout. Its gradient is
     :func:`reference_ppo_grads` on one-hot rows, its optimizer is
     :class:`ReferenceAdam`, and its minibatches are gathered and centred one
-    by one.
+    by one. Returns the policy and the count of truncated episodes.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
     adam = ReferenceAdam(policy.flat, 3e-4)
-    t_steps = cfg.rollout_steps
+    t_steps = 2048
+    truncations = 0
     state = reset(train_contexts[rng.integers(len(train_contexts))])
     for _ in range(cfg.total_timesteps // t_steps):
         obs, actions, logps, values, rewards, ends, boot = [], [], [], [], [], [], []
@@ -356,7 +361,7 @@ def reference_train(train_contexts, cfg):
             x = encode_observation(state)
             dist, value = forward(policy, x)
             action = int(rng.choice(4, p=dist))
-            next_state, reward, done = step(state, Action(action), cfg.max_steps)
+            next_state, reward, done = step(state, Action(action), 100)
             obs.append(x)
             actions.append(action)
             logps.append(math.log(dist[action]))
@@ -364,6 +369,7 @@ def reference_train(train_contexts, cfg):
             rewards.append(float(reward))
             ends.append(done)
             truncated = next_state.outcome is Outcome.TRUNCATED
+            truncations += truncated
             boot.append(forward(policy, encode_observation(next_state))[1] if truncated else 0.0)
             if done:
                 state = reset(train_contexts[rng.integers(len(train_contexts))])
@@ -374,10 +380,10 @@ def reference_train(train_contexts, cfg):
         advantages, returns = _gae(np.array(rewards), np.array(values), np.array(ends),
                                    np.array(boot), 0.99, 0.95)
         obs, actions, logps = np.array(obs), np.array(actions), np.array(logps)
-        for _ in range(cfg.epochs):
+        for _ in range(10):
             order = rng.permutation(t_steps)
-            for start in range(0, t_steps, cfg.minibatch_size):
-                mb = order[start:start + cfg.minibatch_size]
+            for start in range(0, t_steps, 64):
+                mb = order[start:start + 64]
                 mb_adv = advantages[mb]
                 batch = {
                     "obs": obs[mb],
@@ -387,30 +393,27 @@ def reference_train(train_contexts, cfg):
                     "returns": returns[mb],
                 }
                 adam.step(policy.flat, reference_ppo_grads(policy, batch)[1])
-    return policy
-
-
-def assert_training_matches_the_reference(size, **overrides):
-    # A step cap of 6 makes truncations, so the bootstrap values are read too.
-    # A 3x3 grid with the safe corridor has fewer than 20 distinct maps.
-    contexts = generate_context_set(size, 12 if size == 3 else 20, 1)
-    cfg = tiny_config(total_timesteps=768, eval_interval=768, max_steps=6, **overrides)
-    policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
-    assert [e.timestep for e in log.entries] == [768]
-    expected = reference_train(contexts.split(Split.TRAIN), cfg)
-    assert policy.flat.tobytes() == expected.flat.tobytes()
+    return policy, truncations
 
 
 @pytest.mark.parametrize("size", [3, 4, 6, 8])
 def test_training_matches_the_per_step_reference_bit_for_bit(size):
-    assert_training_matches_the_reference(size)
-
-
-def test_a_short_last_minibatch_matches_the_reference_bit_for_bit():
-    # 256 steps in minibatches of 100 leave a last one of 56, centred on its own.
-    assert_training_matches_the_reference(6, minibatch_size=100)
-    # A rollout of 48 steps is one short minibatch and no whole one.
-    assert_training_matches_the_reference(6, rollout_steps=48)
+    # A 3x3 grid with the safe corridor has fewer than 20 distinct maps. On a
+    # hole-free map some episodes last the 100-step cap, so the bootstrap
+    # values of truncated episodes are read too; a 3x3 one is too small for
+    # an untrained policy to stay away from G that long.
+    contexts = generate_context_set(size, 12 if size == 3 else 20, 1)
+    rows = ["F" * size] * size
+    rows[0], rows[-1] = "S" + rows[0][1:], rows[-1][:-1] + "G"
+    hole_free = Context(id=contexts.count, grid=GridMap(tuple(rows)), split=Split.TRAIN)
+    train_contexts = [*contexts.split(Split.TRAIN), hole_free]
+    cfg = tiny_config(eval_interval=4096)
+    policy, log = train(train_contexts, contexts.split(Split.EVAL), cfg)
+    assert [e.timestep for e in log.entries] == [4096]
+    expected, truncations = reference_train(train_contexts, cfg)
+    assert policy.flat.tobytes() == expected.flat.tobytes()
+    if size > 3:
+        assert truncations > 0
 
 
 @pytest.mark.parametrize("size", [4, 6])
@@ -418,7 +421,7 @@ def test_the_rows_of_w0_no_cell_reads_keep_their_initial_values(size):
     # Training works on a policy of the grid's n² inputs and returns the
     # 64-input one, whose W0 rows past the grid's cells are the initial ones.
     contexts = generate_context_set(size, 20, 1)
-    cfg = tiny_config(total_timesteps=512)
+    cfg = tiny_config(total_timesteps=2048)
     policy, _ = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
     w0, init_w0 = policy.trunk[0][0], init_policy(seed=cfg.seed).trunk[0][0]
     assert policy.input_dim == 64
@@ -472,16 +475,15 @@ def test_training_seed_changes_the_outcome(contexts):
 
 
 def test_eval_cadence_and_log_shape(contexts):
-    cfg = tiny_config(total_timesteps=1024, rollout_steps=256, eval_interval=512)
-    _, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
-    assert [e.timestep for e in log.entries] == [512, 1024]
+    _, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), tiny_config())
+    assert [e.timestep for e in log.entries] == [2048, 4096]
     assert 0 <= log.best_index < len(log.entries)
     best = max(e.reward_mean for e in log.entries)
     assert log.entries[log.best_index].reward_mean == best
     # A rollout that crosses boundaries runs one evaluation, at the timestep
     # it reached; the last rollout's evaluation is not repeated.
-    for interval, timesteps in ((100, [256, 512]), (300, [512])):
-        cfg = tiny_config(total_timesteps=512, rollout_steps=256, eval_interval=interval)
+    for interval, timesteps in ((800, [2048, 4096]), (2400, [4096])):
+        cfg = tiny_config(eval_interval=interval)
         _, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
         assert [e.timestep for e in log.entries] == timesteps
 
@@ -500,8 +502,7 @@ def test_hopeless_maps_trigger_the_divergence_warning():
     grid = GridMap(("SHFF", "HHFF", "FFFF", "FFFG"))
     train_ctx = [Context(id=i, grid=grid, split=Split.TRAIN) for i in range(3)]
     eval_ctx = [Context(id=3 + i, grid=grid, split=Split.EVAL) for i in range(3)]
-    cfg = tiny_config(total_timesteps=1024, eval_interval=512)
-    _, log = train(train_ctx, eval_ctx, cfg)
+    _, log = train(train_ctx, eval_ctx, tiny_config())
     assert log.warnings and "still 0" in log.warnings[0]
     assert all(e.reward_mean == 0.0 for e in log.entries)
 
@@ -535,7 +536,7 @@ def test_untrained_policy_scores_near_zero_on_hole_dense_maps():
     assert summary.reward_mean <= 0.05
 
 
-def reference_greedy_rollout(policy, context, cap):
+def reference_greedy_rollout(policy, context):
     """A greedy episode written out step by step, with no gate in the way."""
     state = reset(context)
     n = context.grid.size
@@ -545,7 +546,7 @@ def reference_greedy_rollout(policy, context, cap):
         dist, _ = forward(policy, obs)
         action = select_action(dist)
         index = state.row * n + state.col
-        state, reward, done = step(state, action, cap)
+        state, reward, done = step(state, action)
         steps.append(StepRecord(
             obs_index=index, policy_action=action, uncertainty=None,
             consulted=False, lm_status="", lm_action=None,
@@ -562,7 +563,7 @@ def reference_greedy_rollout(policy, context, cap):
 def test_evaluate_policy_matches_a_step_by_step_greedy_loop(size, monkeypatch):
     ctx = generate_context_set(size, 30, 2)
     trained, _ = train(ctx.split(Split.TRAIN), ctx.split(Split.EVAL),
-                       tiny_config(total_timesteps=2048, eval_interval=1024))
+                       tiny_config(total_timesteps=2048))
     seen = []
 
     def recording_aggregate(eps):
@@ -571,9 +572,9 @@ def test_evaluate_policy_matches_a_step_by_step_greedy_loop(size, monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "aggregate", recording_aggregate)
     pool = ctx.split(Split.TEST)
-    for policy, cap in ((init_policy(seed=0), 100), (trained, 100), (trained, 7)):
-        summary = evaluate_policy(policy, pool, episodes=len(pool) + 3, cap=cap)
-        expected = [reference_greedy_rollout(policy, pool[i % len(pool)], cap)
+    for policy in (init_policy(seed=0), trained):
+        summary = evaluate_policy(policy, pool, episodes=len(pool) + 3)
+        expected = [reference_greedy_rollout(policy, pool[i % len(pool)])
                     for i in range(len(pool) + 3)]
         assert seen[-1] == expected
         assert summary == aggregate(expected)
