@@ -72,6 +72,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
         p.set_defaults(handler=handler, _parser=p)  # its actions type the config file's values
 
+    def gated(p):
+        """The options ``run`` and ``tune`` share."""
+        p.add_argument("--contexts", default=None)
+        p.add_argument("--weights", default=None)
+        p.add_argument("--client", default="rule",
+                       help="'endpoint' | 'rule' | 'scripted:<file>' (one response per line)")
+        p.add_argument("--model", default="default", help="endpoint model name / report label")
+        p.add_argument("--episodes", type=int, default=100)
+        p.add_argument("--passes", type=int, default=GateConfig.passes)
+        p.add_argument("--dropout-rate", type=float, default=GateConfig.dropout_rate)
+
     ctx = sub.add_parser("contexts", help="context-set operations")
     ctx.set_defaults(handler=_usage("contexts supports exactly one action: gen"))
     ctx_sub = ctx.add_subparsers(metavar="ACTION")
@@ -79,7 +90,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--size", type=int, default=None)
     gen.add_argument("--count", type=int, default=300)
     gen.add_argument("--unsolvable", action="store_true",
-                     help="skip the safe corridor and reachability check (diagnostics)")
+                     help="skip the safe corridor; maps may have no path to G (diagnostics)")
     common(gen, _cmd_contexts_gen)
 
     ppo = trainer_mod.PpoConfig
@@ -94,29 +105,16 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="evaluate a policy with/without the gate")
     run.add_argument("--mode", choices=[m.value for m in RunMode], default=RunMode.ASK.value)
     run.add_argument("--split", choices=[s.value for s in Split], default=Split.TEST.value)
-    run.add_argument("--contexts", default=None)
-    run.add_argument("--weights", default=None)
-    run.add_argument("--client", default="rule",
-                     help="'endpoint' | 'rule' | 'scripted:<file>' (one response per line)")
-    run.add_argument("--model", default="default", help="endpoint model name / report label")
     run.add_argument("--tau", type=float, default=GateConfig.tau)
-    run.add_argument("--passes", type=int, default=GateConfig.passes)
-    run.add_argument("--dropout-rate", type=float, default=GateConfig.dropout_rate)
-    run.add_argument("--episodes", type=int, default=100)
     run.add_argument("--max-steps", type=int, default=GateConfig.max_steps)
+    gated(run)
     common(run, _cmd_run)
 
     tune = sub.add_parser("tune", help="search tau on the eval split")
-    tune.add_argument("--contexts", default=None)
-    tune.add_argument("--weights", default=None)
-    tune.add_argument("--client", default="rule")
-    tune.add_argument("--model", default="default")
     tune.add_argument("--lo", type=float, default=tuner_mod.DEFAULT_LO)
     tune.add_argument("--hi", type=float, default=tuner_mod.DEFAULT_HI)
     tune.add_argument("--trials", type=int, default=tuner_mod.DEFAULT_TRIALS)
-    tune.add_argument("--episodes", type=int, default=100)
-    tune.add_argument("--passes", type=int, default=GateConfig.passes)
-    tune.add_argument("--dropout-rate", type=float, default=GateConfig.dropout_rate)
+    gated(tune)
     common(tune, _cmd_tune)
 
     rep = sub.add_parser("report", help="render summaries or a trajectory")
@@ -354,6 +352,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise RuntimeFailure(
                 f"{trajectory}: final_action {exc.args[0]!r} is not an action name")
+        except ValueError:
+            raise RuntimeFailure(f"{trajectory}: a cell of the episode column is not an integer")
         if not actions:
             raise RuntimeFailure(f"episode {episode} not present in {trajectory}")
         contexts_path = args.contexts or snapshot.get("contexts")

@@ -14,7 +14,6 @@ by index order (first third Train, second Eval, third Test).
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,43 +237,6 @@ def local_view(state: EnvState) -> dict[str, int | str]:
     return view
 
 
-# Tile character to the bit of an open (non-hole) cell and of a goal cell.
-_OPEN_BITS = str.maketrans({t.value: "0" if t.value == _HOLE_CHAR else "1" for t in TileKind})
-_GOAL_BITS = str.maketrans({t.value: "1" if t.value == _GOAL_CHAR else "0" for t in TileKind})
-
-
-@functools.lru_cache(maxsize=16)
-def _column_masks(n: int) -> tuple[int, int]:
-    """Bit masks of every cell outside the first and outside the last column."""
-    first = sum(1 << (row * n) for row in range(n))
-    full = (1 << (n * n)) - 1
-    return full ^ first, full ^ (first << (n - 1))
-
-
-def bfs_solvable(grid: GridMap) -> bool:
-    """Breadth-first reachability from S to G over non-hole tiles.
-
-    The reached set is a Python int with bit ``row*n + col`` per cell, grown
-    by one BFS layer per round, so a map of any size takes one shift and mask
-    per direction and layer.
-    """
-    n = grid.size
-    # Reversed, so that character ``row*n + col`` becomes bit ``row*n + col``.
-    cells = "".join(grid.rows)[::-1]
-    open_cells = int(cells.translate(_OPEN_BITS), 2)
-    goal = int(cells.translate(_GOAL_BITS), 2)
-    not_first_col, not_last_col = _column_masks(n)
-    reached = 1  # S, top-left
-    while not reached & goal:
-        grown = reached | (open_cells & (
-            (reached << n) | (reached >> n)
-            | ((reached << 1) & not_first_col) | ((reached >> 1) & not_last_col)))
-        if grown == reached:
-            return False
-        reached = grown
-    return True
-
-
 def corridor_cells(n: int) -> tuple[tuple[int, int], ...]:
     """Zig-zag diagonal path from (0,0) to (n-1,n-1), kept hole-free.
 
@@ -323,9 +285,10 @@ def generate_context_set(
 ) -> ContextSet:
     """Rejection-sample ``count`` distinct maps of size ``n``.
 
-    Solvable sets keep a shared zig-zag corridor hole-free and every map is
-    additionally verified with BFS; unsolvable sets sample cells independently
-    with no reachability requirement. Duplicates are always rejected. Raises
+    Solvable sets keep the shared zig-zag corridor hole-free, a 4-neighbour
+    path from S to G, so every map is solvable by construction; unsolvable
+    sets sample cells independently with no reachability requirement.
+    Duplicates are always rejected. Raises
     :class:`MapGenerationError` if any single map exhausts the attempt budget,
     and ``ValueError`` for a size below 2, which no map file can hold, a
     count below 1, or a ``hole_probability`` outside [0, 1].
@@ -341,8 +304,9 @@ def generate_context_set(
     for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
         may_hole[row, col] = False
     candidates = _hole_masks(rng, may_hole, hole_probability)
-    # S and G never hold a hole, so the mask fixes the map, and a mask seen
-    # before is a duplicate or an unsolvable map: rejected before any text.
+    # S and G never hold a hole, so the mask fixes the map: a mask seen before
+    # is a duplicate, rejected before any text. Any other mask is accepted; in
+    # a solvable set the hole-free corridor already links S to G.
     seen: set[bytes] = set()
     grids: list[GridMap] = []
     while len(grids) < count:
@@ -353,10 +317,7 @@ def generate_context_set(
             seen.add(mask)
             text = mask.translate(_HOLE_MASK_TILES).decode("ascii")
             text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
-            grid = GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
-            if solvable and not bfs_solvable(grid):
-                continue
-            grids.append(grid)
+            grids.append(GridMap(tuple(text[i:i + n] for i in range(0, n * n, n))))
             break
         else:
             raise MapGenerationError(

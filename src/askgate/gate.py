@@ -203,6 +203,8 @@ def run_batch(
     contexts = list(contexts)
     if not contexts:
         raise ValueError("run_batch requires at least one context")
+    if total_episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {total_episodes}")
     greedy: dict[int, Action] = {}
     return [
         run_episode(policy, client, contexts[i % len(contexts)], cfg,

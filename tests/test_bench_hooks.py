@@ -3,10 +3,14 @@
 ``bench/tracing.py`` looks up every entry of its ``SPANS`` table with
 ``getattr`` when a traced run starts, so a renamed or deleted function would
 fail every benchmark workload. These tests load the tracer from its file
-(``bench/`` is not a package) and check each target against this checkout.
+(``bench/`` is not a package) and check each target against this checkout,
+and check every other name the benchmark's files read from askgate modules.
 """
 
+import ast
 import dataclasses
+import glob
+import importlib
 import importlib.util
 import inspect
 import os
@@ -40,6 +44,34 @@ def test_every_traced_span_resolves_to_a_function_of_the_package():
         assert callable(target), f"{span}: {module_name}.{attr_path} does not exist"
         source = os.path.abspath(inspect.getsourcefile(target))
         assert os.path.dirname(source) == PACKAGE_DIR, f"{span} resolves to {source}"
+
+
+def askgate_reads(path):
+    """``(module, attr, line)`` for each ``<module>.<attr>`` read in the file at
+    ``path``, where ``<module>`` is a name bound by ``from askgate import``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "askgate"
+               for alias in node.names}
+    return [(modules[node.value.id], node.attr, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+
+
+def test_every_name_the_benchmark_reads_from_the_package_exists():
+    # The benchmark's files also call askgate functions and classes directly
+    # (``lm.rule_decide`` in the stub server, ``policy.WeightsError`` in the
+    # workloads); a deletion in src/ would break them while every other
+    # tier-1 test passes.
+    paths = sorted(glob.glob(os.path.join(REPO, "bench", "*.py")))
+    reads = [(os.path.basename(path), *read) for path in paths for read in askgate_reads(path)]
+    assert reads
+    for name, module, attr, line in reads:
+        assert hasattr(importlib.import_module(f"askgate.{module}"), attr), (
+            f"bench/{name}:{line} reads askgate.{module}.{attr}, which does not exist")
 
 
 def test_a_traced_tuning_run_calls_the_hooks_and_restores_the_originals():

@@ -150,6 +150,19 @@ def test_nan_tau_is_a_runtime_error(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_episodes_below_one_is_a_runtime_error_naming_the_option(workspace, tmp_path, capsys):
+    # This used to end in "aggregate requires at least one episode".
+    out = tmp_path / "runs"
+    for episodes in ("0", "-3"):
+        for command in (["run", "--mode", "ppo"], ["run", "--mode", "ask"], ["tune"]):
+            code = main([*command, "--contexts", workspace["ctx"],
+                         "--weights", workspace["weights"], "--episodes", episodes,
+                         "--passes", "5", "--out", str(out)])
+            assert code == EXIT_RUNTIME
+            assert f"episodes must be at least 1, got {episodes}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_a_runtime_error(tmp_path):
     assert main(["contexts", "gen", "--size", "4",
                  "--config", str(tmp_path / "absent.json"),
@@ -612,6 +625,18 @@ def test_trajectory_with_an_unknown_action_name_is_a_runtime_error(workspace, tm
     write_atomic(jump, csv_text(header, rows, config))
     assert main(["report", "--trajectory", jump, "--episode", "0"]) == EXIT_RUNTIME
     assert f"{jump}: final_action 'JUMP' is not an action name" in capsys.readouterr().err
+
+
+def test_trajectory_with_a_non_integer_episode_is_a_runtime_error(workspace, tmp_path, capsys):
+    # This used to print only "invalid literal for int() with base 10: 'x'".
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    config, header, rows = read_csv(episodes)
+    rows[0][header.index("episode")] = "x"
+    bad = str(tmp_path / "bad.csv")
+    write_atomic(bad, csv_text(header, rows, config))
+    assert main(["report", "--trajectory", bad, "--episode", "0"]) == EXIT_RUNTIME
+    assert f"{bad}: a cell of the episode column is not an integer" in capsys.readouterr().err
 
 
 def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from atomiccheck import assert_writes_atomically
+from hypothesis import given
+from hypothesis import strategies as st
 
 from askgate.env import (
     DEFAULT_MAX_STEPS,
@@ -23,7 +25,6 @@ from askgate.env import (
     TerminalStateError,
     TileKind,
     _split_for_index,
-    bfs_solvable,
     corridor_cells,
     encode_observation,
     generate_context_set,
@@ -350,7 +351,32 @@ def test_generated_maps_are_solvable_and_distinct():
     assert len({c.grid.rows for c in cs.contexts}) == 3
     for ctx in cs.contexts:
         assert independent_bfs(ctx.grid)
-        assert bfs_solvable(ctx.grid)
+
+
+# Counts a solvable set of size n can always reach: a 2x2 grid has one cell
+# off the corridor, so 2 maps; a 3x3 grid has 4, so 16, the rarest of them
+# drawn once in 625 candidates.
+MAX_SOLVABLE_COUNT = {2: 2, 3: 8}
+
+
+@st.composite
+def solvable_set_requests(draw):
+    n = draw(st.integers(2, 8))
+    count = draw(st.integers(1, MAX_SOLVABLE_COUNT.get(n, 40)))
+    return n, count, draw(st.integers(0, 2**32 - 1))
+
+
+@given(solvable_set_requests())
+def test_every_solvable_map_keeps_the_corridor_open_and_reaches_g(request):
+    # The generator checks no reachability: the hole-free corridor is what
+    # makes each map of a solvable set solvable.
+    n, count, seed = request
+    cs = generate_context_set(n, count, seed)
+    assert cs.count == count
+    corridor = corridor_cells(n)
+    for ctx in cs.contexts:
+        assert all(ctx.grid.rows[row][col] != "H" for row, col in corridor)
+        assert independent_bfs(ctx.grid)
 
 
 def test_generation_is_seed_deterministic():
@@ -375,11 +401,11 @@ def test_hole_probability_extremes():
 
 def test_unsolvable_sampling_skips_corridor_and_bfs():
     cs = generate_context_set(5, 40, 11, solvable=False, hole_probability=0.5)
-    assert any(not bfs_solvable(c.grid) for c in cs.contexts)
+    assert any(not independent_bfs(c.grid) for c in cs.contexts)
 
 
 def reference_bfs_solvable(grid):
-    """``bfs_solvable`` as first written, on ``TileKind`` reads."""
+    """The generator's reachability check as first written, on ``TileKind`` reads."""
     n = grid.size
     seen = {(0, 0)}
     queue = deque([(0, 0)])
@@ -399,20 +425,13 @@ def reference_bfs_solvable(grid):
     return False
 
 
-def test_bfs_matches_the_tile_reference_on_random_grids():
-    # Sizes 9-12 hold more cells than a 64-bit word.
-    rng = np.random.default_rng(2024)
-    for n in range(2, 13):
-        answers = []
-        for hole_probability in (0.1, 0.3, 0.5, 0.7):
-            for _ in range(60):
-                cells = np.where(rng.random((n, n)) < hole_probability, "H", "F")
-                cells[0, 0], cells[-1, -1] = "S", "G"
-                grid = GridMap(tuple("".join(row) for row in cells))
-                want = reference_bfs_solvable(grid)
-                assert bfs_solvable(grid) is want, grid.rows
-                answers.append(want)
-        assert True in answers and False in answers  # both sides of the answer, per size
+def reachable(grid):
+    """The answer of both reachability oracles on ``grid``, once they agree:
+    ``independent_bfs`` backs the corridor property, ``reference_bfs_solvable``
+    the per-candidate generation reference."""
+    want = reference_bfs_solvable(grid)
+    assert independent_bfs(grid) is want, grid.rows
+    return want
 
 
 def grid_of(cells):
@@ -433,29 +452,28 @@ def serpentine(n):
 @pytest.mark.parametrize("n", [5, 9, 13])
 def test_bfs_follows_a_single_serpentine_path(n):
     cells = serpentine(n)
-    assert bfs_solvable(grid_of(cells)) is reference_bfs_solvable(grid_of(cells)) is True
+    assert reachable(grid_of(cells)) is True
     path = [(r, c) for r in range(n) for c in range(n) if cells[r][c] != "H"]  # S first, G last
     assert len(path) == n * (n + 1) // 2 + (n - 1) // 2
     for row, col in path[1:-1]:  # S and G stay, every other path cell blocks
         blocked = [list(line) for line in cells]
         blocked[row][col] = "H"
-        assert bfs_solvable(grid_of(blocked)) is False, (row, col)
+        assert reachable(grid_of(blocked)) is False, (row, col)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_bfs_on_open_and_walled_off_maps(n):
-    open_map = grid_of([["F"] * n for _ in range(n)])
-    assert bfs_solvable(open_map) is True
+    assert reachable(grid_of([["F"] * n for _ in range(n)])) is True
     walled = [["F"] * n for _ in range(n)]
     walled[n - 2][n - 1] = walled[n - 1][n - 2] = "H"  # both neighbours of G
-    assert bfs_solvable(grid_of(walled)) is reference_bfs_solvable(grid_of(walled)) is False
+    assert reachable(grid_of(walled)) is False
     if n > 2:
         # An anti-diagonal wall of holes: a diagonal step would cross it,
         # a single gap lets the walk through.
         wall = [["H" if row + col == n - 1 else "F" for col in range(n)] for row in range(n)]
-        assert bfs_solvable(grid_of(wall)) is False
+        assert reachable(grid_of(wall)) is False
         wall[n // 2][n - 1 - n // 2] = "F"
-        assert bfs_solvable(grid_of(wall)) is reference_bfs_solvable(grid_of(wall)) is True
+        assert reachable(grid_of(wall)) is True
 
 
 # sha256 of ``save_context_set(generate_context_set(n, count, seed, solvable))``,

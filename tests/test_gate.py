@@ -78,6 +78,14 @@ def test_ask_mode_without_an_uncertainty_source_fails_before_the_first_step(
                   total_episodes=2, uncertainty=None)
 
 
+def test_a_batch_of_fewer_than_one_episode_is_refused(policy, contexts):
+    # This used to return no records, which metrics.aggregate then refused.
+    for episodes in (0, -3):
+        with pytest.raises(ValueError, match=f"episodes must be at least 1, got {episodes}"):
+            run_batch(policy, None, contexts[:2], GateConfig(mode=RunMode.PPO_ONLY),
+                      total_episodes=episodes)
+
+
 # ---------------------------------------------------------------------------
 # Uncertainty source
 
