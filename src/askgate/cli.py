@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeFailure, env_mod.MapGenerationError, policy_mod.WeightsError, OSError,
-            ValueError) as exc:
+    except (RuntimeFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

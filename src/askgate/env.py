@@ -290,8 +290,10 @@ def generate_context_set(
     sets sample cells independently with no reachability requirement.
     Duplicates are always rejected. Raises
     :class:`MapGenerationError` if any single map exhausts the attempt budget,
-    and ``ValueError`` for a size below 2, which no map file can hold, a
-    count below 1, or a ``hole_probability`` outside [0, 1].
+    and ``ValueError``, before any draw, for a size below 2, which no map file
+    can hold, a count below 1, a ``hole_probability`` outside [0, 1], or a
+    count above the distinct maps there are: 2 to the number of cells that
+    may hold a hole, or 1 when ``hole_probability`` is 0 or 1.
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2x2, got {n}")
@@ -303,6 +305,10 @@ def generate_context_set(
     may_hole = np.ones((n, n), dtype=bool)
     for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
         may_hole[row, col] = False
+    distinct = 1 if hole_probability in (0.0, 1.0) else 1 << int(may_hole.sum())
+    if count > distinct:
+        raise ValueError(f"count {count} exceeds {distinct}, the number of distinct maps "
+                         f"of size {n} (solvable={solvable}, hole_probability={hole_probability})")
     candidates = _hole_masks(rng, may_hole, hole_probability)
     # S and G never hold a hole, so the mask fixes the map: a mask seen before
     # is a duplicate, rejected before any text. Any other mask is accepted; in

@@ -8,8 +8,10 @@ Three interchangeable clients answer prompts:
 * :class:`RuleClient` — deterministically applies the prompt's own RULES
   section; it reads the same prompt text a model would.
 
-All transport-level failures raise :class:`LmTransportError` subclasses; the
-episode loop treats any of them as "keep the policy's action".
+Every transport-level failure (a timeout, a failed connection, a non-2xx
+status, a malformed body, a scripted client run dry) raises one type,
+:class:`LmTransportError`, whose message says which; the episode loop treats
+any of them as "keep the policy's action".
 """
 
 from __future__ import annotations
@@ -73,19 +75,6 @@ _ACTION_OBJECT = re.compile(r"\{\s*\"action\"\s*:\s*\"([^\"]*)\"\s*\}")
 
 class LmTransportError(RuntimeError):
     """Request never produced a usable response body."""
-
-
-class LmTimeoutError(LmTransportError):
-    """Request exceeded its timeout."""
-
-
-class LmHttpError(LmTransportError):
-    """Server answered with a non-2xx status."""
-
-    def __init__(self, status: int, body: str = ""):
-        super().__init__(f"endpoint returned status {status}")
-        self.status = status
-        self.body = body
 
 
 @dataclass(frozen=True)
@@ -165,13 +154,14 @@ def rule_decide(ctx: PromptContext) -> Action:
     return best if best is not None else ctx.autopilot
 
 
-def query(client, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
+def query(client, prompt: str) -> str:
     """Ask a client for a raw response; transport problems raise."""
-    return client.query(prompt, timeout=timeout)
+    return client.query(prompt)
 
 
 class EndpointClient:
-    """Chat-completions HTTP client (temperature 0 for determinism)."""
+    """Chat-completions HTTP client (temperature 0 for determinism); each
+    request gives up after ``timeout`` seconds."""
 
     def __init__(
         self,
@@ -179,6 +169,7 @@ class EndpointClient:
         model: str = "default",
         token: str | None = None,
         path: str = DEFAULT_COMPLETIONS_PATH,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
         # Imported here, not at module level: the HTTP stack is most of an
         # askgate import, and only a process that builds this client needs it.
@@ -191,8 +182,9 @@ class EndpointClient:
         self.model = model
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.path = path
+        self.timeout = timeout
 
-    def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
+    def query(self, prompt: str) -> str:
         url = self.base_url.rstrip("/") + self.path
         headers = {}
         if self.token:
@@ -205,13 +197,13 @@ class EndpointClient:
         }
         requests = self._requests
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+            resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
         except requests.Timeout as exc:
-            raise LmTimeoutError(f"request timed out after {timeout}s") from exc
+            raise LmTransportError(f"request timed out after {self.timeout}s") from exc
         except requests.RequestException as exc:
             raise LmTransportError(f"request failed: {exc}") from exc
         if not 200 <= resp.status_code < 300:
-            raise LmHttpError(resp.status_code, resp.text[:200])
+            raise LmTransportError(f"endpoint returned status {resp.status_code}")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -227,7 +219,7 @@ class ScriptedClient:
     def __init__(self, responses):
         self._queue = deque(responses)
 
-    def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
+    def query(self, prompt: str) -> str:
         if not self._queue:
             raise LmTransportError("scripted client has no responses left")
         return self._queue.popleft()
@@ -260,6 +252,6 @@ def _context_from_prompt(prompt: str) -> PromptContext:
 class RuleClient:
     """Follows the prompt's RULES section exactly, reading the prompt itself."""
 
-    def query(self, prompt: str, timeout: float = DEFAULT_TIMEOUT) -> str:
+    def query(self, prompt: str) -> str:
         ctx = _context_from_prompt(prompt)
         return render_action(rule_decide(ctx))

@@ -189,18 +189,26 @@ def read_summary_csv(path: str) -> list[SummaryRow]:
     rows: list[SummaryRow] = []
     for values in records:
         rec = dict(zip(header, values))
+
+        def number(column: str, kind=float):
+            try:
+                return kind(rec[column])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: column {column!r} holds {rec[column]!r}, not a number") from None
+
         summary = RunSummary(
-            reward_mean=float(rec["reward_mean"]),
-            reward_std=float(rec["reward_std"]),
-            length_mean=float(rec["len_mean"]),
-            length_std=float(rec["len_std"]),
-            ir_percent=float(rec["ir_pct"]),
-            or_percent=float(rec["or_pct"]),
-            episode_count=int(rec["episodes"]),
+            reward_mean=number("reward_mean"),
+            reward_std=number("reward_std"),
+            length_mean=number("len_mean"),
+            length_std=number("len_std"),
+            ir_percent=number("ir_pct"),
+            or_percent=number("or_pct"),
+            episode_count=number("episodes", int),
         )
         rows.append(SummaryRow(
-            size=int(rec["size"]), model=rec["model"], mode=rec["mode"],
-            split=rec["split"], tau=float(rec["tau"]), seed=int(rec["seed"]),
+            size=number("size", int), model=rec["model"], mode=rec["mode"],
+            split=rec["split"], tau=number("tau"), seed=number("seed", int),
             summary=summary,
         ))
     return rows

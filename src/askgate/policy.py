@@ -9,7 +9,9 @@ dropout, and the rate is the caller's (the gate's) setting, not the network's.
 Weights file layout (little-endian): magic ``MLPW``, version u32, array count
 u32, then per array rows u32, cols u32, row-major f64 data. Arrays appear as
 one or more trunk (W, b) pairs followed by the action head (W, b) and value
-head (W, b); biases are stored with rows = 1.
+head (W, b); biases are stored with rows = 1. :func:`load_weights` raises one
+error type, :class:`WeightsError`, for every fault of the file: its message
+names the check that failed.
 """
 
 from __future__ import annotations
@@ -32,27 +34,7 @@ WEIGHTS_VERSION = 1
 
 
 class WeightsError(RuntimeError):
-    """Base class for weights-file problems."""
-
-
-class WeightFormatError(WeightsError):
-    """File does not start with the expected magic bytes."""
-
-
-class WeightVersionError(WeightsError):
-    """File carries an unsupported format version."""
-
-
-class WeightShapeError(WeightsError):
-    """Array shapes are inconsistent with an MLP policy."""
-
-
-class WeightTruncationError(WeightsError):
-    """File ends before all declared data was read."""
-
-
-class WeightValueError(WeightsError):
-    """An array holds a NaN or an infinity."""
+    """A weights file that cannot be read as a policy; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -271,51 +253,49 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     # bytes left before the read: a corrupted one may declare more than memory.
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if size > left:
-        raise WeightTruncationError(f"file ended while reading {what}: "
-                                    f"needs {size} bytes, {left} left")
+        raise WeightsError(f"file ended while reading {what}: needs {size} bytes, {left} left")
     return fh.read(size)
 
 
 def load_weights(path: str) -> MlpPolicy:
-    """Load a policy; raises a distinct error per failure mode (see module doc)."""
+    """Load a policy; any file that does not hold one raises :class:`WeightsError`
+    with the reason (see module doc for the layout)."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic bytes")
         if magic != WEIGHTS_MAGIC:
-            raise WeightFormatError(f"bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
+            raise WeightsError(f"bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
         version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != WEIGHTS_VERSION:
-            raise WeightVersionError(f"unsupported weights version {version}")
+            raise WeightsError(f"unsupported weights version {version}")
         if count < 6 or count % 2 != 0:
-            raise WeightShapeError(f"array count {count} cannot form trunk plus two heads")
+            raise WeightsError(f"array count {count} cannot form trunk plus two heads")
         arrays = []
         for i in range(count):
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, f"shape of array {i}"))
             if rows == 0 or cols == 0:
-                raise WeightShapeError(f"array {i} declares empty shape {rows}x{cols}")
+                raise WeightsError(f"array {i} declares empty shape {rows}x{cols}")
             raw = _read_exact(fh, 8 * rows * cols, f"data of array {i}")
             array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
             finite = np.isfinite(array)
             if not finite.all():
-                raise WeightValueError(f"array {i} holds {array[~finite][0]}, not a finite value")
+                raise WeightsError(f"array {i} holds {array[~finite][0]}, not a finite value")
             arrays.append(array)
         if fh.read(1):
-            raise WeightShapeError("trailing bytes after declared arrays")
+            raise WeightsError("trailing bytes after declared arrays")
     pairs = [(arrays[i], arrays[i + 1]) for i in range(0, count, 2)]
     for i, (w, b) in enumerate(pairs):
         if b.shape != (1, w.shape[1]):
-            raise WeightShapeError(
-                f"pair {i}: bias shape {b.shape} does not match weight {w.shape}"
-            )
+            raise WeightsError(f"pair {i}: bias shape {b.shape} does not match weight {w.shape}")
     *trunk_pairs, action, value = pairs
     input_dim = width = pairs[0][0].shape[0]
     for i, (w, _) in enumerate(pairs):
         if w.shape[0] != width:
-            raise WeightShapeError(f"pair {i}: weight rows {w.shape[0]}, expected {width}")
+            raise WeightsError(f"pair {i}: weight rows {w.shape[0]}, expected {width}")
         if i < len(trunk_pairs):
             width = w.shape[1]
     if action[0].shape[1] != N_ACTIONS:
-        raise WeightShapeError(f"action head has {action[0].shape[1]} outputs, expected {N_ACTIONS}")
+        raise WeightsError(f"action head has {action[0].shape[1]} outputs, expected {N_ACTIONS}")
     if value[0].shape[1] != 1:
-        raise WeightShapeError(f"value head has {value[0].shape[1]} outputs, expected 1")
+        raise WeightsError(f"value head has {value[0].shape[1]} outputs, expected 1")
     widths = (input_dim, *(w.shape[1] for w, _ in trunk_pairs))
     return build_policy(widths, np.concatenate([a.reshape(-1) for a in arrays]))

@@ -18,7 +18,7 @@ import os
 import askgate
 from askgate.env import Split, generate_context_set
 from askgate.gate import GateConfig, RunMode, run_batch
-from askgate.lm import RuleClient
+from askgate.lm import RuleClient, ScriptedClient
 from askgate.policy import init_policy
 from askgate.trainer import EPOCHS, MINIBATCH_SIZE, ROLLOUT_STEPS, PpoConfig, train
 from askgate.tuner import tune_threshold
@@ -114,6 +114,26 @@ def test_the_step_counter_sees_every_gated_step():
     assert tracer.stats["env.step"].calls == steps
     assert tracer.edges[("gate.run_episode", "uncertainty.mc_estimate")] == steps
     assert tracer.stats["uncertainty.mc_estimate"].calls == steps
+
+
+def test_the_consult_count_sees_every_consult_and_every_status():
+    # bench/run.py counts consults as lm.query calls and failed operations as
+    # consults minus tracer.statuses["ok"]. A consult that bypassed lm.query,
+    # or a transport error the tracer did not see, would skew both.
+    tracing = load_tracing()
+    contexts = generate_context_set(4, 6, 7).split(Split.EVAL)
+    answers = ['{"action":"RIGHT"}', "no object here", '{"action":"FLY"}', '{"action":"DOWN"}']
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        records = run_batch(init_policy(seed=0), ScriptedClient(answers), contexts,
+                            GateConfig(mode=RunMode.ASK, tau=0.0, passes=5, max_steps=8), 3)
+    statuses = [s.lm_status for record in records for s in record.steps if s.consulted]
+    assert len(statuses) > len(answers)  # the client ran dry partway
+    assert tracer.stats["lm.query"].calls == len(statuses)
+    assert sum(tracer.statuses.values()) == len(statuses)
+    assert tracer.statuses["transport_error"] == len(statuses) - len(answers)
+    assert tracer.statuses == {status: statuses.count(status) for status in set(statuses)}
 
 
 def test_a_traced_training_run_calls_the_training_hooks():

@@ -186,6 +186,16 @@ def test_count_below_one_is_a_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "contexts").exists()
 
 
+def test_a_count_above_the_distinct_maps_is_a_runtime_error(tmp_path, capsys):
+    # 16 solvable 3x3 maps exist; the 17th is refused before any draw, not
+    # after the whole attempt budget.
+    assert main(["contexts", "gen", "--size", "3", "--count", "17",
+                 "--out", str(tmp_path)]) == EXIT_RUNTIME
+    assert ("error: generation failed: count 17 exceeds 16, the number of distinct maps of "
+            "size 3 (solvable=True, hole_probability=0.2)") in capsys.readouterr().err
+    assert not (tmp_path / "contexts").exists()
+
+
 def test_report_without_inputs_is_a_usage_error():
     assert main(["report"]) == EXIT_USAGE
 
@@ -533,6 +543,21 @@ def test_report_round_trips_a_model_label_with_a_comma(tmp_path, capsys):
     assert parsed[0] == SUMMARY_CSV_HEADER
     assert parsed[1][:4] == ["4", "org/model,v2", "ask", "test"]
     assert len(parsed) == 2
+
+
+@pytest.mark.parametrize("column, cell", [("size", "x"), ("reward_std", "abc"),
+                                          ("seed", "1.5")])
+def test_a_summary_cell_that_is_not_a_number_names_its_file_and_column(
+        workspace, tmp_path, capsys, column, cell):
+    summary = os.path.join(workspace["out"], "summaries",
+                           "ask_rule_test_s4_tau0.2_seed1.csv")
+    config, header, rows = read_csv(summary)
+    rows[0][header.index(column)] = cell
+    bad = str(tmp_path / "bad.csv")
+    write_atomic(bad, csv_text(header, rows, config))
+    assert main(["report", "--summaries", bad]) == EXIT_RUNTIME
+    assert (f"error: {bad}: column {column!r} holds {cell!r}, not a number\n"
+            == capsys.readouterr().err)
 
 
 def test_report_with_only_studies_is_a_runtime_error(workspace, capsys):

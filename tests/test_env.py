@@ -10,6 +10,7 @@ from atomiccheck import assert_writes_atomically
 from hypothesis import given
 from hypothesis import strategies as st
 
+from askgate import env as env_mod
 from askgate.env import (
     DEFAULT_MAX_STEPS,
     GENERATION_BUDGET,
@@ -571,6 +572,11 @@ def test_generation_matches_the_per_candidate_reference(tmp_path, n):
              for count, seed in ((1, 0), (7, 3), (300, 7))]
     cases += [(1, 5, solvable, p) for solvable in (True, False) for p in (0.0, 1.0)]
     for count, seed, solvable, p in cases:
+        if count > 2 ** (n * n - (2 * n - 1 if solvable else 2)):
+            # More maps than the size has: refused before any draw.
+            with pytest.raises(ValueError, match=f"count {count} exceeds"):
+                generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
+            continue
         try:
             want = saved_bytes(reference_generate_context_set(n, count, seed, solvable, p), path)
         except MapGenerationError as exc:
@@ -583,17 +589,36 @@ def test_generation_matches_the_per_candidate_reference(tmp_path, n):
 
 
 def test_generation_budget_exhaustion_raises():
-    # With hole probability 0 there is exactly one distinct map per size,
-    # so asking for two must exhaust the attempt budget; only two solvable
-    # 2x2 maps exist, so the third does. Both fail at the reference's map.
-    for args, kwargs in (((4, 2, 0), {"solvable": False, "hole_probability": 0.0}),
-                         ((2, 3, 0), {})):
+    # Both counts are possible, but at a hole probability of 1e-9 the second
+    # map needs a hole that no draw in the budget gives. Both fail at the
+    # reference's map.
+    for args, kwargs in (((4, 2, 0), {"solvable": False, "hole_probability": 1e-9}),
+                         ((2, 2, 0), {"hole_probability": 1e-9})):
         with pytest.raises(MapGenerationError) as want:
             reference_generate_context_set(*args, **kwargs)
         with pytest.raises(MapGenerationError) as got:
             generate_context_set(*args, **kwargs)
         assert str(got.value) == str(want.value)
         assert f"at map {args[1]}/{args[1]}" in str(got.value)
+
+
+def test_a_count_above_the_distinct_maps_is_refused_before_any_draw(monkeypatch):
+    # 16 solvable 3x3 maps exist (2**(9 - 5) free cells), 128 unsolvable ones
+    # (2**(9 - 2)), and one at a hole probability of 0 or 1.
+    for seed in range(20):
+        assert len(generate_context_set(3, 16, seed).contexts) == 16
+
+    def no_draw(*args):
+        raise AssertionError("drew a candidate")
+
+    monkeypatch.setattr(env_mod, "_hole_masks", no_draw)
+    for args, kwargs, limit in (((3, 17, 0), {}, 16),
+                                ((3, 129, 0), {"solvable": False}, 128),
+                                ((5, 2, 0), {"hole_probability": 0.0}, 1),
+                                ((5, 2, 0), {"hole_probability": 1.0, "solvable": False}, 1)):
+        with pytest.raises(ValueError, match=rf"count {args[1]} exceeds {limit}, the number "
+                                             rf"of distinct maps of size {args[0]} "):
+            generate_context_set(*args, **kwargs)
 
 
 def test_context_set_file_round_trip(tmp_path):

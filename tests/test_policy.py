@@ -12,11 +12,7 @@ from askgate.policy import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
     MlpPolicy,
-    WeightFormatError,
-    WeightShapeError,
-    WeightTruncationError,
-    WeightValueError,
-    WeightVersionError,
+    WeightsError,
     apply_dropout,
     build_policy,
     dropout_passes,
@@ -311,7 +307,7 @@ def test_bad_magic_raises_format_error(tmp_path, policy):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
-    with pytest.raises(WeightFormatError):
+    with pytest.raises(WeightsError, match="bad magic b'NOPE', expected b'MLPW'"):
         load_weights(str(path))
 
 
@@ -321,7 +317,7 @@ def test_unknown_version_raises_version_error(tmp_path, policy):
     blob = bytearray(path.read_bytes())
     blob[4:8] = struct.pack("<I", 2)
     path.write_bytes(bytes(blob))
-    with pytest.raises(WeightVersionError):
+    with pytest.raises(WeightsError, match="unsupported weights version 2"):
         load_weights(str(path))
 
 
@@ -329,9 +325,10 @@ def test_truncated_file_raises_truncation_error(tmp_path, policy):
     path = tmp_path / "w.bin"
     save_weights(policy, str(path))
     blob = path.read_bytes()
-    for cut in (2, 10, 16, len(blob) - 5):
+    for cut, what in ((2, "magic bytes"), (10, "header"), (16, "shape of array 0"),
+                      (len(blob) - 5, "data of array 7")):
         path.write_bytes(blob[:cut])
-        with pytest.raises(WeightTruncationError):
+        with pytest.raises(WeightsError, match=f"file ended while reading {what}: "):
             load_weights(str(path))
 
 
@@ -348,7 +345,7 @@ def test_a_shape_larger_than_the_file_raises_truncation_error(tmp_path, policy, 
         offset += 8 + 8 * arr.size
     blob[offset:offset + 8] = struct.pack("<II", *shape)
     path.write_bytes(bytes(blob))
-    with pytest.raises(WeightTruncationError, match=r"array \d: needs \d+ bytes, \d+ left"):
+    with pytest.raises(WeightsError, match=r"reading data of array \d: needs \d+ bytes, \d+ left"):
         load_weights(str(path))
 
 
@@ -356,7 +353,7 @@ def test_trailing_bytes_raise_shape_error(tmp_path, policy):
     path = tmp_path / "w.bin"
     save_weights(policy, str(path))
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="trailing bytes after declared arrays"):
         load_weights(str(path))
 
 
@@ -378,7 +375,7 @@ def test_a_non_finite_value_raises_value_error_naming_its_array(tmp_path, array,
     policy.parameters()[array].reshape(-1)[-1] = value
     path = str(tmp_path / "w.bin")
     save_weights(policy, path)
-    with pytest.raises(WeightValueError, match=rf"array {array} holds {value}, not a finite"):
+    with pytest.raises(WeightsError, match=rf"array {array} holds {value}, not a finite"):
         load_weights(path)
 
 
@@ -388,30 +385,31 @@ def test_inconsistent_shapes_raise_shape_error(tmp_path):
     # Bias length disagrees with its weight matrix.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(3), np.zeros((4, 4)), np.zeros(4),
                       np.zeros((4, 1)), np.zeros(1)])
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError,
+                       match=r"pair 0: bias shape \(1, 3\) does not match weight \(4, 4\)"):
         load_weights(path)
 
     # Layer widths do not chain: 4 -> 4 trunk feeding a 5-wide action head.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((5, 4)), np.zeros(4),
                       np.zeros((4, 1)), np.zeros(1)])
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="pair 1: weight rows 5, expected 4"):
         load_weights(path)
 
     # Action head must emit exactly four logits.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3),
                       np.zeros((4, 1)), np.zeros(1)])
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="action head has 3 outputs, expected 4"):
         load_weights(path)
 
     # Value head must emit exactly one value.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((4, 4)), np.zeros(4),
                       np.zeros((4, 2)), np.zeros(2)])
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="value head has 2 outputs, expected 1"):
         load_weights(path)
 
     # An odd array count cannot form (W, b) pairs.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((4, 4))])
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="array count 3 cannot form trunk plus two heads"):
         load_weights(path)
 
     # Declared-empty arrays are rejected outright.
@@ -419,7 +417,7 @@ def test_inconsistent_shapes_raise_shape_error(tmp_path):
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<II", WEIGHTS_VERSION, 6))
         fh.write(struct.pack("<II", 0, 4))
-    with pytest.raises(WeightShapeError):
+    with pytest.raises(WeightsError, match="array 0 declares empty shape 0x4"):
         load_weights(path)
 
 
@@ -430,7 +428,7 @@ def test_a_policy_without_a_trunk_is_rejected(tmp_path):
         build_policy((16,))
     path = str(tmp_path / "w.bin")
     _write_raw(path, [np.arange(8.0).reshape(2, 4), np.zeros(4), np.zeros((2, 1)), np.zeros(1)])
-    with pytest.raises(WeightShapeError, match="array count 4"):
+    with pytest.raises(WeightsError, match="array count 4 cannot form"):
         load_weights(path)
 
     # The smallest policy: one hidden layer of one unit.
