@@ -8,11 +8,11 @@ Subcommands::
     tune           threshold search on the eval split, write a study CSV
     report         merge summary CSVs into a table, or overlay a trajectory
 
-Every subcommand accepts ``--seed``, ``--config <json>`` (flags override file
-values), and ``--out <dir>``. Artifacts land under ``<out>/contexts``,
-``<out>/weights``, ``<out>/episodes``, ``<out>/summaries`` and embed the
-config snapshot that produced them. Exit codes: 0 success, 1 usage error,
-2 runtime error.
+Every subcommand accepts ``--seed`` (an integer >= 0), ``--config <json>``
+(flags override file values), and ``--out <dir>``. Artifacts land under
+``<out>/contexts``, ``<out>/weights``, ``<out>/episodes``,
+``<out>/summaries`` and embed the config snapshot that produced them. Exit
+codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -60,6 +60,17 @@ def _usage(message: str):
     return handler
 
 
+def _seed(text) -> int:
+    """``--seed``'s type: an integer >= 0, as NumPy's seeding needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="askgate", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -67,7 +78,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(metavar="COMMAND")
 
     def common(p, handler):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
         p.set_defaults(handler=handler, _parser=p)  # its actions type the config file's values
@@ -156,10 +167,10 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         else:  # int or float: a number or a numeric string, never a boolean,
             # and for an int never a fraction, which int() would truncate
             ok = not isinstance(value, bool) and not (
-                action.type is int and isinstance(value, float) and not value.is_integer())
+                action.type is not float and isinstance(value, float) and not value.is_integer())
             try:
                 values[key] = action.type(value)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError):
                 ok = False
         if not ok:
             raise RuntimeFailure(f"config {path}: {key!r} does not fit "

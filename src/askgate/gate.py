@@ -7,12 +7,13 @@ Modes:
 * ``lm``  — the LM is consulted at every step (policy action as fallback).
 * ``ask`` — the LM is consulted exactly when total uncertainty >= tau.
 
-Each step's uncertainty comes from the episode's uncertainty source, by
-default the MC-Dropout estimate. It is logged in every mode so intervention
-statistics can be recomputed from logs, and it gates only in ``ask`` mode.
-Greedy evaluation is a ``ppo`` episode with no source, which logs none. An LM
-action never outlives the step it was requested for: every step starts from
-the policy's own greedy action.
+Each step's uncertainty is the MC-Dropout estimate at its (episode, step,
+cell), read from an :class:`EstimateTable`, which computes each one once; a
+threshold study's trials share one. It is logged in every mode so
+intervention statistics can be recomputed from logs, and it gates only in
+``ask`` mode. Greedy evaluation is a ``ppo`` episode with no table, which
+logs none. An LM action never outlives the step it was requested for: every
+step starts from the policy's own greedy action.
 """
 
 from __future__ import annotations
@@ -91,17 +92,43 @@ class EpisodeRecord:
     outcome: Outcome
 
 
-def _episode_rng(seed: int, episode_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, episode_index])
+MC_DROPOUT = "mc_dropout"  # the default uncertainty source: a fresh EstimateTable per episode
 
 
-def mc_dropout(
-    policy: policy_mod.MlpPolicy, obs: np.ndarray, cfg: GateConfig, rng: np.random.Generator
-) -> UncertaintyEstimate:
-    """The default uncertainty source: ``cfg.passes`` MC-Dropout passes at
-    ``cfg.dropout_rate``. ``mc_estimate`` is looked up at call time, so a
-    wrapper set on the module sees every call."""
-    return unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
+class EstimateTable:
+    """MC-Dropout estimates keyed by (episode_index, step, cell).
+
+    Episode ``i`` draws its masks from ``default_rng([seed, i])``, and each
+    step draws :func:`policy.draws_per_step` doubles whatever the tau or the
+    path. So the generator's state at step t is fixed, and the estimate at
+    (i, t, cell) is the same in every run that replays episode i: the table
+    computes it once. On a miss, :meth:`generator` makes the episode's
+    generator when that episode first needs one and moves it to step t with
+    ``bit_generator.advance``; a miss at an earlier step than the generator
+    has reached makes it afresh.
+
+    A table is valid for the parameters ``policy.flat`` holds and for the
+    passes, dropout rate and seed of the config it was made from; it is
+    local to one episode or one threshold study.
+    """
+
+    def __init__(self, policy: policy_mod.MlpPolicy, cfg: GateConfig):
+        self.settings = (cfg.passes, cfg.dropout_rate, cfg.seed)
+        self.estimates: dict[tuple[int, int, int], UncertaintyEstimate] = {}
+        self._draws = policy_mod.draws_per_step(policy, cfg.passes, cfg.dropout_rate)
+        # episode index -> (its generator, the step whose draws come next)
+        self._generators: dict[int, tuple[np.random.Generator, int]] = {}
+
+    def generator(self, episode_index: int, step: int) -> np.random.Generator:
+        """Episode ``episode_index``'s generator at the first draw of ``step``;
+        the caller draws that step's masks from it."""
+        rng, at = self._generators.get(episode_index, (None, 0))
+        if rng is None or at > step:
+            rng, at = np.random.default_rng([self.settings[2], episode_index]), 0
+        if step > at:
+            rng.bit_generator.advance((step - at) * self._draws)
+        self._generators[episode_index] = (rng, step + 1)
+        return rng
 
 
 def run_episode(
@@ -110,23 +137,29 @@ def run_episode(
     context: Context,
     cfg: GateConfig,
     episode_index: int = 0,
-    uncertainty=mc_dropout,
+    uncertainty=MC_DROPOUT,
     greedy: dict[int, Action] | None = None,
 ) -> EpisodeRecord:
     """Play one gated episode; deterministic given cfg.seed, episode_index,
-    and a deterministic client and uncertainty source.
+    and a deterministic client.
 
-    ``uncertainty(policy, obs, cfg, rng)`` gives each step's estimate, or is
-    None for no estimate, which ``ask`` mode cannot gate on. ``greedy`` maps
-    an observed cell to the policy's greedy action there and is filled by one
-    ``forward`` per new cell; it is only valid while ``policy.flat`` is
-    unchanged. None starts an empty one for this episode.
+    ``uncertainty`` is the :class:`EstimateTable` that gives each step's
+    estimate, :data:`MC_DROPOUT` for a fresh one, or None for no estimate,
+    which ``ask`` mode cannot gate on. A miss calls ``mc_estimate`` through
+    its module, so a wrapper set there sees every estimate computed.
+    ``greedy`` maps an observed cell to the policy's greedy action there and
+    is filled by one ``forward`` per new cell; it is only valid while
+    ``policy.flat`` is unchanged. None starts an empty one for this episode.
     """
     if cfg.mode is not RunMode.PPO_ONLY and client is None:
         raise ValueError(f"mode {cfg.mode.value} requires a client")
     if cfg.mode is RunMode.ASK and uncertainty is None:
         raise ValueError("mode ask requires an uncertainty source")
-    rng = _episode_rng(cfg.seed, episode_index) if uncertainty is not None else None
+    if uncertainty is MC_DROPOUT:
+        uncertainty = EstimateTable(policy, cfg)
+    elif uncertainty is not None and uncertainty.settings != (cfg.passes, cfg.dropout_rate, cfg.seed):
+        raise ValueError(f"the estimate table holds (passes, dropout_rate, seed) "
+                         f"{uncertainty.settings}, not those of the config")
     greedy = {} if greedy is None else greedy
     # The cell index comes from the state; the map's own size, not the
     # policy's input width, since a policy may run on smaller maps.
@@ -134,14 +167,23 @@ def run_episode(
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
     while not state.done:
-        # The forward, the uncertainty source and the tuner memo's key read obs.
-        obs = env_mod.encode_observation(state, dim=policy.input_dim)
         obs_index = state.row * n + state.col
+        obs = None  # the one-hot, built only for a forward or an estimate
         policy_action = greedy.get(obs_index)
         if policy_action is None:
+            obs = env_mod.encode_observation(state, dim=policy.input_dim)
             dist, _ = policy_mod.forward(policy, obs)
             policy_action = greedy[obs_index] = policy_mod.select_action(dist)
-        estimate = uncertainty(policy, obs, cfg, rng) if uncertainty is not None else None
+        estimate = None
+        if uncertainty is not None:
+            key = (episode_index, len(steps), obs_index)
+            estimate = uncertainty.estimates.get(key)
+            if estimate is None:
+                if obs is None:
+                    obs = env_mod.encode_observation(state, dim=policy.input_dim)
+                rng = uncertainty.generator(episode_index, len(steps))
+                estimate = uncertainty.estimates[key] = unc_mod.mc_estimate(
+                    policy, obs, cfg.passes, cfg.dropout_rate, rng)
 
         if cfg.mode is RunMode.ASK:
             consulted = estimate.total >= cfg.tau
@@ -193,12 +235,16 @@ def run_batch(
     contexts,
     cfg: GateConfig,
     total_episodes: int = 100,
-    uncertainty=mc_dropout,
+    uncertainty=MC_DROPOUT,
 ) -> list[EpisodeRecord]:
     """Round-robin over contexts; per-episode seeds derive from (seed, index).
 
     The episodes share one greedy-action table, local to this call: the
-    parameters are fixed for the call, not between calls.
+    parameters are fixed for the call, not between calls. A given
+    :class:`EstimateTable` is shared by every episode and kept for later
+    calls. With :data:`MC_DROPOUT` each episode makes its own, which dies
+    with it: no key repeats within one call, so a table kept for the call
+    would only hold memory.
     """
     contexts = list(contexts)
     if not contexts:

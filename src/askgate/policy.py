@@ -138,6 +138,13 @@ def apply_dropout(
     return np.where(keep, x / (1.0 - rate), 0.0)
 
 
+def draws_per_step(policy: MlpPolicy, n_passes: int, dropout_rate: float) -> int:
+    """How many doubles :func:`dropout_passes` draws from its generator: one
+    mask entry per pass and hidden unit, none at rate 0. It depends on no
+    observation, so a generator's state after k calls is known in advance."""
+    return 0 if dropout_rate == 0.0 else n_passes * sum(policy.widths[1:])
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the maximum, worked in place on
     one temporary; ``logits`` is left as is."""

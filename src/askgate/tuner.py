@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .atomic import write_atomic
 from .env import Split
-from .gate import GateConfig, RunMode, csv_text, mc_dropout, run_batch
+from .gate import EstimateTable, GateConfig, RunMode, csv_text, run_batch
 from .policy import MlpPolicy
 
 DEFAULT_LO = 0.10
@@ -51,33 +51,6 @@ class TuneStudy:
     best_reward: float
 
 
-def memoized_mc_dropout():
-    """A :func:`gate.mc_dropout` source that computes each estimate once.
-
-    Every step draws the same number of mask doubles from the episode's
-    generator whatever the tau or path, so for a fixed policy, passes and
-    rate the generator's state before the call plus the observed cell fixes
-    the estimate. A hit returns the stored estimate and restores the state
-    the real call left, so later steps draw exactly as before. Make a fresh
-    source per study.
-    """
-    memo = {}
-
-    def source(policy, obs, cfg, rng):
-        bits = rng.bit_generator
-        state = bits.state
-        key = (state["state"]["state"], state["state"]["inc"],
-               state["has_uint32"], state["uinteger"], obs.tobytes())
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (mc_dropout(policy, obs, cfg, rng), bits.state)
-        else:
-            bits.state = hit[1]
-        return hit[0]
-
-    return source
-
-
 def tune_threshold(
     policy: MlpPolicy,
     client,
@@ -92,8 +65,10 @@ def tune_threshold(
     """Search [lo, hi] for the reward-maximizing tau on the Eval split.
 
     ``gate`` supplies everything but tau and mode (passes, dropout rate,
-    cap, episode seed); the mode is forced to ask. The trials share one
-    :func:`memoized_mc_dropout` source, local to this call.
+    cap, episode seed); the mode is forced to ask. Every trial replays the
+    same seeded episodes, so the trials share one :class:`gate.EstimateTable`,
+    local to this call, and a study computes each (episode, step, cell)
+    estimate once.
     """
     eval_contexts = list(eval_contexts)
     if not eval_contexts:
@@ -111,7 +86,7 @@ def tune_threshold(
     taus = [(lo + hi) / 2.0]
     taus.extend(float(rng.uniform(lo, hi)) for _ in range(trials - 1))
 
-    uncertainty = memoized_mc_dropout()
+    uncertainty = EstimateTable(policy, base)
     records: list[TrialRecord] = []
     for i, tau in enumerate(taus, start=1):
         cfg = replace(base, tau=tau, mode=RunMode.ASK)

@@ -116,6 +116,35 @@ def test_the_step_counter_sees_every_gated_step():
     assert tracer.stats["uncertainty.mc_estimate"].calls == steps
 
 
+def test_a_traced_study_steps_every_trial_and_estimates_each_key_once():
+    # bench/run.py rates tune-6x6 by the env.step calls under gate.run_episode,
+    # so every trial must still step in full: a study shares only its
+    # estimates, one mc_estimate per (episode, step, cell) it meets. A
+    # sharpened untrained head makes the trials consult at different steps,
+    # so their paths part and later trials miss too.
+    tracing = load_tracing()
+    contexts = generate_context_set(4, 30, 7).split(Split.EVAL)[:3]
+    policy = init_policy(seed=0)
+    policy.action_head[0][...] *= 300
+    gate = GateConfig(passes=10, seed=1, max_steps=30)
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.begin_command()
+        study = tune_threshold(policy, RuleClient(), contexts, lo=0.0, hi=1.4, trials=6,
+                               episodes_per_trial=6, gate=gate)
+    trials = [run_batch(policy, RuleClient(), contexts,
+                        dataclasses.replace(gate, tau=rec.tau, mode=RunMode.ASK), 6)
+              for rec in study.records]
+    steps = sum(ep.length for eps in trials for ep in eps)
+    keys = {(i, t, s.obs_index) for eps in trials for i, ep in enumerate(eps)
+            for t, s in enumerate(ep.steps)}
+    assert tracer.stats["tuner.run_batch"].calls == len(trials)
+    assert tracer.edges[("gate.run_episode", "env.step")] == steps
+    assert tracer.edges[("gate.run_episode", "uncertainty.mc_estimate")] == len(keys)
+    assert tracer.stats["uncertainty.mc_estimate"].calls == len(keys)
+    assert sum(ep.length for ep in trials[0]) < len(keys) < steps
+
+
 def test_the_consult_count_sees_every_consult_and_every_status():
     # bench/run.py counts consults as lm.query calls and failed operations as
     # consults minus tracer.statuses["ok"]. A consult that bypassed lm.query,

@@ -163,6 +163,27 @@ def test_episodes_below_one_is_a_runtime_error_naming_the_option(workspace, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["contexts gen", "train", "run", "tune"])
+def test_a_negative_seed_is_refused_naming_the_option(workspace, tmp_path, monkeypatch, capsys,
+                                                      command):
+    # Each used to exit 2 with NumPy's bare "expected non-negative integer".
+    inputs = {"contexts gen": ["--size", "4", "--count", "6"],
+              "train": ["--contexts", workspace["ctx"], "--timesteps", "2048"],
+              "run": ["--contexts", workspace["ctx"], "--weights", workspace["weights"],
+                      "--episodes", "2", "--passes", "5"],
+              "tune": ["--contexts", workspace["ctx"], "--weights", workspace["weights"],
+                       "--trials", "2", "--episodes", "2", "--passes", "5"]}[command]
+    argv = [*command.split(), *inputs, "--out", str(tmp_path / "runs")]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": -1}))
+    monkeypatch.chdir(tmp_path)  # a stray write would land here
+    assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert main([*argv, "--config", str(path)]) == EXIT_RUNTIME
+    assert "'seed' does not fit --seed, got -1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_missing_config_file_is_a_runtime_error(tmp_path):
     assert main(["contexts", "gen", "--size", "4",
                  "--config", str(tmp_path / "absent.json"),

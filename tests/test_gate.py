@@ -1,6 +1,7 @@
 """Gated episode loop: consultation rule, override semantics, logging, determinism."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,23 +10,23 @@ from askgate import gate as gate_mod
 from askgate import policy as policy_mod
 from askgate import uncertainty as unc_mod
 from askgate.atomic import write_atomic
-from askgate.env import (
-    Action, Outcome, encode_observation, generate_context_set, local_view, reset, step,
-)
+from askgate.env import Action, Outcome, generate_context_set
 from askgate.gate import (
     EPISODE_CSV_HEADER,
     EpisodeRecord,
+    EstimateTable,
     GateConfig,
     RunMode,
-    StepRecord,
     csv_text,
     read_csv,
     run_batch,
     run_episode,
     write_episode_csv,
 )
-from askgate.lm import PromptContext, RuleClient, ScriptedClient, build_prompt, parse_decision
-from askgate.policy import forward, init_policy, select_action
+from askgate.lm import RuleClient, ScriptedClient
+from askgate.policy import init_policy
+
+from gateref import per_step_forward_batch
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,22 @@ def test_default_source_reaches_mc_estimate_through_the_module(policy, contexts,
     assert len(calls) == sum(r.length for r in records)
     assert all(args[2:4] == (4, 0.2) for args in calls)
     assert indices == [0, 1, 2]
+
+
+def test_an_estimate_table_serves_only_the_settings_it_was_made_for(policy, contexts):
+    # Its keys hold no passes, rate or seed, so another config would read
+    # estimates drawn for different ones.
+    cfg = GateConfig(mode=RunMode.ASK, passes=5, seed=0, max_steps=8)
+    table = EstimateTable(policy, cfg)
+    for other in (replace(cfg, passes=6), replace(cfg, dropout_rate=0.1), replace(cfg, seed=1)):
+        with pytest.raises(ValueError, match="estimate table"):
+            run_batch(policy, RuleClient(), contexts[:2], other, 2, uncertainty=table)
+    # tau and mode are not part of it: a study's trials share one table.
+    first = run_batch(policy, RuleClient(), contexts[:2], cfg, 2, uncertainty=table)
+    assert run_batch(policy, RuleClient(), contexts[:2], replace(cfg, tau=0.0), 2,
+                     uncertainty=table) == run_batch(policy, RuleClient(), contexts[:2],
+                                                     replace(cfg, tau=0.0), 2)
+    assert first == run_batch(policy, RuleClient(), contexts[:2], cfg, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +316,6 @@ def test_run_batch_reads_the_parameters_of_each_call(contexts):
     second = run_batch(policy, None, contexts[:3], cfg, total_episodes=6, uncertainty=None)
     assert second == run_batch(other, None, contexts[:3], cfg, total_episodes=6, uncertainty=None)
     assert second != first
-
-
-def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
-    """The gate loop written out with one forward per step and no table."""
-    records = []
-    for i in range(total_episodes):
-        context = contexts[i % len(contexts)]
-        rng = np.random.default_rng([cfg.seed, i])
-        state = reset(context)
-        steps = []
-        while not state.done:
-            obs = encode_observation(state, dim=policy.input_dim)
-            action = select_action(forward(policy, obs)[0])
-            estimate = unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
-            if cfg.mode is RunMode.ASK:
-                consulted = estimate.total >= cfg.tau
-            else:
-                consulted = cfg.mode is RunMode.LM_ONLY
-            status, lm_action, final = "", None, action
-            if consulted:
-                prompt = build_prompt(PromptContext(**local_view(state), autopilot=action))
-                decision = parse_decision(client.query(prompt))
-                status = decision.status
-                if decision.is_action:
-                    lm_action = final = decision.action
-            index = int(np.argmax(obs))
-            state, reward, done = step(state, final, cfg.max_steps)
-            steps.append(StepRecord(
-                obs_index=index, policy_action=action, uncertainty=estimate,
-                consulted=consulted, lm_status=status, lm_action=lm_action,
-                final_action=final, overwritten=lm_action is not None and lm_action != action,
-                reward=reward, done=done,
-            ))
-        records.append(EpisodeRecord(
-            context_id=context.id, steps=tuple(steps),
-            reward=1 if state.outcome is Outcome.GOAL else 0,
-            length=len(steps), outcome=state.outcome,
-        ))
-    return records
 
 
 @pytest.mark.parametrize("mode", list(RunMode))

@@ -15,6 +15,7 @@ from askgate.policy import (
     WeightsError,
     apply_dropout,
     build_policy,
+    draws_per_step,
     dropout_passes,
     forward,
     init_policy,
@@ -162,6 +163,9 @@ def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, pass
         expected = softmax(x @ wa + ba)
         assert np.array_equal(dropout_passes(policy, obs, passes, rate, rng), expected)
         assert rng.bit_generator.state == reference.bit_generator.state
+        advanced = np.random.default_rng([7, cell])
+        advanced.bit_generator.advance(draws_per_step(policy, passes, rate))
+        assert advanced.bit_generator.state == rng.bit_generator.state
 
 
 def test_inverted_dropout_preserves_expectation():

@@ -6,24 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from askgate import gate as gate_mod
+from askgate import env as env_mod
 from askgate import metrics as metrics_mod
 from askgate import uncertainty as unc_mod
 from askgate.env import Split
-from askgate.gate import GateConfig, RunMode, run_batch
+from askgate.gate import EstimateTable, GateConfig, RunMode, run_batch
 from askgate.lm import RuleClient
-from askgate.policy import build_policy, dropout_passes, init_policy
+from askgate.policy import build_policy, draws_per_step, dropout_passes, init_policy
 from askgate.tuner import (
     DEFAULT_HI,
     DEFAULT_LO,
     STUDY_CSV_HEADER,
     TrialRecord,
     TuneStudy,
-    memoized_mc_dropout,
     tune_threshold,
     write_study_csv,
 )
 
+from gateref import per_step_forward_batch
 from knownopt import corridor_answers, half_nat_policy, known_optimum_study
 
 
@@ -121,30 +121,43 @@ def count_mc_estimates(monkeypatch):
     return calls
 
 
+def count_episode_generators(monkeypatch):
+    """The episode indices of every ``default_rng([seed, i])`` made while patched."""
+    made = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        if isinstance(seed, list):
+            made.append(seed[1])
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
 @pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8)])
 @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
 @pytest.mark.parametrize("passes", [100, 7])
-def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, passes, monkeypatch):
+def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, passes):
+    # A step the table already holds draws nothing; the next miss advances the
+    # episode's generator past it by draws_per_step, which must land where a
+    # real dropout_passes call leaves it.
     policy = build_policy(widths)
     policy.flat[:] = np.random.default_rng(1).normal(size=policy.flat.size)
     obs = np.zeros(widths[0])
     obs[3] = 1.0
-    cfg = GateConfig(passes=passes, dropout_rate=rate)
-    expected = unc_mod.mc_estimate(policy, obs, passes, rate, np.random.default_rng([0, 3]))
-    calls = count_mc_estimates(monkeypatch)
-
-    source = memoized_mc_dropout()
-    miss = source(policy, obs, cfg, np.random.default_rng([0, 3]))
-    replay = np.random.default_rng([0, 3])
-    hit = source(policy, obs, cfg, replay)
     reference = np.random.default_rng([0, 3])
     dropout_passes(policy, obs, passes, rate, reference)
+    advanced = np.random.default_rng([0, 3])
+    advanced.bit_generator.advance(draws_per_step(policy, passes, rate))
+    assert advanced.bit_generator.state == reference.bit_generator.state
 
-    assert len(calls) == 1
-    assert hit == miss == expected
-    assert replay.bit_generator.state == reference.bit_generator.state
-    source(policy, np.roll(obs, 1), cfg, np.random.default_rng([0, 3]))
-    assert len(calls) == 2, "another cell at the same generator state is a miss"
+    dropout_passes(policy, obs, passes, rate, reference)
+    table = EstimateTable(policy, GateConfig(passes=passes, dropout_rate=rate, seed=0))
+    assert table.generator(3, 2).bit_generator.state == reference.bit_generator.state
+    table.generator(3, 5)
+    fresh = table.generator(3, 2)  # behind the generator: made afresh
+    assert fresh.bit_generator.state == reference.bit_generator.state
 
 
 def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
@@ -156,17 +169,22 @@ def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
     gate = GateConfig(passes=10, dropout_rate=0.2, seed=1, max_steps=30)
     episodes = 6
     kwargs = dict(lo=0.0, hi=1.4, trials=6, seed=0, episodes_per_trial=episodes, gate=gate)
-    calls = count_mc_estimates(monkeypatch)
-    study = tune_threshold(policy, RuleClient(), eval_contexts, **kwargs)
-    study_calls = len(calls)
-    assert tune_threshold(policy, RuleClient(), eval_contexts, **kwargs) == study
-    assert len(calls) == 2 * study_calls, "the memo must not span two studies"
+    with monkeypatch.context() as patch:
+        calls = count_mc_estimates(patch)
+        made = count_episode_generators(patch)
+        study = tune_threshold(policy, RuleClient(), eval_contexts, **kwargs)
+        study_calls = len(calls)
+        assert tune_threshold(policy, RuleClient(), eval_contexts, **kwargs) == study
+        assert len(calls) == 2 * study_calls, "the table must not span two studies"
+    made = made[:len(made) // 2]
+    assert len(made) > len(set(made)) == episodes, "some generator should be made afresh"
 
+    # The oracle: every trial on its own, one plain generator per episode and
+    # one estimate per step.
     trials = []
     for rec in study.records:
         cfg = replace(gate, tau=rec.tau, mode=RunMode.ASK)
-        eps = run_batch(policy, RuleClient(), eval_contexts, cfg,
-                        total_episodes=episodes, uncertainty=gate_mod.mc_dropout)
+        eps = per_step_forward_batch(policy, RuleClient(), eval_contexts, cfg, episodes)
         summary = metrics_mod.aggregate(eps)
         assert rec == TrialRecord(
             trial=rec.trial, tau=rec.tau,
@@ -174,12 +192,43 @@ def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
             ir_percent=summary.ir_percent, or_percent=summary.or_percent,
             context_ids=tuple(sorted({ep.context_id for ep in eps})),
         )
+        assert run_batch(policy, RuleClient(), eval_contexts, cfg, episodes) == eps
         trials.append(eps)
     paths = {tuple((s.obs_index, s.final_action) for s in eps[0].steps) for eps in trials}
     assert len(paths) > 1, "trajectories should diverge between trials"
-    first_trial_steps = sum(ep.length for ep in trials[0])
-    steps = sum(ep.length for eps in trials for ep in eps)
-    assert first_trial_steps < study_calls < steps
+    keys = {(i, t, s.obs_index) for eps in trials for i, ep in enumerate(eps)
+            for t, s in enumerate(ep.steps)}
+    assert study_calls == len(keys)
+    assert sum(ep.length for ep in trials[0]) < study_calls < sum(
+        ep.length for eps in trials for ep in eps)
+
+
+def test_a_study_whose_paths_agree_computes_only_the_first_trial(contexts4, monkeypatch):
+    # An untrained head is near uniform: u_total is about ln 4 on every step,
+    # above every tau drawn, so every trial consults the rule client at every
+    # step and walks the same path.
+    policy = init_policy(seed=0)
+    eval_contexts = contexts4.split(Split.EVAL)[:3]
+    gate = GateConfig(passes=5, dropout_rate=0.2, seed=2, max_steps=20)
+    episodes, trials = 5, 4
+    first = run_batch(policy, RuleClient(), eval_contexts,
+                      replace(gate, tau=0.0, mode=RunMode.ASK), episodes)
+    steps = sum(ep.length for ep in first)
+    cells = len({s.obs_index for ep in first for s in ep.steps})
+    encodes = []
+    real_encode = env_mod.encode_observation
+    monkeypatch.setattr(env_mod, "encode_observation",
+                        lambda *a, **k: encodes.append(1) or real_encode(*a, **k))
+    calls = count_mc_estimates(monkeypatch)
+    made = count_episode_generators(monkeypatch)
+    study = tune_threshold(policy, RuleClient(), eval_contexts, lo=0.0, hi=1.0, trials=trials,
+                           seed=0, episodes_per_trial=episodes, gate=gate)
+    assert all(rec.ir_percent == 100.0 for rec in study.records)
+    assert made == list(range(episodes))
+    assert len(calls) == steps
+    # The one-hot is built for every trial-1 step, then only for each later
+    # trial's greedy forward of a new cell.
+    assert len(encodes) == steps + (trials - 1) * cells
 
 
 # ---------------------------------------------------------------------------
