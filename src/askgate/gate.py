@@ -67,6 +67,8 @@ class GateConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 The network is a tanh MLP trunk (default 64->64->64) with separate linear
 action and value heads; all its parameters live in one float64 vector. MC
 passes apply dropout after each hidden activation, using inverted scaling so
-expected activations match the deterministic pass. Training itself never uses
-dropout, and the rate is the caller's (the gate's) setting, not the network's.
+expected activations match the deterministic pass; one draw gives every
+mask of an MC call. Training itself never uses dropout, and the rate is the
+caller's (the gate's) setting, not the network's.
 
 Weights file layout (little-endian): magic ``MLPW``, version u32, array count
 u32, then per array rows u32, cols u32, row-major f64 data. Arrays appear as
@@ -124,31 +125,19 @@ def init_policy(
     return policy
 
 
-def apply_dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator, passes: int | None = None
-) -> np.ndarray:
-    """Inverted dropout: zero units w.p. ``rate``, scale survivors by 1/(1-rate).
-
-    With ``passes``, ``x`` is one row that every pass shares: the result has
-    ``passes`` rows, each masked by its own draw.
-    """
-    if rate == 0.0:
-        return x if passes is None else np.tile(x, (passes, 1))
-    keep = rng.random(x.shape if passes is None else (passes, *x.shape)) >= rate
-    return np.where(keep, x / (1.0 - rate), 0.0)
-
-
 def draws_per_step(policy: MlpPolicy, n_passes: int, dropout_rate: float) -> int:
-    """How many doubles :func:`dropout_passes` draws from its generator: one
-    mask entry per pass and hidden unit, none at rate 0. It depends on no
-    observation, so a generator's state after k calls is known in advance."""
+    """The size of the one draw :func:`dropout_passes` makes from its
+    generator: one mask entry per pass and hidden unit, none at rate 0. It
+    depends on no observation, so a generator's state after k calls is known
+    in advance."""
     return 0 if dropout_rate == 0.0 else n_passes * sum(policy.widths[1:])
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, shifted by the maximum, worked in place on
-    one temporary; ``logits`` is left as is."""
-    out = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    ``out``: one temporary when None, else ``out`` itself, which may be
+    ``logits``."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
@@ -157,25 +146,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def trunk_activations(
     policy: MlpPolicy,
     x: np.ndarray,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    passes: int | None = None,
+    masks: list[np.ndarray] | None = None,
+    keep: float = 1.0,
 ) -> list[np.ndarray]:
     """The trunk's input followed by each hidden activation, for one row or a batch.
 
-    With an ``rng``, each hidden activation is masked by :func:`apply_dropout`
-    in layer order. With ``passes`` too, ``x`` is one row that every pass
-    shares: the first layer is computed once and each pass masks it with its
-    own draw, so later activations have ``passes`` rows. The heads apply to
-    the last entry; only the tests' reference gradient reads the rest.
+    ``masks`` holds one boolean array per hidden layer, in layer order. Each
+    hidden activation is then divided by ``keep`` and multiplied by its
+    mask: the first layer's row broadcasts into the mask's rows, and later
+    layers are masked in place. The heads apply to the last entry; only the
+    tests' reference gradient reads the rest.
     """
     acts = [x]
-    for w, b in policy.trunk:
+    for i, (w, b) in enumerate(policy.trunk):
         h = acts[-1] @ w
         h += b
         np.tanh(h, out=h)
-        if rng is not None:
-            h = apply_dropout(h, dropout_rate, rng, passes if len(acts) == 1 else None)
+        if masks is not None:
+            h /= keep
+            h = np.multiply(h, masks[i], out=h if i else None)
         acts.append(h)
     return acts
 
@@ -202,19 +191,31 @@ def dropout_passes(
 ) -> np.ndarray:
     """N stochastic action distributions for one observation, shape (N, 4).
 
-    Masks are drawn in a fixed layer order from the caller's rng, so the
-    result is seed-deterministic; passes are evaluated as one batch. For a
-    one-hot observation the result is bit-equal to masking the trunk of
-    ``n_passes`` stacked copies of it.
+    One draw of :func:`draws_per_step` doubles from the caller's rng,
+    compared once with the rate and sliced per hidden layer into (N, width)
+    blocks, gives every mask: the doubles of a draw per layer, in the same
+    order. The passes run as one batch, the first layer once. A dropped
+    negative unit is -0.0, which moves no nonzero sum and which ``exp`` maps
+    to 1, so for a one-hot observation the result and the generator's final
+    state equal those of masking ``n_passes`` stacked copies with ``np.where``.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-    x = np.asarray(obs, dtype=np.float64)
-    h = trunk_activations(policy, x, dropout_rate, rng, n_passes)[-1]
+    if dropout_rate == 0.0:  # no draw; masks of ones tile the first activation
+        masks = [np.ones((n_passes, 1), dtype=bool)] * len(policy.trunk)
+    else:
+        drawn = rng.random(draws_per_step(policy, n_passes, dropout_rate)) >= dropout_rate
+        masks, start = [], 0
+        for width in policy.widths[1:]:
+            masks.append(drawn[start:start + n_passes * width].reshape(n_passes, width))
+            start += n_passes * width
+    h = trunk_activations(policy, np.asarray(obs, dtype=np.float64), masks, 1.0 - dropout_rate)[-1]
     wa, ba = policy.action_head
-    return softmax(h @ wa + ba)
+    logits = h @ wa
+    logits += ba
+    return softmax(logits, out=logits)
 
 
 def sampling_cdf(dist: np.ndarray) -> list[float]:

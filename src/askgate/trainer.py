@@ -81,6 +81,8 @@ class PpoConfig:
         for name in ("eval_interval", "eval_episodes"):
             if not getattr(self, name) > 0:  # false for NaN too
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

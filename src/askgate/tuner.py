@@ -80,6 +80,8 @@ def tune_threshold(
         raise ValueError(f"need finite lo and hi with 0 <= lo < hi, got [{lo}, {hi}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     base = gate if gate is not None else GateConfig()
     rng = np.random.default_rng(seed)

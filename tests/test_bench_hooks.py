@@ -114,6 +114,10 @@ def test_the_step_counter_sees_every_gated_step():
     assert tracer.stats["env.step"].calls == steps
     assert tracer.edges[("gate.run_episode", "uncertainty.mc_estimate")] == steps
     assert tracer.stats["uncertainty.mc_estimate"].calls == steps
+    # policy.dropout_passes.calls and .us must keep meaning one call per
+    # estimate, each made through its module attribute.
+    assert tracer.edges[("uncertainty.mc_estimate", "policy.dropout_passes")] == steps
+    assert tracer.edges[("uncertainty.mc_estimate", "uncertainty.estimate_from_passes")] == steps
 
 
 def test_a_traced_study_steps_every_trial_and_estimates_each_key_once():

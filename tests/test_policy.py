@@ -13,7 +13,6 @@ from askgate.policy import (
     WEIGHTS_VERSION,
     MlpPolicy,
     WeightsError,
-    apply_dropout,
     build_policy,
     draws_per_step,
     dropout_passes,
@@ -169,22 +168,36 @@ def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, pass
 
 
 def test_inverted_dropout_preserves_expectation():
-    # Survivors are scaled by 1/(1-rate): the masked mean of a ones vector
-    # stays within 3 sigma of 1, and the zeroed fraction within 3 sigma of rate.
+    # Through the masked trunk: one hidden unit with the constant activation
+    # t feeds the first logit alone, so a pass where it survives reads
+    # softmax([t/(1-rate), 0, 0, 0]) and a pass where it is dropped reads the
+    # uniform row. The zeroed share lies within 3 sigma of rate, and the mean
+    # activation within 3 sigma of t.
     rate, n = 0.2, 200_000
-    rng = np.random.default_rng(0)
-    masked = apply_dropout(np.ones(n), rate, rng)
-    kept = masked > 0
-    assert np.all(np.isin(masked, [0.0, 1.0 / (1.0 - rate)]))
+    policy = build_policy((1, 1))
+    policy.trunk[0][1][...] = 0.5
+    policy.action_head[0][0, 0] = 1.0
+    t = np.tanh(0.5)
+    dists = dropout_passes(policy, np.ones(1), n, rate, np.random.default_rng(0))
+    dropped = np.all(dists == 0.25, axis=1)
+    survivor = softmax(np.array([t / (1.0 - rate), 0.0, 0.0, 0.0]))
+    assert np.array_equal(dists[~dropped], np.tile(survivor, ((~dropped).sum(), 1)))
     zero_sigma = np.sqrt(rate * (1 - rate) / n)
-    assert abs((1 - kept.mean()) - rate) < 3 * zero_sigma
-    mean_sigma = np.sqrt((rate / (1 - rate)) / n)
-    assert abs(masked.mean() - 1.0) < 3 * mean_sigma
+    assert abs(dropped.mean() - rate) < 3 * zero_sigma
+    mean = (~dropped).mean() * t / (1.0 - rate)
+    mean_sigma = t * np.sqrt((rate / (1 - rate)) / n)
+    assert abs(mean - t) < 3 * mean_sigma
 
 
-def test_zero_rate_dropout_is_identity():
-    x = np.arange(8.0)
-    assert apply_dropout(x, 0.0, np.random.default_rng(0)) is x
+def test_zero_rate_dropout_is_identity(policy):
+    # Rate 0 draws nothing and leaves the generator as it was; every pass is
+    # the unmasked forward.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    passes = dropout_passes(policy, one_hot(5), 10, 0.0, rng)
+    assert rng.bit_generator.state == state
+    assert all(np.array_equal(row, passes[0]) for row in passes)
+    assert np.allclose(passes[0], forward(policy, one_hot(5))[0], atol=1e-15)
 
 
 def test_softmax_matches_reference():

@@ -77,6 +77,8 @@ def test_config_validation():
         for bad in (0, -1, float("nan")):
             with pytest.raises(ValueError, match=name):
                 PpoConfig(**{name: bad})
+    with pytest.raises(ValueError, match="seed"):
+        PpoConfig(seed=-1)
 
 
 def test_the_loss_and_optimizer_settings_are_constants():

@@ -1,5 +1,6 @@
 """Threshold search: seeded reproducibility, split hygiene, and the known optimum."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -79,6 +80,8 @@ def test_parameter_validation(contexts4):
             tune_threshold(half_nat_policy(), None, eval_contexts, lo=lo, hi=hi, trials=3)
     with pytest.raises(ValueError):
         tune_threshold(half_nat_policy(), None, eval_contexts, trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        tune_threshold(half_nat_policy(), None, eval_contexts, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,23 @@ def test_study_csv_layout(tmp_path, contexts4):
     assert len(lines) == 2 + len(study.records)
     first = lines[2].split(",")
     assert first[0] == "1" and float(first[1]) == study.records[0].tau
+
+
+def test_study_csv_bytes_are_pinned(tmp_path, contexts4):
+    # Recorded with the episode CSV digests in test_gate.py and under the same
+    # NumPy and OpenBLAS build; another BLAS build may move them. The
+    # sharpened head spreads u_total over the taus, so the consult rates, and
+    # with them the bytes, follow the MC-Dropout bits.
+    policy = init_policy(seed=0)
+    policy.action_head[0][...] *= 300
+    study = tune_threshold(policy, RuleClient(), contexts4.split(Split.EVAL)[:3], trials=4,
+                           seed=2, episodes_per_trial=6,
+                           gate=GateConfig(passes=7, seed=1, max_steps=20))
+    path = tmp_path / "study.csv"
+    write_study_csv(study, str(path), {"seed": 2})
+    assert len({r.ir_percent for r in study.records}) > 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "eed8fefa3e472dee6c9b2695354588677494c17c6ab9ddf1adb2d751fd504a58")
 
 
 def test_study_is_a_value_object(contexts4):
