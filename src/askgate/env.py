@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,8 +141,10 @@ class ContextSet:
         return tuple(c for c in self.contexts if c.split == which)
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
+    """One point of an episode. Every step builds one, so it is a NamedTuple:
+    immutable and hashable, and built without a ``__setattr__`` per field."""
+
     context: Context
     row: int
     col: int
@@ -276,6 +279,23 @@ def _hole_masks(rng: np.random.Generator, may_hole: np.ndarray, hole_probability
             yield masks[offset:offset + cells]
 
 
+# The most cells that may hold a hole for which a set that runs a map out of
+# its budget lists the unseen masks: 2**16 masks of at most 25 cells.
+_ENUMERABLE_CELLS = 16
+
+
+def _all_masks(may_hole: np.ndarray) -> list[bytes]:
+    """Every hole mask ``may_hole`` allows, ``n*n`` bytes of 0/1 each: the mask
+    of code k holds a hole at the j-th allowed cell (row-major) where bit j of
+    k is set, in the order of k."""
+    free = np.flatnonzero(may_hole)
+    codes = np.arange(1 << len(free))
+    holes = np.zeros((len(codes), may_hole.size), dtype=bool)
+    holes[:, free] = (codes[:, None] >> np.arange(len(free))) & 1
+    masks, cells = holes.tobytes(), may_hole.size
+    return [masks[offset:offset + cells] for offset in range(0, len(masks), cells)]
+
+
 def generate_context_set(
     n: int,
     count: int,
@@ -288,12 +308,15 @@ def generate_context_set(
     Solvable sets keep the shared zig-zag corridor hole-free, a 4-neighbour
     path from S to G, so every map is solvable by construction; unsolvable
     sets sample cells independently with no reachability requirement.
-    Duplicates are always rejected. Raises
-    :class:`MapGenerationError` if any single map exhausts the attempt budget,
-    and ``ValueError``, before any draw, for a size below 2, which no map file
-    can hold, a count below 1, a ``hole_probability`` outside [0, 1], or a
-    count above the distinct maps there are: 2 to the number of cells that
-    may hold a hole, or 1 when ``hole_probability`` is 0 or 1.
+    Duplicates are always rejected. Once a map exhausts the attempt budget
+    (near the number of distinct maps, the last masks are rare draws), the
+    rest of the set is the masks not yet drawn, in an order
+    ``rng.permutation`` fixes; with more than 2**16 masks to list, it raises
+    :class:`MapGenerationError` instead. Raises ``ValueError``, before any
+    draw, for a size below 2, which no map file can hold, a count below 1, a
+    ``hole_probability`` outside [0, 1], or a count above the distinct maps
+    there are: 2 to the number of cells that may hold a hole, or 1 when
+    ``hole_probability`` is 0 or 1.
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2x2, got {n}")
@@ -314,22 +337,28 @@ def generate_context_set(
     # is a duplicate, rejected before any text. Any other mask is accepted; in
     # a solvable set the hole-free corridor already links S to G.
     seen: set[bytes] = set()
-    grids: list[GridMap] = []
-    while len(grids) < count:
+    masks: list[bytes] = []
+    while len(masks) < count:
         for _ in range(GENERATION_BUDGET):
             mask = next(candidates)
-            if mask in seen:
-                continue
-            seen.add(mask)
-            text = mask.translate(_HOLE_MASK_TILES).decode("ascii")
-            text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
-            grids.append(GridMap(tuple(text[i:i + n] for i in range(0, n * n, n))))
-            break
+            if mask not in seen:
+                break
         else:
-            raise MapGenerationError(
-                f"exhausted {GENERATION_BUDGET} attempts at map {len(grids) + 1}/{count} "
-                f"(size {n}, solvable={solvable})"
-            )
+            if may_hole.sum() > _ENUMERABLE_CELLS:
+                raise MapGenerationError(
+                    f"exhausted {GENERATION_BUDGET} attempts at map {len(masks) + 1}/{count} "
+                    f"(size {n}, solvable={solvable})"
+                )
+            unseen = [m for m in _all_masks(may_hole) if m not in seen]
+            masks += [unseen[i] for i in rng.permutation(len(unseen))[:count - len(masks)]]
+            break
+        seen.add(mask)
+        masks.append(mask)
+    grids = []
+    for mask in masks:
+        text = mask.translate(_HOLE_MASK_TILES).decode("ascii")
+        text = TileKind.START.value + text[1:-1] + _GOAL_CHAR
+        grids.append(GridMap(tuple(text[i:i + n] for i in range(0, n * n, n))))
     contexts = tuple(
         Context(id=i, grid=g, split=_split_for_index(i, count)) for i, g in enumerate(grids)
     )

@@ -23,6 +23,7 @@ import enum
 import io
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,10 @@ class GateConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step of an episode, as its CSV row logs it (a NamedTuple, like
+    the other records built on every step)."""
+
     obs_index: int
     policy_action: Action
     uncertainty: UncertaintyEstimate | None   # None when the episode has no uncertainty source

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .env import Action, EDGE_LABEL
 
@@ -77,9 +77,9 @@ class LmTransportError(RuntimeError):
     """Request never produced a usable response body."""
 
 
-@dataclass(frozen=True)
-class PromptContext:
-    """Everything substituted into the prompt template."""
+class PromptContext(NamedTuple):
+    """Everything substituted into the prompt template. Every consult builds
+    one, so it is a NamedTuple, as is :class:`LmDecision`."""
 
     agent_row: int
     agent_col: int
@@ -96,11 +96,14 @@ class PromptContext:
     autopilot: Action
 
     def tile(self, action: Action) -> str:
-        return getattr(self, f"{action.name.lower()}_tile")
+        return getattr(self, _TILE_FIELDS[action])
 
 
-@dataclass(frozen=True)
-class LmDecision:
+# The PromptContext field that holds each action's adjacent tile.
+_TILE_FIELDS = {a: f"{a.name.lower()}_tile" for a in Action}
+
+
+class LmDecision(NamedTuple):
     """Parse outcome: ok (with an action), parse_failure, or invalid_action."""
 
     status: str
@@ -112,7 +115,7 @@ class LmDecision:
 
 
 def build_prompt(ctx: PromptContext) -> str:
-    return PROMPT_TEMPLATE.format(**{**vars(ctx), "autopilot": ctx.autopilot.name})
+    return PROMPT_TEMPLATE.format(**{**ctx._asdict(), "autopilot": ctx.autopilot.name})
 
 
 def parse_decision(raw: str) -> LmDecision:

@@ -208,7 +208,8 @@ def dropout_passes(
     else:
         drawn = rng.random(draws_per_step(policy, n_passes, dropout_rate)) >= dropout_rate
         masks, start = [], 0
-        for width in policy.widths[1:]:
+        for w, _ in policy.trunk:  # the hidden widths draws_per_step sums
+            width = w.shape[1]
             masks.append(drawn[start:start + n_passes * width].reshape(n_passes, width))
             start += n_passes * width
     h = trunk_activations(policy, np.asarray(obs, dtype=np.float64), masks, 1.0 - dropout_rate)[-1]

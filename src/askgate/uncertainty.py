@@ -14,7 +14,7 @@ passes and :func:`estimate_from_passes` is the one decomposition of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from . import policy as policy_mod
 from .policy import MlpPolicy
 
 
-@dataclass(frozen=True)
-class UncertaintyEstimate:
+class UncertaintyEstimate(NamedTuple):
     epistemic: float
     aleatoric: float
     total: float

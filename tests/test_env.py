@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,7 +216,7 @@ def in_bounds(grid, row, col):
 
 
 def reference_step(state, action, max_steps=DEFAULT_MAX_STEPS):
-    """The step function as first written: TileKind reads and ``replace``."""
+    """The step function as first written: TileKind reads and ``_replace``."""
     if state.done:
         raise TerminalStateError(f"episode already ended with outcome {state.outcome.value}")
     grid = state.context.grid
@@ -235,7 +234,7 @@ def reference_step(state, action, max_steps=DEFAULT_MAX_STEPS):
         outcome = Outcome.TRUNCATED
     else:
         outcome = Outcome.RUNNING
-    next_state = replace(state, row=row, col=col, step_count=steps, outcome=outcome)
+    next_state = state._replace(row=row, col=col, step_count=steps, outcome=outcome)
     reward = 1 if outcome is Outcome.GOAL else 0
     return next_state, reward, next_state.done
 
@@ -590,16 +589,57 @@ def test_generation_matches_the_per_candidate_reference(tmp_path, n):
 
 def test_generation_budget_exhaustion_raises():
     # Both counts are possible, but at a hole probability of 1e-9 the second
-    # map needs a hole that no draw in the budget gives. Both fail at the
-    # reference's map.
-    for args, kwargs in (((4, 2, 0), {"solvable": False, "hole_probability": 1e-9}),
-                         ((2, 2, 0), {"hole_probability": 1e-9})):
+    # map needs a hole that no draw in the budget gives, and with 2**25 and
+    # 2**34 masks there are too many to list. Both fail at the reference's map.
+    for args, kwargs in (((6, 2, 0), {"solvable": False, "hole_probability": 1e-9}),
+                         ((6, 2, 0), {"hole_probability": 1e-9})):
         with pytest.raises(MapGenerationError) as want:
             reference_generate_context_set(*args, **kwargs)
         with pytest.raises(MapGenerationError) as got:
             generate_context_set(*args, **kwargs)
         assert str(got.value) == str(want.value)
         assert f"at map {args[1]}/{args[1]}" in str(got.value)
+
+
+# Counts whose budget runs out, with the sha256 of their saved set, recorded
+# when the unseen masks first completed them.
+BUDGET_SHORT_SETS = [
+    # every 3x3 unsolvable map there is; the budget ran out at map 126
+    ((3, 128, 0), {"solvable": False},
+     "dbbbfbee2aecb49d72bb8ceb0260e396e2ec514a0292a3a2176d05a45d826a7c"),
+    # every 4x4 solvable map; ran out at map 476
+    ((4, 512, 0), {}, "0af19411ac5ee13224652053c5f1f6216a818f3669a3821b43ce195939cbdc39"),
+    ((4, 2, 0), {"solvable": False, "hole_probability": 1e-9},
+     "21a6034687b4f0cca255859ba540132319f36d5f450b0e3e6f9c9ebcffe8b816"),
+    ((2, 2, 0), {"hole_probability": 1e-9},
+     "e3670e1eb1ed25b72113ec3d45899f4adc4aac2184347f019731dd32157644e3"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, digest", BUDGET_SHORT_SETS,
+                         ids=["3x3-unsolvable-128", "4x4-512", "4x4-unsolvable-p1e-9", "2x2-p1e-9"])
+def test_a_count_the_budget_cannot_meet_takes_the_rest_from_the_unseen_masks(tmp_path, args,
+                                                                              kwargs, digest):
+    got = generate_context_set(*args, **kwargs)
+    grids = [c.grid for c in got.contexts]
+    assert len({g.rows for g in grids}) == len(grids) == args[1]
+    if kwargs.get("solvable", True):
+        assert all(reference_bfs_solvable(g) for g in grids)
+    assert hashlib.sha256(saved_bytes(got, tmp_path / "ctx.txt")).hexdigest() == digest
+
+
+def test_a_count_the_budget_meets_keeps_its_bytes(tmp_path, monkeypatch):
+    # Near the limit but inside the budget, the maps are the reference's,
+    # and the unseen masks are never listed.
+    def no_listing(*args):
+        raise AssertionError("listed the unseen masks")
+
+    monkeypatch.setattr(env_mod, "_all_masks", no_listing)
+    for args, kwargs in (((3, 100, 0), {"solvable": False}), ((4, 400, 0), {}),
+                         ((3, 16, 4), {}), ((2, 2, 0), {})):
+        want = saved_bytes(reference_generate_context_set(*args, **kwargs), tmp_path / "want.txt")
+        got = saved_bytes(generate_context_set(*args, **kwargs), tmp_path / "got.txt")
+        assert got == want, (args, kwargs)
 
 
 def test_a_count_above_the_distinct_maps_is_refused_before_any_draw(monkeypatch):

@@ -11,21 +11,23 @@ from askgate import gate as gate_mod
 from askgate import policy as policy_mod
 from askgate import uncertainty as unc_mod
 from askgate.atomic import write_atomic
-from askgate.env import Action, Outcome, generate_context_set
+from askgate.env import Action, EnvState, Outcome, generate_context_set
 from askgate.gate import (
     EPISODE_CSV_HEADER,
     EpisodeRecord,
     EstimateTable,
     GateConfig,
     RunMode,
+    StepRecord,
     csv_text,
     read_csv,
     run_batch,
     run_episode,
     write_episode_csv,
 )
-from askgate.lm import RuleClient, ScriptedClient
+from askgate.lm import LmDecision, PromptContext, RuleClient, ScriptedClient
 from askgate.policy import init_policy
+from askgate.uncertainty import UncertaintyEstimate
 
 from gateref import per_step_forward_batch
 
@@ -42,6 +44,32 @@ def policy():
 
 def scripted(actions, repeat=1):
     return ScriptedClient(['{"action":"%s"}' % a.name for a in actions] * repeat)
+
+
+# ---------------------------------------------------------------------------
+# Per-step records
+
+_CONTEXT = generate_context_set(4, 3, 0).contexts[0]
+# A maker of each record built on every step, and one of its fields.
+STEP_RECORDS = [
+    (lambda: EnvState(_CONTEXT, 1, 2, 3, Outcome.RUNNING), "row"),
+    (lambda: UncertaintyEstimate(0.25, 0.5, 0.75, 10), "total"),
+    (lambda: PromptContext(1, 2, 3, 3, "FROZEN", "HOLE", "EDGE", "GOAL",
+                           "EDGE", "FROZEN", "EDGE", "EDGE", Action.DOWN), "up_tile"),
+    (lambda: LmDecision("ok", Action.LEFT), "action"),
+    (lambda: StepRecord(5, Action.DOWN, UncertaintyEstimate(0.25, 0.5, 0.75, 10), True,
+                        "ok", Action.LEFT, Action.LEFT, True, 0, False), "final_action"),
+]
+
+
+@pytest.mark.parametrize("make, field", STEP_RECORDS,
+                         ids=[make().__class__.__name__ for make, _ in STEP_RECORDS])
+def test_step_records_are_immutable_and_hash_by_value(make, field):
+    record, twin = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert record  # write_episode_csv tells an estimate from None by its truth
 
 
 # ---------------------------------------------------------------------------
