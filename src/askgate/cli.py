@@ -257,7 +257,7 @@ def _cmd_contexts_gen(args: argparse.Namespace) -> int:
     size, count, seed = _require(args, "size"), args.count, args.seed
     try:
         context_set = env_mod.generate_context_set(size, count, seed, solvable=not args.unsolvable)
-    except (ValueError, env_mod.MapGenerationError) as exc:
+    except ValueError as exc:
         raise RuntimeFailure(f"generation failed: {exc}")
     path = os.path.join(args.out, "contexts", f"s{size}_c{count}_seed{seed}.txt")
     env_mod.save_context_set(context_set, _writable(path))

@@ -77,10 +77,6 @@ class TerminalStateError(RuntimeError):
     """Raised when stepping an episode that has already ended."""
 
 
-class MapGenerationError(RuntimeError):
-    """Raised when the rejection-sampling budget cannot satisfy a request."""
-
-
 @dataclass(frozen=True)
 class GridMap:
     """Square tile grid stored as a tuple of row strings."""
@@ -191,6 +187,13 @@ def step(state: EnvState, action: Action, max_steps: int = DEFAULT_MAX_STEPS) ->
     return next_state, 1 if outcome is Outcome.GOAL else 0, outcome is not Outcome.RUNNING
 
 
+def check_observation_fits(n: int, dim: int) -> None:
+    """Refuse an ``n`` x ``n`` grid whose last cell has no place in a
+    ``dim``-wide observation, whichever cells an episode would visit."""
+    if n * n > dim:
+        raise ValueError(f"observation index {n * n - 1} does not fit dim {dim} (grid size {n})")
+
+
 def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:
     """Position-only projection: one-hot of row*n + col in a fixed-size vector.
 
@@ -198,11 +201,9 @@ def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:
     covers every context of a given size (and every size up to sqrt(dim)).
     """
     n = state.context.grid.size
-    index = state.row * n + state.col
-    if index >= dim:
-        raise ValueError(f"observation index {index} does not fit dim {dim} (grid size {n})")
+    check_observation_fits(n, dim)
     obs = np.zeros(dim, dtype=np.float64)
-    obs[index] = 1.0
+    obs[state.row * n + state.col] = 1.0
     return obs
 
 
@@ -279,23 +280,6 @@ def _hole_masks(rng: np.random.Generator, may_hole: np.ndarray, hole_probability
             yield masks[offset:offset + cells]
 
 
-# The most cells that may hold a hole for which a set that runs a map out of
-# its budget lists the unseen masks: 2**16 masks of at most 25 cells.
-_ENUMERABLE_CELLS = 16
-
-
-def _all_masks(may_hole: np.ndarray) -> list[bytes]:
-    """Every hole mask ``may_hole`` allows, ``n*n`` bytes of 0/1 each: the mask
-    of code k holds a hole at the j-th allowed cell (row-major) where bit j of
-    k is set, in the order of k."""
-    free = np.flatnonzero(may_hole)
-    codes = np.arange(1 << len(free))
-    holes = np.zeros((len(codes), may_hole.size), dtype=bool)
-    holes[:, free] = (codes[:, None] >> np.arange(len(free))) & 1
-    masks, cells = holes.tobytes(), may_hole.size
-    return [masks[offset:offset + cells] for offset in range(0, len(masks), cells)]
-
-
 def generate_context_set(
     n: int,
     count: int,
@@ -308,15 +292,17 @@ def generate_context_set(
     Solvable sets keep the shared zig-zag corridor hole-free, a 4-neighbour
     path from S to G, so every map is solvable by construction; unsolvable
     sets sample cells independently with no reachability requirement.
-    Duplicates are always rejected. Once a map exhausts the attempt budget
-    (near the number of distinct maps, the last masks are rare draws), the
-    rest of the set is the masks not yet drawn, in an order
-    ``rng.permutation`` fixes; with more than 2**16 masks to list, it raises
-    :class:`MapGenerationError` instead. Raises ``ValueError``, before any
-    draw, for a size below 2, which no map file can hold, a count below 1, a
-    ``hole_probability`` outside [0, 1], or a count above the distinct maps
-    there are: 2 to the number of cells that may hold a hole, or 1 when
-    ``hole_probability`` is 0 or 1.
+    Duplicates are always rejected. Near the number of distinct maps the
+    last masks are rare draws, so once ``GENERATION_BUDGET`` candidates in a
+    row were duplicates, the rest of the set is drawn at a hole probability
+    of 0.5, which gives each mask of the free cells with equal probability;
+    a set that never meets such a run keeps the bytes of the plain rejection
+    loop. So every count up to the number of distinct maps succeeds.
+
+    Raises ``ValueError``, before any draw, for a size below 2, which no map
+    file can hold, a count below 1, a ``hole_probability`` outside [0, 1], or
+    a count above the distinct maps there are: 2 to the number of cells that
+    may hold a hole, or 1 when ``hole_probability`` is 0 or 1.
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2x2, got {n}")
@@ -338,22 +324,19 @@ def generate_context_set(
     # a solvable set the hole-free corridor already links S to G.
     seen: set[bytes] = set()
     masks: list[bytes] = []
+    misses = 0  # duplicates in a row
     while len(masks) < count:
-        for _ in range(GENERATION_BUDGET):
-            mask = next(candidates)
-            if mask not in seen:
-                break
+        mask = next(candidates)
+        if mask not in seen:
+            seen.add(mask)
+            masks.append(mask)
+            misses = 0
         else:
-            if may_hole.sum() > _ENUMERABLE_CELLS:
-                raise MapGenerationError(
-                    f"exhausted {GENERATION_BUDGET} attempts at map {len(masks) + 1}/{count} "
-                    f"(size {n}, solvable={solvable})"
-                )
-            unseen = [m for m in _all_masks(may_hole) if m not in seen]
-            masks += [unseen[i] for i in rng.permutation(len(unseen))[:count - len(masks)]]
-            break
-        seen.add(mask)
-        masks.append(mask)
+            misses += 1
+            # A later run of misses replaces a uniform stream with another
+            # one, which keeps the distribution.
+            if misses == GENERATION_BUDGET:
+                candidates = _hole_masks(rng, may_hole, 0.5)
     grids = []
     for mask in masks:
         text = mask.translate(_HOLE_MASK_TILES).decode("ascii")

@@ -244,6 +244,9 @@ def run_batch(
 ) -> list[EpisodeRecord]:
     """Round-robin over contexts; per-episode seeds derive from (seed, index).
 
+    A context whose grid has more cells than the policy's input is refused
+    before the first episode.
+
     The episodes share one greedy-action table, local to this call: the
     parameters are fixed for the call, not between calls. A given
     :class:`EstimateTable` is shared by every episode and kept for later
@@ -256,6 +259,7 @@ def run_batch(
         raise ValueError("run_batch requires at least one context")
     if total_episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {total_episodes}")
+    env_mod.check_observation_fits(max(c.grid.size for c in contexts), policy.input_dim)
     greedy: dict[int, Action] = {}
     return [
         run_episode(policy, client, contexts[i % len(contexts)], cfg,

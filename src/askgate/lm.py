@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+import string
 from collections import deque
 from typing import NamedTuple
 
@@ -228,25 +229,22 @@ class ScriptedClient:
         return self._queue.popleft()
 
 
-_PROMPT_FIELDS = re.compile(
-    r"Agent position: row (?P<agent_row>\d+), col (?P<agent_col>\d+)\n"
-    r"Goal position: row (?P<goal_row>\d+), col (?P<goal_col>\d+)\n"
-    r"\nIMMEDIATE NEIGHBORS:\n"
-    r"UP: (?P<up_tile>\w+)\nDOWN: (?P<down_tile>\w+)\n"
-    r"LEFT: (?P<left_tile>\w+)\nRIGHT: (?P<right_tile>\w+)\n"
-    r"\nLOOK AHEAD:\n"
-    r"UP->UP: (?P<up_up_tile>\w+)\nDOWN->DOWN: (?P<down_down_tile>\w+)\n"
-    r"LEFT->LEFT: (?P<left_left_tile>\w+)\nRIGHT->RIGHT: (?P<right_right_tile>\w+)\n"
-    r"AUTOPILOT SUGGESTION: (?P<autopilot>\w+)\n"
-)
+_INT_FIELDS = ("agent_row", "agent_col", "goal_row", "goal_col")
+# PROMPT_TEMPLATE with a named group at each field: digits for the positions,
+# a word for the tiles and the suggestion.
+_PROMPT_FIELDS = re.compile("".join(
+    re.escape(literal) + ("" if name is None else
+                          "(?P<%s>%s)" % (name, r"\d+" if name in _INT_FIELDS else r"\w+"))
+    for literal, name, _, _ in string.Formatter().parse(PROMPT_TEMPLATE)
+))
 
 
 def _context_from_prompt(prompt: str) -> PromptContext:
-    match = _PROMPT_FIELDS.search(prompt)
+    match = _PROMPT_FIELDS.fullmatch(prompt)
     if match is None:
         raise ValueError("prompt does not follow the expected template")
     fields = match.groupdict()
-    for name in ("agent_row", "agent_col", "goal_row", "goal_col"):
+    for name in _INT_FIELDS:
         fields[name] = int(fields[name])
     fields["autopilot"] = Action[fields["autopilot"]]
     return PromptContext(**fields)

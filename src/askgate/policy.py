@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import write_atomic
-from .env import Action
+from .env import OBS_DIM, Action
 
 N_ACTIONS = 4
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)  # rng.choice's tolerance on sum(p)
@@ -111,7 +111,7 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
 
 
 def init_policy(
-    input_dim: int = 64,
+    input_dim: int = OBS_DIM,
     hidden: tuple[int, ...] = (64, 64),
     seed: int = 0,
 ) -> MlpPolicy:

@@ -287,9 +287,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     rng = np.random.default_rng(config.seed)
     full = policy_mod.init_policy(seed=config.seed)
     (n,) = sizes
-    if n * n > full.input_dim:
-        raise ValueError(
-            f"observation index {n * n - 1} does not fit dim {full.input_dim} (grid size {n})")
+    env_mod.check_observation_fits(n, full.input_dim)
     if config.total_timesteps == 0:
         return full, TrainLog((), -1)
     # Training runs on W0's rows 0..n²-1, the ones a cell of the grid reads:

@@ -16,7 +16,7 @@ import askgate
 from askgate import trainer as trainer_mod
 from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from askgate.env import Split, load_context_set
+from askgate.env import Split, generate_context_set, load_context_set, save_context_set
 from askgate.gate import csv_text, read_csv
 from askgate.metrics import (
     SUMMARY_CSV_HEADER,
@@ -25,7 +25,7 @@ from askgate.metrics import (
     read_summary_csv,
     write_summary_csv,
 )
-from askgate.policy import MlpPolicy, load_weights, save_weights
+from askgate.policy import MlpPolicy, init_policy, load_weights, save_weights
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +161,32 @@ def test_episodes_below_one_is_a_runtime_error_naming_the_option(workspace, tmp_
             assert code == EXIT_RUNTIME
             assert f"episodes must be at least 1, got {episodes}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_maps_larger_than_the_policy_input_are_refused_whatever_the_policy(tmp_path, capsys):
+    # A 64-input policy cannot encode a 9x9 map. Untrained policies used to
+    # finish 20 episodes there, never reaching a cell index above 63, while a
+    # policy that always moves DOWN died mid-batch at cell 72.
+    out = tmp_path / "runs"
+    ctx = str(tmp_path / "s9.txt")
+    save_context_set(generate_context_set(9, 30, 0), ctx)
+    policies = [init_policy(seed=seed) for seed in range(6)]
+    down = init_policy(seed=0)
+    down.action_head[0][...] = 0.0
+    down.action_head[1][...] = [0.0, 10.0, 0.0, 0.0]  # DOWN = 1
+    policies.append(down)
+    for policy in policies:
+        weights = str(tmp_path / "w.bin")
+        save_weights(policy, weights)
+        for command in (["run", "--mode", "ppo", "--episodes", "20"],
+                        ["run", "--mode", "ask", "--client", "rule", "--episodes", "2"],
+                        ["tune", "--client", "rule", "--trials", "2", "--episodes", "2"]):
+            code = main([*command, "--contexts", ctx, "--weights", weights,
+                         "--passes", "5", "--out", str(out)])
+            assert code == EXIT_RUNTIME, command
+            assert ("error: observation index 80 does not fit dim 64 (grid size 9)"
+                    in capsys.readouterr().err)
+    assert not out.exists()  # no episode, summary or study CSV was written
 
 
 @pytest.mark.parametrize("command", ["contexts gen", "train", "run", "tune"])

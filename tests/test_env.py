@@ -19,7 +19,6 @@ from askgate.env import (
     EDGE_LABEL,
     EnvState,
     GridMap,
-    MapGenerationError,
     Outcome,
     Split,
     TerminalStateError,
@@ -525,9 +524,15 @@ def reference_sample_grid(n, rng, may_hole, hole_probability):
     return GridMap(tuple(text[i:i + n] for i in range(0, n * n, n)))
 
 
+class ReferenceExhausted(Exception):
+    """The reference ran a map out of its budget; the one argument holds the
+    maps it drew before that."""
+
+
 def reference_generate_context_set(n, count, seed, solvable=True, hole_probability=0.2):
     """``generate_context_set`` as written before the block draw: one draw,
-    one ``GridMap`` and one BFS per candidate, deduplicated on the rows."""
+    one ``GridMap`` and one BFS per candidate, deduplicated on the rows. A
+    map that runs out of its budget raises :class:`ReferenceExhausted`."""
     rng = np.random.default_rng(seed)
     may_hole = np.ones((n, n), dtype=bool)
     for row, col in corridor_cells(n) if solvable else ((0, 0), (n - 1, n - 1)):
@@ -545,10 +550,7 @@ def reference_generate_context_set(n, count, seed, solvable=True, hole_probabili
             grids.append(grid)
             break
         else:
-            raise MapGenerationError(
-                f"exhausted {GENERATION_BUDGET} attempts at map {len(grids) + 1}/{count} "
-                f"(size {n}, solvable={solvable})"
-            )
+            raise ReferenceExhausted(grids)
     contexts = tuple(
         Context(id=i, grid=g, split=_split_for_index(i, count)) for i, g in enumerate(grids)
     )
@@ -564,82 +566,96 @@ def saved_bytes(context_set, path):
 def test_generation_matches_the_per_candidate_reference(tmp_path, n):
     # Counts that end inside the first block (1, 7) and after several (300);
     # a probability of 0 or 1 leaves one map per size, so those ask for one.
+    # At 1e-9 the budget runs out at the second map.
     path = tmp_path / "ctx.txt"
     cases = [(count, seed, solvable, p)
              for solvable in (True, False)
              for p in (0.2, 0.5)
              for count, seed in ((1, 0), (7, 3), (300, 7))]
     cases += [(1, 5, solvable, p) for solvable in (True, False) for p in (0.0, 1.0)]
+    cases += [(2, 0, solvable, 1e-9) for solvable in (True, False)]
     for count, seed, solvable, p in cases:
         if count > 2 ** (n * n - (2 * n - 1 if solvable else 2)):
             # More maps than the size has: refused before any draw.
             with pytest.raises(ValueError, match=f"count {count} exceeds"):
                 generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
             continue
+        got = generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
         try:
             want = saved_bytes(reference_generate_context_set(n, count, seed, solvable, p), path)
-        except MapGenerationError as exc:
-            with pytest.raises(MapGenerationError) as got:
-                generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
-            assert str(got.value) == str(exc)
+        except ReferenceExhausted as exc:
+            # The maps up to the one that ran out are the reference's.
+            (want_grids,) = exc.args
+            assert 0 < len(want_grids) < count
+            drawn = [c.grid for c in got.contexts[:len(want_grids)]]
+            assert drawn == want_grids, (count, seed, solvable, p)
             continue
-        got = generate_context_set(n, count, seed, solvable=solvable, hole_probability=p)
         assert saved_bytes(got, path) == want, (count, seed, solvable, p)
 
 
-def test_generation_budget_exhaustion_raises():
-    # Both counts are possible, but at a hole probability of 1e-9 the second
-    # map needs a hole that no draw in the budget gives, and with 2**25 and
-    # 2**34 masks there are too many to list. Both fail at the reference's map.
-    for args, kwargs in (((6, 2, 0), {"solvable": False, "hole_probability": 1e-9}),
-                         ((6, 2, 0), {"hole_probability": 1e-9})):
-        with pytest.raises(MapGenerationError) as want:
-            reference_generate_context_set(*args, **kwargs)
-        with pytest.raises(MapGenerationError) as got:
-            generate_context_set(*args, **kwargs)
-        assert str(got.value) == str(want.value)
-        assert f"at map {args[1]}/{args[1]}" in str(got.value)
-
-
 # Counts whose budget runs out, with the sha256 of their saved set, recorded
-# when the unseen masks first completed them.
+# when uniform draws first completed them.
 BUDGET_SHORT_SETS = [
     # every 3x3 unsolvable map there is; the budget ran out at map 126
     ((3, 128, 0), {"solvable": False},
-     "dbbbfbee2aecb49d72bb8ceb0260e396e2ec514a0292a3a2176d05a45d826a7c"),
+     "695f55cbc794d25014fc01eaac07adc9c16db784541096ff2c0878985a7b064c"),
     # every 4x4 solvable map; ran out at map 476
-    ((4, 512, 0), {}, "0af19411ac5ee13224652053c5f1f6216a818f3669a3821b43ce195939cbdc39"),
+    ((4, 512, 0), {}, "1e0f542f917c231cd1ecae1e2e9ad088c803e9f70ed2c866232157834cf0cfc4"),
     ((4, 2, 0), {"solvable": False, "hole_probability": 1e-9},
-     "21a6034687b4f0cca255859ba540132319f36d5f450b0e3e6f9c9ebcffe8b816"),
+     "8b6d379b6f2e780118b76774cbed081711494c2d9ab4b0c3e9fd1c71722fa5d4"),
     ((2, 2, 0), {"hole_probability": 1e-9},
      "e3670e1eb1ed25b72113ec3d45899f4adc4aac2184347f019731dd32157644e3"),
+    # more masks than a list could hold: 2**25 and 2**34 on 6x6, 2**49 on 8x8
+    ((6, 2, 0), {"hole_probability": 1e-9},
+     "91f3659b946ae93eb73df3529500b340ce33e03d52db92a5110832f6ce0724e9"),
+    ((6, 2, 0), {"solvable": False, "hole_probability": 1e-9},
+     "9635a89fce6f77c250632adb160a3f16fb2a89cdc21d3f1a089c550228e23fbb"),
+    ((8, 50, 0), {"hole_probability": 1e-9},
+     "32e1710bd984252cfa9a2587abbb090cb58f11e635a13dfb9cb064cd219170c0"),
 ]
 
 
+def count_streams(monkeypatch):
+    """The hole probability of each candidate stream ``generate_context_set``
+    starts, in order, in a list that grows as it runs."""
+    streams = []
+    real = env_mod._hole_masks
+
+    def counted(rng, may_hole, hole_probability):
+        streams.append(hole_probability)
+        return real(rng, may_hole, hole_probability)
+
+    monkeypatch.setattr(env_mod, "_hole_masks", counted)
+    return streams
+
+
 @pytest.mark.parametrize("args, kwargs, digest", BUDGET_SHORT_SETS,
-                         ids=["3x3-unsolvable-128", "4x4-512", "4x4-unsolvable-p1e-9", "2x2-p1e-9"])
-def test_a_count_the_budget_cannot_meet_takes_the_rest_from_the_unseen_masks(tmp_path, args,
-                                                                              kwargs, digest):
+                         ids=["3x3-unsolvable-128", "4x4-512", "4x4-unsolvable-p1e-9", "2x2-p1e-9",
+                              "6x6-p1e-9", "6x6-unsolvable-p1e-9", "8x8-50-p1e-9"])
+def test_a_count_the_budget_cannot_meet_takes_the_rest_from_the_unseen_masks(tmp_path, monkeypatch,
+                                                                              args, kwargs, digest):
+    streams = count_streams(monkeypatch)
     got = generate_context_set(*args, **kwargs)
     grids = [c.grid for c in got.contexts]
     assert len({g.rows for g in grids}) == len(grids) == args[1]
     if kwargs.get("solvable", True):
         assert all(reference_bfs_solvable(g) for g in grids)
+    # The set's own stream, then uniform draws once a map ran out.
+    assert len(streams) >= 2 and set(streams[1:]) == {0.5}
     assert hashlib.sha256(saved_bytes(got, tmp_path / "ctx.txt")).hexdigest() == digest
 
 
 def test_a_count_the_budget_meets_keeps_its_bytes(tmp_path, monkeypatch):
     # Near the limit but inside the budget, the maps are the reference's,
-    # and the unseen masks are never listed.
-    def no_listing(*args):
-        raise AssertionError("listed the unseen masks")
-
-    monkeypatch.setattr(env_mod, "_all_masks", no_listing)
+    # and the set draws from its own stream alone.
+    streams = count_streams(monkeypatch)
     for args, kwargs in (((3, 100, 0), {"solvable": False}), ((4, 400, 0), {}),
                          ((3, 16, 4), {}), ((2, 2, 0), {})):
         want = saved_bytes(reference_generate_context_set(*args, **kwargs), tmp_path / "want.txt")
+        streams.clear()
         got = saved_bytes(generate_context_set(*args, **kwargs), tmp_path / "got.txt")
         assert got == want, (args, kwargs)
+        assert streams == [0.2], (args, kwargs)
 
 
 def test_a_count_above_the_distinct_maps_is_refused_before_any_draw(monkeypatch):

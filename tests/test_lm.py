@@ -21,6 +21,7 @@ from askgate.lm import (
     PromptContext,
     RuleClient,
     ScriptedClient,
+    _context_from_prompt,
     build_prompt,
     parse_decision,
     query,
@@ -109,6 +110,13 @@ def test_prompt_substitutes_every_field():
     assert "{" not in prompt.replace('{"action"', "").replace('"}', "")
     assert f"Agent position: row {ctx.agent_row}, col {ctx.agent_col}" in prompt
     assert f"AUTOPILOT SUGGESTION: {ctx.autopilot.name}" in prompt
+
+
+@given(st.tuples(*[st.integers(0, 10**6)] * 4, *[st.sampled_from(TILES)] * 8,
+                 st.sampled_from(Action)))
+def test_the_rule_client_reads_back_every_prompt_it_is_given(fields):
+    ctx = PromptContext(*fields)
+    assert _context_from_prompt(build_prompt(ctx)) == ctx
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +244,10 @@ def test_rule_client_always_answers_parseable():
 
 
 def test_rule_client_rejects_unknown_prompt_shapes():
-    with pytest.raises(ValueError):
-        RuleClient().query("tell me a story")
+    prompt = build_prompt(make_context())
+    for text in ("tell me a story", prompt + "\n", prompt.replace("VALID", "ALLOWED")):
+        with pytest.raises(ValueError, match="does not follow the expected template"):
+            RuleClient().query(text)
 
 
 # ---------------------------------------------------------------------------
