@@ -107,10 +107,10 @@ class EstimateTable:
     step draws :func:`policy.draws_per_step` doubles whatever the tau or the
     path. So the generator's state at step t is fixed, and the estimate at
     (i, t, cell) is the same in every run that replays episode i: the table
-    computes it once. On a miss, :meth:`generator` makes the episode's
-    generator when that episode first needs one and moves it to step t with
-    ``bit_generator.advance``; a miss at an earlier step than the generator
-    has reached makes it afresh.
+    computes it once. The table keeps the last generator it handed out and
+    the (episode, step) that generator draws next. A miss there continues
+    it; any other miss makes the episode's generator afresh and moves it to
+    step t with ``bit_generator.advance``.
 
     A table is valid for the parameters ``policy.flat`` holds and for the
     passes, dropout rate and seed of the config it was made from; it is
@@ -121,19 +121,17 @@ class EstimateTable:
         self.settings = (cfg.passes, cfg.dropout_rate, cfg.seed)
         self.estimates: dict[tuple[int, int, int], UncertaintyEstimate] = {}
         self._draws = policy_mod.draws_per_step(policy, cfg.passes, cfg.dropout_rate)
-        # episode index -> (its generator, the step whose draws come next)
-        self._generators: dict[int, tuple[np.random.Generator, int]] = {}
+        self._rng: np.random.Generator | None = None
+        self._next: tuple[int, int] | None = None  # the (episode, step) _rng draws next
 
     def generator(self, episode_index: int, step: int) -> np.random.Generator:
         """Episode ``episode_index``'s generator at the first draw of ``step``;
         the caller draws that step's masks from it."""
-        rng, at = self._generators.get(episode_index, (None, 0))
-        if rng is None or at > step:
-            rng, at = np.random.default_rng([self.settings[2], episode_index]), 0
-        if step > at:
-            rng.bit_generator.advance((step - at) * self._draws)
-        self._generators[episode_index] = (rng, step + 1)
-        return rng
+        if self._next != (episode_index, step):
+            self._rng = np.random.default_rng([self.settings[2], episode_index])
+            self._rng.bit_generator.advance(step * self._draws)
+        self._next = (episode_index, step + 1)
+        return self._rng
 
 
 def run_episode(

@@ -151,15 +151,18 @@ def trunk_activations(
 ) -> list[np.ndarray]:
     """The trunk's input followed by each hidden activation, for one row or a batch.
 
-    ``masks`` holds one boolean array per hidden layer, in layer order. Each
-    hidden activation is then divided by ``keep`` and multiplied by its
-    mask: the first layer's row broadcasts into the mask's rows, and later
-    layers are masked in place. The heads apply to the last entry; only the
-    tests' reference gradient reads the rest.
+    An integer ``x`` holds cell indices, not observations: layer 0 of a
+    one-hot row is a row of W0, so it is gathered, with the bits of the
+    one-hot product. ``masks`` holds one boolean array per hidden layer, in
+    layer order. Each hidden activation is then divided by ``keep`` and
+    multiplied by its mask: the first layer's row broadcasts into the mask's
+    rows, and later layers are masked in place. The heads apply to the last
+    entry; the update's backward pass reads the hidden activations too.
     """
     acts = [x]
     for i, (w, b) in enumerate(policy.trunk):
-        h = acts[-1] @ w
+        # take copies the rows, so the in-place work below never writes W0.
+        h = w.take(x, axis=0) if i == 0 and x.dtype.kind in "iu" else acts[-1] @ w
         h += b
         np.tanh(h, out=h)
         if masks is not None:

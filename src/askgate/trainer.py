@@ -8,19 +8,21 @@ clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
 gathers the rollout once in its shuffled order, centres and scales the
 advantages of all its minibatches in one pass, and slices the minibatches out
 of it; one vectorised pass per epoch finds every minibatch's distinct cells.
-A minibatch holds cell indices, not one-hot rows: the update's forward reads
-layer 0 as a row of W0 and runs once per distinct cell, and the layer-0
-weight gradient is computed for the cells seen only. Truncated episodes
-bootstrap the value of the successor state; terminal episodes do not. A
-greedy evaluation on the eval contexts runs at the end of each rollout that
-crosses a multiple of the evaluation interval, and once more after the last
-rollout if that one did not; the best-scoring parameters are the ones
-returned.
+A minibatch holds cell indices, not one-hot rows: the update's forward is
+``policy.trunk_activations`` on the distinct cells, which reads layer 0 as a
+row of W0, and the layer-0 weight gradient is computed for those cells only.
+Truncated episodes bootstrap the value of the successor state; terminal
+episodes do not. A greedy evaluation on the eval contexts runs at the end of
+each rollout that crosses a multiple of the evaluation interval, and once
+more after the last rollout if that one did not; the best-scoring parameters
+are the ones returned.
 
 Training works on a policy of the grid's own input width: the n² rows of W0
-a cell of an n x n grid reads, and every parameter after W0. The other rows
-would get no gradient, so their Adam moments would stay zero and their
-values would not move; the returned 64-input policy keeps their initial
+a cell of an n x n grid reads, and every parameter after W0, copied array by
+array through ``parameters()``. The other rows would get no gradient, so
+their Adam moments would stay zero and their values would not move. Each
+better evaluation writes the working policy back the same way into the
+64-input policy that is returned, whose other rows keep their initial
 values. Once Adam's first bias correction rounds to 1.0, its step multiplies
 by the learning rate without dividing by it.
 
@@ -128,16 +130,10 @@ def ppo_grads(
     table = np.repeat(cells, 2) if len(cells) == 1 < n else cells
 
     # The trunk, the action head and the log-softmax run once per table row,
-    # whose results the batch rows gather. Layer 0 of a one-hot row is a row
-    # of W0.
-    hidden = []
-    for w, b in policy.trunk:
-        h = hidden[-1] @ w if hidden else w.take(table, axis=0)
-        h += b
-        np.tanh(h, out=h)
-        hidden.append(h)
+    # whose results the batch rows gather.
+    hidden = policy_mod.trunk_activations(policy, table)[1:]
     (wa, ba), (wv, bv) = policy.action_head, policy.value_head
-    table_logp = _log_softmax(h @ wa + ba)
+    table_logp = _log_softmax(hidden[-1] @ wa + ba)
     table_probs = np.exp(table_logp)
     table_entropy = -(table_probs * table_logp).sum(axis=1)
     # take copies the same rows as fancy indexing, faster.
@@ -292,11 +288,10 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         return full, TrainLog((), -1)
     # Training runs on W0's rows 0..n²-1, the ones a cell of the grid reads:
     # the other rows get no gradient, so Adam would leave them as they are.
-    # W0 comes first in flat, row by row, so those rows are its first entries.
+    # Every other array is copied whole.
     policy = policy_mod.build_policy((n * n, *full.widths[1:]))
-    kept, w0_size = policy.trunk[0][0].size, full.trunk[0][0].size
-    policy.flat[:kept] = full.flat[:kept]
-    policy.flat[kept:] = full.flat[w0_size:]
+    for dst, src in zip(policy.parameters(), full.parameters()):
+        dst[...] = src[:len(dst)]
     adam = _Adam(policy.flat)
     grad = policy_mod.build_policy(policy.widths)  # reused by every update
 
@@ -304,7 +299,6 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     warnings: list[str] = []
     best_index = -1
     best_mean = -math.inf
-    best_flat = policy.flat.copy()
 
     def run_eval(timestep: int) -> None:
         nonlocal best_index, best_mean
@@ -318,7 +312,8 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         if summary.reward_mean > best_mean:
             best_mean = summary.reward_mean
             best_index = len(entries) - 1
-            best_flat[...] = policy.flat
+            for dst, src in zip(full.parameters(), policy.parameters()):
+                dst[:len(src)] = src
         if (timestep >= config.total_timesteps // 2 and best_mean <= 0.0
                 and not warnings):
             warnings.append(
@@ -416,8 +411,6 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
     if not entries or entries[-1].timestep < timestep:
         run_eval(timestep)
-    full.flat[:kept] = best_flat[:kept]
-    full.flat[w0_size:] = best_flat[kept:]
     return full, TrainLog(tuple(entries), best_index, tuple(warnings))
 
 

@@ -41,3 +41,37 @@ def test_every_exception_class_of_the_package_is_raised_in_it():
     assert defined
     dead = {name: module for name, module in defined.items() if name not in raised}
     assert dead == {}, f"exception classes the package never raises: {dead}"
+
+
+def test_every_tanh_of_the_package_sits_in_the_one_trunk_loop():
+    # The forward, the MC-Dropout passes and the update's forward all run
+    # policy.trunk_activations; a second loop would be a second place whose
+    # bits must be kept equal to it.
+    inside, outside = 0, []
+    for module, tree in package_modules():
+        loop = set()
+        if module.__name__ == "askgate.policy":
+            loop = {node for top in tree.body if isinstance(top, ast.FunctionDef)
+                    and top.name == "trunk_activations" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "tanh":
+                if node in loop:
+                    inside += 1
+                else:
+                    outside.append(f"{module.__name__}:{node.lineno}")
+    assert inside
+    assert outside == [], f"tanh outside policy.trunk_activations: {outside}"
+
+
+def test_only_the_policy_module_slices_a_parameter_vector():
+    # policy.build_policy is the one owner of where an array sits in
+    # ``flat``; any other module moves parameters through the layer views.
+    sliced = []
+    for module, tree in package_modules():
+        if module.__name__ == "askgate.policy":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "flat"):
+                sliced.append(f"{module.__name__}:{node.lineno}")
+    assert sliced == [], f"slices of a .flat vector outside askgate.policy: {sliced}"

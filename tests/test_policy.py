@@ -107,6 +107,34 @@ def test_forward_batch_matches_single(policy):
         assert abs(values[i] - v) < 1e-12
 
 
+@pytest.mark.parametrize("widths", [(8, 6, 5), (64, 64, 64), (8, 7, 6, 5)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_cell_indices_and_one_hot_rows_give_the_same_trunk(widths, masked):
+    # Layer 0 of an integer input is a gather of W0's rows: every activation
+    # after the input must have the bits of the one-hot product, and the
+    # in-place bias, tanh and masking must leave the parameters as they were.
+    policy = build_policy(widths)
+    policy.flat[:] = np.random.default_rng(3).normal(size=policy.flat.size)
+    before = policy.flat.tobytes()
+    rng = np.random.default_rng(4)
+    eye = np.eye(widths[0])
+    inputs = [np.array(cell) for cell in range(widths[0])]
+    inputs += [np.array([5]), np.full(64, 2), rng.integers(widths[0], size=17),
+               rng.integers(widths[0], size=64)]
+    for cells in inputs:
+        masks = None
+        if masked:
+            rows = 3 if cells.ndim == 0 else len(cells)
+            masks = [rng.random((rows, width)) >= 0.2 for width in widths[1:]]
+        gathered = trunk_activations(policy, cells, masks, 0.8)
+        reference = trunk_activations(policy, eye[cells], masks, 0.8)
+        assert len(gathered) == len(widths)
+        for got, expected in zip(gathered[1:], reference[1:]):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+    assert policy.flat.tobytes() == before
+
+
 def test_stochastic_forward_is_seed_reproducible(policy):
     p1 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
     p2 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
