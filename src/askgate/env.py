@@ -151,6 +151,12 @@ class EnvState(NamedTuple):
     def done(self) -> bool:
         return self.outcome is not Outcome.RUNNING
 
+    @property
+    def cell(self) -> int:
+        """The agent's cell index, ``row * n + col`` on an n x n map: the
+        policy's whole input."""
+        return self.row * len(self.context.grid.rows) + self.col
+
 
 def reset(context: Context) -> EnvState:
     """Start an episode at the map's S tile (always the top-left corner)."""
@@ -195,15 +201,15 @@ def check_observation_fits(n: int, dim: int) -> None:
 
 
 def encode_observation(state: EnvState, dim: int = OBS_DIM) -> np.ndarray:
-    """Position-only projection: one-hot of row*n + col in a fixed-size vector.
+    """Position-only projection: the one-hot of ``state.cell`` in a fixed-size vector.
 
     The map layout is deliberately absent so the same policy input space
     covers every context of a given size (and every size up to sqrt(dim)).
+    The policy reads the cell index itself, which gives the bits of this row.
     """
-    n = state.context.grid.size
-    check_observation_fits(n, dim)
+    check_observation_fits(state.context.grid.size, dim)
     obs = np.zeros(dim, dtype=np.float64)
-    obs[state.row * n + state.col] = 1.0
+    obs[state.cell] = 1.0
     return obs
 
 

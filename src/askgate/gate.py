@@ -153,40 +153,36 @@ def run_episode(
     ``greedy`` maps an observed cell to the policy's greedy action there and
     is filled by one ``forward`` per new cell; it is only valid while
     ``policy.flat`` is unchanged. None starts an empty one for this episode.
+    A grid with more cells than the policy's input is refused.
     """
     if cfg.mode is not RunMode.PPO_ONLY and client is None:
         raise ValueError(f"mode {cfg.mode.value} requires a client")
     if cfg.mode is RunMode.ASK and uncertainty is None:
         raise ValueError("mode ask requires an uncertainty source")
+    env_mod.check_observation_fits(context.grid.size, policy.input_dim)
     if uncertainty is MC_DROPOUT:
         uncertainty = EstimateTable(policy, cfg)
     elif uncertainty is not None and uncertainty.settings != (cfg.passes, cfg.dropout_rate, cfg.seed):
         raise ValueError(f"the estimate table holds (passes, dropout_rate, seed) "
                          f"{uncertainty.settings}, not those of the config")
     greedy = {} if greedy is None else greedy
-    # The cell index comes from the state; the map's own size, not the
-    # policy's input width, since a policy may run on smaller maps.
-    n = context.grid.size
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
     while not state.done:
-        obs_index = state.row * n + state.col
-        obs = None  # the one-hot, built only for a forward or an estimate
-        policy_action = greedy.get(obs_index)
+        cell = state.cell
+        policy_action = greedy.get(cell)
         if policy_action is None:
-            obs = env_mod.encode_observation(state, dim=policy.input_dim)
-            dist, _ = policy_mod.forward(policy, obs)
-            policy_action = greedy[obs_index] = policy_mod.select_action(dist)
+            dist, _ = policy_mod.forward(policy, cell)
+            policy_action = greedy[cell] = policy_mod.select_action(dist)
         estimate = None
         if uncertainty is not None:
-            key = (episode_index, len(steps), obs_index)
+            key = (episode_index, len(steps), cell)
             estimate = uncertainty.estimates.get(key)
             if estimate is None:
-                if obs is None:
-                    obs = env_mod.encode_observation(state, dim=policy.input_dim)
                 rng = uncertainty.generator(episode_index, len(steps))
+                # np.intp: the benchmark's tracer keys MC repeats on tobytes(), which int lacks.
                 estimate = uncertainty.estimates[key] = unc_mod.mc_estimate(
-                    policy, obs, cfg.passes, cfg.dropout_rate, rng)
+                    policy, np.intp(cell), cfg.passes, cfg.dropout_rate, rng)
 
         if cfg.mode is RunMode.ASK:
             consulted = estimate.total >= cfg.tau
@@ -212,7 +208,7 @@ def run_episode(
 
         state, reward, done = env_mod.step(state, final_action, cfg.max_steps)
         steps.append(StepRecord(
-            obs_index=obs_index,
+            obs_index=cell,
             policy_action=policy_action,
             uncertainty=estimate,
             consulted=consulted,
@@ -226,7 +222,7 @@ def run_episode(
     return EpisodeRecord(
         context_id=context.id,
         steps=tuple(steps),
-        reward=1 if state.outcome is Outcome.GOAL else 0,
+        reward=steps[-1].reward,
         length=len(steps),
         outcome=state.outcome,
     )

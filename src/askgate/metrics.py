@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import env as env_mod
 from .atomic import write_atomic
-from .env import Context, Outcome, TileKind
+from .env import Context, TileKind
 from .gate import EpisodeRecord, csv_text, read_csv
 
 SUMMARY_CSV_HEADER = [
@@ -145,7 +145,7 @@ def render_trajectory(context: Context, actions, cap: int) -> str:
     for action in actions:
         if state.done:
             break
-        state, _, _ = env_mod.step(state, action, cap)
+        state, reward, _ = env_mod.step(state, action, cap)
         visited.add((state.row, state.col))
     if not state.done or state.step_count != len(actions):
         raise ValueError(f"{len(actions)} logged actions do not fit context {context.id}: "
@@ -163,7 +163,6 @@ def render_trajectory(context: Context, actions, cap: int) -> str:
             else:
                 chars.append(".")
         rows.append("".join(chars))
-    reward = 1 if state.outcome is Outcome.GOAL else 0
     rows.append(f"context {context.id}: outcome {state.outcome.value}, "
                 f"reward {reward}, length {len(actions)}")
     return "\n".join(rows) + "\n"

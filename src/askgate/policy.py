@@ -1,7 +1,8 @@
 """Feed-forward stochastic policy with inference-time dropout and binary weights I/O.
 
 The network is a tanh MLP trunk (default 64->64->64) with separate linear
-action and value heads; all its parameters live in one float64 vector. MC
+action and value heads; all its parameters live in one float64 vector. Its
+input is a cell index, which stands for the one-hot observation. MC
 passes apply dropout after each hidden activation, using inverted scaling so
 expected activations match the deterministic pass; one draw gives every
 mask of an MC call. Training itself never uses dropout, and the rate is the
@@ -153,7 +154,9 @@ def trunk_activations(
 
     An integer ``x`` holds cell indices, not observations: layer 0 of a
     one-hot row is a row of W0, so it is gathered, with the bits of the
-    one-hot product. ``masks`` holds one boolean array per hidden layer, in
+    one-hot product. Every caller in the package passes cells; a float
+    ``x`` (one-hot rows) is the reference the bit-equality tests compare
+    against. ``masks`` holds one boolean array per hidden layer, in
     layer order. Each hidden activation is then divided by ``keep`` and
     multiplied by its mask: the first layer's row broadcasts into the mask's
     rows, and later layers are masked in place. The heads apply to the last
@@ -172,36 +175,51 @@ def trunk_activations(
     return acts
 
 
-def forward(policy: MlpPolicy, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """One deterministic forward pass: (action distribution, state value)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (policy.input_dim,):
-        raise ValueError(f"observation shape {obs.shape} does not match input_dim {policy.input_dim}")
-    h = trunk_activations(policy, obs)[-1]
+def _cell_index(policy: MlpPolicy, cell) -> np.ndarray:
+    """``cell`` as a 0-d index array, if it is a Python or NumPy integer in
+    [0, input_dim); anything else, a negative index too (``take`` would wrap
+    it), raises ``ValueError``."""
+    if not isinstance(cell, (int, np.integer)) or isinstance(cell, bool):
+        raise ValueError(f"a cell is an integer index, not a {type(cell).__name__}")
+    if not 0 <= cell < policy.input_dim:
+        raise ValueError(f"cell {cell} lies outside [0, {policy.input_dim})")
+    return np.asarray(cell)
+
+
+def _action_probs(policy: MlpPolicy, h: np.ndarray) -> np.ndarray:
+    """The action head on the last hidden activation ``h``: one row or one per pass."""
     wa, ba = policy.action_head
+    logits = h @ wa
+    logits += ba
+    return softmax(logits, out=logits)
+
+
+def forward(policy: MlpPolicy, cell) -> tuple[np.ndarray, float]:
+    """One deterministic forward pass at ``cell``: (action distribution, state value)."""
+    h = trunk_activations(policy, _cell_index(policy, cell))[-1]
     wv, bv = policy.value_head
-    probs = softmax(h @ wa + ba)
-    value = float((h @ wv + bv)[0])
-    return probs, value
+    return _action_probs(policy, h), float((h @ wv + bv)[0])
 
 
 def dropout_passes(
     policy: MlpPolicy,
-    obs: np.ndarray,
+    cell,
     n_passes: int,
     dropout_rate: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """N stochastic action distributions for one observation, shape (N, 4).
+    """N stochastic action distributions at one cell, shape (N, 4).
 
     One draw of :func:`draws_per_step` doubles from the caller's rng,
     compared once with the rate and sliced per hidden layer into (N, width)
     blocks, gives every mask: the doubles of a draw per layer, in the same
     order. The passes run as one batch, the first layer once. A dropped
     negative unit is -0.0, which moves no nonzero sum and which ``exp`` maps
-    to 1, so for a one-hot observation the result and the generator's final
-    state equal those of masking ``n_passes`` stacked copies with ``np.where``.
+    to 1, so the result and the generator's final state equal those of
+    masking ``n_passes`` stacked copies of the cell's one-hot row with
+    ``np.where``.
     """
+    x = _cell_index(policy, cell)
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     if not 0.0 <= dropout_rate < 1.0:
@@ -215,11 +233,7 @@ def dropout_passes(
             width = w.shape[1]
             masks.append(drawn[start:start + n_passes * width].reshape(n_passes, width))
             start += n_passes * width
-    h = trunk_activations(policy, np.asarray(obs, dtype=np.float64), masks, 1.0 - dropout_rate)[-1]
-    wa, ba = policy.action_head
-    logits = h @ wa
-    logits += ba
-    return softmax(logits, out=logits)
+    return _action_probs(policy, trunk_activations(policy, x, masks, 1.0 - dropout_rate)[-1])
 
 
 def sampling_cdf(dist: np.ndarray) -> list[float]:

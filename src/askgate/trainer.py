@@ -343,16 +343,16 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         # bit-equal to it. Each cell keeps its sampling CDF and its
         # probabilities as lists, so a step samples and logs in plain Python.
         table = []
-        for obs in np.eye(n * n):  # row i: the observation of cell i
-            dist, value = policy_mod.forward(policy, obs)
+        for cell in range(n * n):
+            dist, value = policy_mod.forward(policy, cell)
             table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
         for t in range(ROLLOUT_STEPS):
-            index = state.row * n + state.col
-            cdf, probs, value = table[index]
+            cell = state.cell
+            cdf, probs, value = table[cell]
             a = bisect_right(cdf, rng.random())
             next_state, reward, done = env_mod.step(state, _ACTIONS[a])
 
-            obs_idx[t] = index
+            obs_idx[t] = cell
             actions[t] = a
             logps[t] = math.log(probs[a])
             values[t] = value
@@ -362,12 +362,12 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
 
             if done:
                 if next_state.outcome is Outcome.TRUNCATED:
-                    boot[t] = table[next_state.row * n + next_state.col][2]
+                    boot[t] = table[next_state.cell][2]
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
         if not ends[-1]:
-            boot[-1] = table[state.row * n + state.col][2]
+            boot[-1] = table[state.cell][2]
 
         advantages, returns = _gae(rewards, values, ends, boot, GAMMA, GAE_LAMBDA)
         for _ in range(EPOCHS):

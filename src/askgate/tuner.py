@@ -105,12 +105,8 @@ def tune_threshold(
             context_ids=tuple(sorted({ep.context_id for ep in eps})),
         ))
 
-    best = records[0]
-    for rec in records[1:]:
-        if rec.reward_mean > best.reward_mean or (
-            rec.reward_mean == best.reward_mean and rec.tau > best.tau
-        ):
-            best = rec
+    # max keeps the first of equal keys, so a full tie keeps the earlier trial.
+    best = max(records, key=lambda rec: (rec.reward_mean, rec.tau))
     return TuneStudy(
         lo=lo, hi=hi, trials=trials, seed=seed,
         records=tuple(records), best_tau=best.tau, best_reward=best.reward_mean,

@@ -58,14 +58,15 @@ def estimate_from_passes(dists) -> UncertaintyEstimate:
 
 def mc_estimate(
     policy: MlpPolicy,
-    obs: np.ndarray,
+    cell,
     n_passes: int,
     dropout_rate: float,
     rng: np.random.Generator,
 ) -> UncertaintyEstimate:
-    """Run N dropout passes and decompose the resulting spread.
+    """Run N dropout passes at ``cell``, an integer index into the policy's
+    input, and decompose the resulting spread.
 
     Deterministic given the rng seed: masks are drawn in a fixed order.
     """
-    dists = policy_mod.dropout_passes(policy, obs, n_passes, dropout_rate, rng)
+    dists = policy_mod.dropout_passes(policy, cell, n_passes, dropout_rate, rng)
     return estimate_from_passes(dists)

@@ -20,9 +20,9 @@ def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
         state = reset(context)
         steps = []
         while not state.done:
-            obs = encode_observation(state, dim=policy.input_dim)
-            action = select_action(forward(policy, obs)[0])
-            estimate = unc_mod.mc_estimate(policy, obs, cfg.passes, cfg.dropout_rate, rng)
+            index = int(np.argmax(encode_observation(state, dim=policy.input_dim)))
+            action = select_action(forward(policy, index)[0])
+            estimate = unc_mod.mc_estimate(policy, index, cfg.passes, cfg.dropout_rate, rng)
             if cfg.mode is RunMode.ASK:
                 consulted = estimate.total >= cfg.tau
             else:
@@ -34,7 +34,6 @@ def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
                 status = decision.status
                 if decision.is_action:
                     lm_action = final = decision.action
-            index = int(np.argmax(obs))
             state, reward, done = step(state, final, cfg.max_steps)
             steps.append(StepRecord(
                 obs_index=index, policy_action=action, uncertainty=estimate,

@@ -89,7 +89,7 @@ def test_a_traced_tuning_run_calls_the_hooks_and_restores_the_originals():
                                                              passes=5, max_steps=8), 2)
     for span in ("gate.run_episode", "policy.select_action", "uncertainty.mc_estimate",
                  "uncertainty.estimate_from_passes", "lm.query", "lm.parse_decision",
-                 "env.encode_observation", "tuner.run_batch"):
+                 "tuner.run_batch"):
         assert tracer.stats[span].calls > 0, span
     assert tracer.statuses["ok"] > 0
     for span, target in tracing.SPANS.items():

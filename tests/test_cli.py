@@ -17,7 +17,8 @@ from askgate import trainer as trainer_mod
 from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from askgate.env import Split, generate_context_set, load_context_set, save_context_set
-from askgate.gate import csv_text, read_csv
+from askgate.gate import GateConfig, RunMode, csv_text, read_csv, run_batch
+from askgate.lm import RuleClient
 from askgate.metrics import (
     SUMMARY_CSV_HEADER,
     RunSummary,
@@ -622,6 +623,35 @@ def test_report_overlays_a_trajectory(workspace, capsys):
     assert all(len(row) == 4 for row in grid_rows)
     assert grid_rows[0][0] == "S" and grid_rows[3][3] == "G"
     assert "context" in out and "outcome" in out
+
+
+def test_report_trajectory_overlays_the_map_that_run_batch_played(workspace, tmp_path, capsys):
+    # report infers each episode's map from the run's split; it must be the
+    # context run_batch gave that episode, also once the episodes wrap
+    # around a split smaller than their count.
+    out = str(tmp_path / "runs")
+    assert main(["contexts", "gen", "--size", "4", "--count", "9", "--seed", "3",
+                 "--out", out]) == EXIT_OK
+    ctx = os.path.join(out, "contexts", "s4_c9_seed3.txt")
+    split = load_context_set(ctx).split(Split.TEST)
+    episodes = 2 * len(split) + 1
+    assert main(["run", "--mode", "ask", "--client", "rule", "--split", "test",
+                 "--contexts", ctx, "--weights", workspace["weights"],
+                 "--episodes", str(episodes), "--passes", "5", "--tau", "0.2",
+                 "--seed", "1", "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    path = os.path.join(out, "episodes", "ask_rule_test_s4_tau0.2_seed1.csv")
+    config = read_csv(path)[0]
+    cfg = GateConfig(tau=config["tau"], passes=config["passes"],
+                     dropout_rate=config["dropout_rate"], mode=RunMode(config["mode"]),
+                     max_steps=config["max_steps"], seed=config["seed"])
+    records = run_batch(load_weights(workspace["weights"]), RuleClient(), split, cfg, episodes)
+    assert len({r.context_id for r in records}) == len(split)
+    for episode, record in enumerate(records):
+        assert main(["report", "--trajectory", path, "--episode", str(episode)]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (f"context {record.context_id}: outcome {record.outcome.value}, "
+                        f"reward {record.reward}, length {record.length}")
 
 
 def test_trajectory_that_does_not_fit_its_map_is_a_runtime_error(workspace, tmp_path, capsys):

@@ -126,6 +126,7 @@ def test_observation_indexes_row_major():
     state, _, _ = step(state, Action.RIGHT)  # (1,1) is HOLE but encoding is position-only
     obs = encode_observation(state)
     assert int(np.argmax(obs)) == 5 and obs[5] == 1.0
+    assert state.cell == 5
 
 
 def test_observation_dim_overflow_raises():
@@ -133,6 +134,7 @@ def test_observation_dim_overflow_raises():
     state = reset(big)
     for _ in range(8):
         state, _, _ = step(state, Action.DOWN)
+    assert state.cell == 72
     with pytest.raises(ValueError):
         encode_observation(state, dim=64)  # index 72 > 63
 

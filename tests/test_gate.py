@@ -285,6 +285,16 @@ def test_run_batch_round_robins_contexts(policy, contexts):
     ]
 
 
+def test_an_episode_on_a_grid_larger_than_the_input_is_refused(policy):
+    # The policy reads cell indices, so the cells of row 0 of a 9x9 map fit a
+    # 64-wide input; the map as a whole does not, and no step may run on it.
+    big = generate_context_set(9, 1, 0).contexts[0]
+    for mode in (RunMode.PPO_ONLY, RunMode.ASK):
+        with pytest.raises(ValueError, match="observation index 80 does not fit dim 64"):
+            run_episode(policy, RuleClient(), big, GateConfig(mode=mode, passes=2),
+                        greedy={0: Action.DOWN})
+
+
 def test_episodes_are_seed_deterministic(policy, contexts):
     cfg = GateConfig(mode=RunMode.ASK, tau=0.5, passes=10, seed=9, max_steps=20)
     a = run_batch(policy, RuleClient(), contexts[:2], cfg, total_episodes=4)
@@ -319,9 +329,9 @@ def count_forwards(monkeypatch):
     cells = []
     real = policy_mod.forward
 
-    def counting(policy, obs):
-        cells.append(int(np.argmax(obs)))
-        return real(policy, obs)
+    def counting(policy, cell):
+        cells.append(cell)
+        return real(policy, cell)
 
     monkeypatch.setattr(policy_mod, "forward", counting)
     return cells

@@ -75,3 +75,40 @@ def test_only_the_policy_module_slices_a_parameter_vector():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "flat"):
                 sliced.append(f"{module.__name__}:{node.lineno}")
     assert sliced == [], f"slices of a .flat vector outside askgate.policy: {sliced}"
+
+
+def test_no_module_of_the_package_encodes_an_observation():
+    # The policy reads cell indices; env.encode_observation is the documented
+    # one-hot observation, which only tests and the benchmark build.
+    calls = []
+    for module, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "encode_observation":
+                    calls.append(f"{module.__name__}:{node.lineno}")
+    assert calls == [], f"encode_observation called in the package: {calls}"
+
+
+def test_only_the_env_state_computes_a_cell_index():
+    # ``row * n + col`` has one owner, env.EnvState.cell; every other module
+    # reads that property.
+    owner, others = 0, []
+    for module, tree in package_modules():
+        cell = set()
+        if module.__name__ == "askgate.env":
+            cell = {node for top in tree.body if isinstance(top, ast.ClassDef)
+                    and top.name == "EnvState" for fn in top.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "cell"
+                    for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+                    and getattr(node.left.left, "attr", None) == "row"
+                    and getattr(node.right, "attr", None) == "col"):
+                if node in cell:
+                    owner += 1
+                else:
+                    others.append(f"{module.__name__}:{node.lineno}")
+    assert others == [], f"row * n + col outside env.EnvState.cell: {others}"
+    assert owner == 1

@@ -25,6 +25,7 @@ from askgate.policy import (
     softmax,
     trunk_activations,
 )
+from askgate.uncertainty import mc_estimate
 
 
 @pytest.fixture()
@@ -72,7 +73,7 @@ def test_init_rejects_bad_dropout_rate(policy):
     # The rate is the caller's setting; the MC passes reject one outside [0, 1).
     for rate in (1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="dropout_rate"):
-            dropout_passes(policy, one_hot(5), 3, rate, np.random.default_rng(0))
+            dropout_passes(policy, 5, 3, rate, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +81,11 @@ def test_init_rejects_bad_dropout_rate(policy):
 
 
 def test_deterministic_forward_is_a_distribution(policy):
-    probs, value = forward(policy, one_hot(5))
+    probs, value = forward(policy, 5)
     assert probs.shape == (4,)
     assert np.all(probs > 0) and abs(probs.sum() - 1.0) < 1e-12
     assert np.isfinite(value)
-    probs2, value2 = forward(policy, one_hot(5))
+    probs2, value2 = forward(policy, 5)
     assert np.array_equal(probs, probs2) and value == value2
 
 
@@ -101,8 +102,8 @@ def test_forward_batch_matches_single(policy):
     probs = softmax(acts[-1] @ wa + ba)
     values = (acts[-1] @ wv + bv).reshape(-1)
     assert probs.shape == (3, 4) and values.shape == (3,)
-    for i in range(3):
-        p, v = forward(policy, obs[i])
+    for i, cell in enumerate((0, 5, 9)):
+        p, v = forward(policy, cell)
         assert np.allclose(probs[i], p, atol=1e-15)
         assert abs(values[i] - v) < 1e-12
 
@@ -135,18 +136,47 @@ def test_cell_indices_and_one_hot_rows_give_the_same_trunk(widths, masked):
     assert policy.flat.tobytes() == before
 
 
+@pytest.mark.parametrize("widths", [(8, 6, 5), (64, 64, 64)])
+def test_forward_at_a_cell_equals_the_one_hot_computation(widths):
+    # The one-hot row goes through every layer as a plain product; forward
+    # gathers W0's row and must give the same bits.
+    policy = build_policy(widths)
+    policy.flat[:] = np.random.default_rng(6).normal(size=policy.flat.size)
+    (wa, ba), (wv, bv) = policy.action_head, policy.value_head
+    for cell in range(widths[0]):
+        h = one_hot(cell, widths[0])
+        for w, b in policy.trunk:
+            h = np.tanh(h @ w + b)
+        probs, value = forward(policy, cell)
+        assert probs.tobytes() == softmax(h @ wa + ba).tobytes()
+        assert np.float64(value).tobytes() == (h @ wv + bv)[0].tobytes()
+        assert forward(policy, np.int32(cell))[0].tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("cell", [-1, 64, 5.0, one_hot(5), True])
+def test_a_cell_that_is_not_an_index_into_the_input_is_refused(policy, cell):
+    # A negative index would wrap silently in a gather, and a one-hot row is
+    # the observation, not the cell.
+    with pytest.raises(ValueError, match="cell"):
+        forward(policy, cell)
+    with pytest.raises(ValueError, match="cell"):
+        dropout_passes(policy, cell, 3, 0.2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cell"):
+        mc_estimate(policy, cell, 3, 0.2, np.random.default_rng(0))
+
+
 def test_stochastic_forward_is_seed_reproducible(policy):
-    p1 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
-    p2 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(42))
-    p3 = dropout_passes(policy, one_hot(5), 3, 0.2, np.random.default_rng(43))
+    p1 = dropout_passes(policy, 5, 3, 0.2, np.random.default_rng(42))
+    p2 = dropout_passes(policy, 5, 3, 0.2, np.random.default_rng(42))
+    p3 = dropout_passes(policy, 5, 3, 0.2, np.random.default_rng(43))
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
 
 
 def test_dropout_passes_shape_and_determinism(policy):
     obs = one_hot(5)
-    d1 = dropout_passes(policy, obs, 50, 0.2, np.random.default_rng(9))
-    d2 = dropout_passes(policy, obs, 50, 0.2, np.random.default_rng(9))
+    d1 = dropout_passes(policy, 5, 50, 0.2, np.random.default_rng(9))
+    d2 = dropout_passes(policy, 5, 50, 0.2, np.random.default_rng(9))
     assert d1.shape == (50, 4)
     assert np.allclose(d1.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(d1, d2)
@@ -159,13 +189,12 @@ def test_dropout_passes_shape_and_determinism(policy):
         h = np.where(ref_rng.random(h.shape) >= 0.2, h / 0.8, 0.0)
     assert np.allclose(d1, softmax(h @ policy.action_head[0] + policy.action_head[1]), atol=1e-15)
     with pytest.raises(ValueError):
-        dropout_passes(policy, obs, 0, 0.2, np.random.default_rng(0))
+        dropout_passes(policy, 5, 0, 0.2, np.random.default_rng(0))
 
 
 def test_zero_rate_dropout_passes_equal_deterministic(policy):
-    obs = one_hot(5)
-    passes = dropout_passes(policy, obs, 10, 0.0, np.random.default_rng(0))
-    base, _ = forward(policy, obs)
+    passes = dropout_passes(policy, 5, 10, 0.0, np.random.default_rng(0))
+    base, _ = forward(policy, 5)
     assert np.allclose(passes, np.tile(base, (10, 1)), atol=1e-15)
 
 
@@ -174,8 +203,8 @@ def test_zero_rate_dropout_passes_equal_deterministic(policy):
 @pytest.mark.parametrize("passes", [1, 7, 100])
 def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, passes):
     # The reference masks the whole trunk of ``passes`` stacked copies of the
-    # observation; dropout_passes computes the first layer once. Both must give
-    # the same bits and leave the generator in the same state.
+    # cell's one-hot row; dropout_passes gathers the first layer once. Both
+    # must give the same bits and leave the generator in the same state.
     policy = build_policy(widths)
     policy.flat[:] = np.random.default_rng(2).normal(size=policy.flat.size)
     wa, ba = policy.action_head
@@ -188,7 +217,7 @@ def test_dropout_passes_equal_the_tiled_reference_bit_for_bit(widths, rate, pass
             if rate:
                 x = np.where(reference.random(x.shape) >= rate, x / (1.0 - rate), 0.0)
         expected = softmax(x @ wa + ba)
-        assert np.array_equal(dropout_passes(policy, obs, passes, rate, rng), expected)
+        assert np.array_equal(dropout_passes(policy, cell, passes, rate, rng), expected)
         assert rng.bit_generator.state == reference.bit_generator.state
         advanced = np.random.default_rng([7, cell])
         advanced.bit_generator.advance(draws_per_step(policy, passes, rate))
@@ -206,7 +235,7 @@ def test_inverted_dropout_preserves_expectation():
     policy.trunk[0][1][...] = 0.5
     policy.action_head[0][0, 0] = 1.0
     t = np.tanh(0.5)
-    dists = dropout_passes(policy, np.ones(1), n, rate, np.random.default_rng(0))
+    dists = dropout_passes(policy, 0, n, rate, np.random.default_rng(0))
     dropped = np.all(dists == 0.25, axis=1)
     survivor = softmax(np.array([t / (1.0 - rate), 0.0, 0.0, 0.0]))
     assert np.array_equal(dists[~dropped], np.tile(survivor, ((~dropped).sum(), 1)))
@@ -222,10 +251,10 @@ def test_zero_rate_dropout_is_identity(policy):
     # the unmasked forward.
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    passes = dropout_passes(policy, one_hot(5), 10, 0.0, rng)
+    passes = dropout_passes(policy, 5, 10, 0.0, rng)
     assert rng.bit_generator.state == state
     assert all(np.array_equal(row, passes[0]) for row in passes)
-    assert np.allclose(passes[0], forward(policy, one_hot(5))[0], atol=1e-15)
+    assert np.allclose(passes[0], forward(policy, 5)[0], atol=1e-15)
 
 
 def test_softmax_matches_reference():
@@ -321,8 +350,7 @@ def test_weights_round_trip_is_bit_identical(tmp_path, policy):
     for a, b in zip(policy.parameters(), loaded.parameters()):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
-    obs = one_hot(5)
-    assert np.array_equal(forward(policy, obs)[0], forward(loaded, obs)[0])
+    assert np.array_equal(forward(policy, 5)[0], forward(loaded, 5)[0])
 
 
 def test_interrupted_weights_write_keeps_the_old_file(tmp_path, policy, monkeypatch):

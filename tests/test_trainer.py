@@ -104,14 +104,12 @@ def test_params_round_trip_and_isolation(tmp_path):
     save_weights(loaded, path)
     assert open(path, "rb").read() == saved
 
-    obs = np.zeros(64)
-    obs[5] = 1.0
-    before = forward(policy, obs)
+    before = forward(policy, 5)
     policy.flat[:] = 0.0  # a write to the vector reaches every layer view
-    probs, value = forward(policy, obs)
+    probs, value = forward(policy, 5)
     assert np.array_equal(probs, np.full(4, 0.25)) and value == 0.0
     assert not np.array_equal(probs, before[0])
-    assert np.array_equal(forward(loaded, obs)[0], before[0])  # loading copies the vector
+    assert np.array_equal(forward(loaded, 5)[0], before[0])  # loading copies the vector
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +340,11 @@ def test_adam_matches_the_allocating_reference_bit_for_bit():
         assert adam.v.tobytes() == reference.v.tobytes()
 
 
+def observed_cell(state):
+    """The cell whose one-hot the policy observes at ``state``."""
+    return int(np.argmax(encode_observation(state)))
+
+
 def reference_train(train_contexts, cfg):
     """The training loop with one forward and one ``rng.choice`` per step.
 
@@ -361,7 +364,7 @@ def reference_train(train_contexts, cfg):
         obs, actions, logps, values, rewards, ends, boot = [], [], [], [], [], [], []
         for _ in range(t_steps):
             x = encode_observation(state)
-            dist, value = forward(policy, x)
+            dist, value = forward(policy, int(np.argmax(x)))
             action = int(rng.choice(4, p=dist))
             next_state, reward, done = step(state, Action(action), 100)
             obs.append(x)
@@ -372,13 +375,13 @@ def reference_train(train_contexts, cfg):
             ends.append(done)
             truncated = next_state.outcome is Outcome.TRUNCATED
             truncations += truncated
-            boot.append(forward(policy, encode_observation(next_state))[1] if truncated else 0.0)
+            boot.append(forward(policy, observed_cell(next_state))[1] if truncated else 0.0)
             if done:
                 state = reset(train_contexts[rng.integers(len(train_contexts))])
             else:
                 state = next_state
         if not ends[-1]:
-            boot[-1] = forward(policy, encode_observation(state))[1]
+            boot[-1] = forward(policy, observed_cell(state))[1]
         advantages, returns = _gae(np.array(rewards), np.array(values), np.array(ends),
                                    np.array(boot), 0.99, 0.95)
         obs, actions, logps = np.array(obs), np.array(actions), np.array(logps)
@@ -544,10 +547,9 @@ def reference_greedy_rollout(policy, context):
     n = context.grid.size
     steps = []
     while not state.done:
-        obs = encode_observation(state, dim=policy.input_dim)
-        dist, _ = forward(policy, obs)
-        action = select_action(dist)
         index = state.row * n + state.col
+        dist, _ = forward(policy, index)
+        action = select_action(dist)
         state, reward, done = step(state, action)
         steps.append(StepRecord(
             obs_index=index, policy_action=action, uncertainty=None,

@@ -9,6 +9,7 @@ import pytest
 
 from askgate import env as env_mod
 from askgate import metrics as metrics_mod
+from askgate import policy as policy_mod
 from askgate import uncertainty as unc_mod
 from askgate.env import Split
 from askgate.gate import EstimateTable, GateConfig, RunMode, run_batch
@@ -147,15 +148,13 @@ def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, pa
     # real dropout_passes call leaves it.
     policy = build_policy(widths)
     policy.flat[:] = np.random.default_rng(1).normal(size=policy.flat.size)
-    obs = np.zeros(widths[0])
-    obs[3] = 1.0
     reference = np.random.default_rng([0, 3])
-    dropout_passes(policy, obs, passes, rate, reference)
+    dropout_passes(policy, 3, passes, rate, reference)
     advanced = np.random.default_rng([0, 3])
     advanced.bit_generator.advance(draws_per_step(policy, passes, rate))
     assert advanced.bit_generator.state == reference.bit_generator.state
 
-    dropout_passes(policy, obs, passes, rate, reference)
+    dropout_passes(policy, 3, passes, rate, reference)
     table = EstimateTable(policy, GateConfig(passes=passes, dropout_rate=rate, seed=0))
     assert table.generator(3, 2).bit_generator.state == reference.bit_generator.state
     table.generator(3, 5)
@@ -218,10 +217,12 @@ def test_a_study_whose_paths_agree_computes_only_the_first_trial(contexts4, monk
                       replace(gate, tau=0.0, mode=RunMode.ASK), episodes)
     steps = sum(ep.length for ep in first)
     cells = len({s.obs_index for ep in first for s in ep.steps})
-    encodes = []
-    real_encode = env_mod.encode_observation
+    encodes, forwards = [], []
+    real_encode, real_forward = env_mod.encode_observation, policy_mod.forward
     monkeypatch.setattr(env_mod, "encode_observation",
                         lambda *a, **k: encodes.append(1) or real_encode(*a, **k))
+    monkeypatch.setattr(policy_mod, "forward",
+                        lambda *a, **k: forwards.append(1) or real_forward(*a, **k))
     calls = count_mc_estimates(monkeypatch)
     made = count_episode_generators(monkeypatch)
     study = tune_threshold(policy, RuleClient(), eval_contexts, lo=0.0, hi=1.0, trials=trials,
@@ -229,9 +230,10 @@ def test_a_study_whose_paths_agree_computes_only_the_first_trial(contexts4, monk
     assert all(rec.ir_percent == 100.0 for rec in study.records)
     assert made == list(range(episodes))
     assert len(calls) == steps
-    # The one-hot is built for every trial-1 step, then only for each later
-    # trial's greedy forward of a new cell.
-    assert len(encodes) == steps + (trials - 1) * cells
+    # The gate reads cells: no one-hot is built, and each trial makes one
+    # greedy forward per new cell.
+    assert encodes == []
+    assert len(forwards) == trials * cells
 
 
 # ---------------------------------------------------------------------------

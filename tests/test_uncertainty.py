@@ -148,9 +148,7 @@ def test_positive_passes_equal_the_separate_terms_exactly():
     policy = init_policy(seed=0)
     inputs = []
     for cell in range(policy.input_dim):
-        obs = np.zeros(policy.input_dim)
-        obs[cell] = 1.0
-        inputs.append(dropout_passes(policy, obs, 100, 0.2, np.random.default_rng([1, cell])))
+        inputs.append(dropout_passes(policy, cell, 100, 0.2, np.random.default_rng([1, cell])))
     rng = np.random.default_rng(6)
     for _ in range(200):
         raw = 10.0 ** -rng.uniform(0.0, 300.0, (int(rng.integers(1, 101)), 4))
@@ -202,10 +200,8 @@ def test_decomposition_properties_hold_everywhere(raw):
 
 def test_mc_estimate_recounts_from_logged_passes():
     policy = init_policy(seed=0)
-    obs = np.zeros(64)
-    obs[9] = 1.0
-    passes = dropout_passes(policy, obs, 100, 0.2, np.random.default_rng(5))
-    est = mc_estimate(policy, obs, 100, 0.2, np.random.default_rng(5))
+    passes = dropout_passes(policy, 9, 100, 0.2, np.random.default_rng(5))
+    est = mc_estimate(policy, 9, 100, 0.2, np.random.default_rng(5))
     assert passes.shape == (100, 4)
     assert est.pass_count == 100
     assert abs(est.epistemic - brute_epistemic(passes.tolist())) < 1e-9
@@ -215,11 +211,9 @@ def test_mc_estimate_recounts_from_logged_passes():
 
 def test_mc_estimate_is_seed_deterministic():
     policy = init_policy(seed=1)
-    obs = np.zeros(64)
-    obs[3] = 1.0
-    a = mc_estimate(policy, obs, 40, 0.2, np.random.default_rng(11))
-    b = mc_estimate(policy, obs, 40, 0.2, np.random.default_rng(11))
-    c = mc_estimate(policy, obs, 40, 0.2, np.random.default_rng(12))
+    a = mc_estimate(policy, 3, 40, 0.2, np.random.default_rng(11))
+    b = mc_estimate(policy, 3, 40, 0.2, np.random.default_rng(11))
+    c = mc_estimate(policy, 3, 40, 0.2, np.random.default_rng(12))
     assert a == b
     assert a != c
 
@@ -228,8 +222,6 @@ def test_mc_estimate_without_dropout_is_purely_aleatoric():
     # All passes are identical; the float mean of 25 identical rows can drift
     # by an ulp, so the epistemic term is dust rather than a hard zero.
     policy = init_policy(seed=2)
-    obs = np.zeros(64)
-    obs[0] = 1.0
-    est = mc_estimate(policy, obs, 25, 0.0, np.random.default_rng(0))
+    est = mc_estimate(policy, 0, 25, 0.0, np.random.default_rng(0))
     assert abs(est.epistemic) < 1e-12
     assert abs(est.total - est.aleatoric) < 1e-12
