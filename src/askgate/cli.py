@@ -347,6 +347,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _recorded(snapshot: dict, key: str, kind: type, default, path: str):
+    """``snapshot[key]``, or ``default`` without the key; a value of another JSON
+    type (a bool or a float is no int here) raises ``RuntimeFailure``."""
+    value = snapshot.get(key, default)
+    if key in snapshot and type(value) is not kind:
+        raise RuntimeFailure(f"{path}: config key {key!r} holds {json.dumps(value)}, "
+                             f"not {'a string' if kind is str else 'an integer'}")
+    return value
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     trajectory = args.trajectory
     if trajectory:
@@ -367,20 +377,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise RuntimeFailure(f"{trajectory}: a cell of the episode column is not an integer")
         if not actions:
             raise RuntimeFailure(f"episode {episode} not present in {trajectory}")
-        contexts_path = args.contexts or snapshot.get("contexts")
-        if not contexts_path:
+        contexts_path = args.contexts or _recorded(snapshot, "contexts", str, None, trajectory)
+        if contexts_path is None:
             raise UsageError("--contexts required (episode CSV carries no context path)")
         context_set = _load_contexts(contexts_path)
-        size = snapshot.get("size", context_set.size)
+        size = _recorded(snapshot, "size", int, context_set.size, trajectory)
         if size != context_set.size:
             raise RuntimeFailure(f"context set {contexts_path} holds size {context_set.size} "
                                  f"maps, but {trajectory} was run on size {size}")
-        split = Split(snapshot.get("split", "test"))
+        split = Split(_recorded(snapshot, "split", str, "test", trajectory))
         pool = context_set.split(split)
         if not pool:
             raise RuntimeFailure(f"context set has no {split.value} contexts")
         context = pool[episode % len(pool)]
-        cap = int(snapshot.get("max_steps", env_mod.DEFAULT_MAX_STEPS))
+        cap = _recorded(snapshot, "max_steps", int, env_mod.DEFAULT_MAX_STEPS, trajectory)
         print(metrics_mod.render_trajectory(context, actions, cap), end="")
         return EXIT_OK
 

@@ -11,11 +11,11 @@ of it; one vectorised pass per epoch finds every minibatch's distinct cells.
 A minibatch holds cell indices, not one-hot rows: the update's forward is
 ``policy.trunk_activations`` on the distinct cells, which reads layer 0 as a
 row of W0, and the layer-0 weight gradient is computed for those cells only.
-Truncated episodes bootstrap the value of the successor state; terminal
-episodes do not. A greedy evaluation on the eval contexts runs at the end of
-each rollout that crosses a multiple of the evaluation interval, and once
-more after the last rollout if that one did not; the best-scoring parameters
-are the ones returned.
+A rollout step records the value it bootstraps from, zero after a goal or a
+hole and the successor's value otherwise, so GAE is one recurrence. A greedy
+evaluation on the eval contexts runs at the end of each rollout that crosses
+a multiple of the evaluation interval, and once more after the last rollout
+if that one did not; the best-scoring parameters are the ones returned.
 
 Training works on a policy of the grid's own input width: the n² rows of W0
 a cell of an n x n grid reads, and every parameter after W0, copied array by
@@ -56,6 +56,7 @@ from .policy import MlpPolicy
 TRAINLOG_CSV_HEADER = ["timestep", "eval_reward_mean", "eval_reward_std", "eval_len_mean"]
 _ACTIONS = tuple(Action)
 _ONE_HOT = np.eye(policy_mod.N_ACTIONS)  # row a: the one-hot of action a
+_ABSORBING = (Outcome.GOAL, Outcome.HOLE)  # no value after these
 
 # The standard PPO loss settings (Schulman et al., arXiv 1707.06347); the
 # learning rate is ``_Adam.lr``.
@@ -240,21 +241,15 @@ class _Adam:
 # ---------------------------------------------------------------------------
 # Rollouts and GAE.
 
-def _gae(rewards, values, ends, boot, gamma: float, lam: float):
-    """Advantages with episode-boundary resets; truncation bootstraps."""
-    n = len(rewards)
-    # The loop reads Python floats: the same double arithmetic as NumPy
-    # scalars, at well under half the cost per step.
-    r, v, e, b = rewards.tolist(), values.tolist(), ends.tolist(), boot.tolist()
-    out = [0.0] * n
+def _gae(rewards, values, next_values, ends, gamma: float, lam: float):
+    """Advantages and returns; step t bootstraps from ``next_values[t]``, and an
+    episode's end stops the advantage carried back from the step after it.
+    ``train`` passes tuples of Python numbers: NumPy's double arithmetic, faster."""
+    out = [0.0] * len(rewards)
     last = 0.0
-    for t in range(n - 1, -1, -1):
-        if e[t]:
-            next_value, carry = b[t], 0.0
-        else:
-            next_value, carry = v[t + 1] if t + 1 < n else b[t], last
-        delta = r[t] + gamma * next_value - v[t]
-        last = out[t] = delta + gamma * lam * carry
+    for t in range(len(rewards) - 1, -1, -1):
+        delta = rewards[t] + gamma * next_values[t] - values[t]
+        last = out[t] = delta + gamma * lam * (0.0 if ends[t] else last)
     adv = np.array(out, dtype=np.float64)
     return adv, adv + values
 
@@ -324,13 +319,6 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
     timestep = 0
     next_eval = config.eval_interval
-    obs_idx = np.zeros(ROLLOUT_STEPS, dtype=np.int64)
-    actions = np.zeros(ROLLOUT_STEPS, dtype=np.int64)
-    logps = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
-    values = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
-    rewards = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
-    ends = np.zeros(ROLLOUT_STEPS, dtype=bool)
-    boot = np.zeros(ROLLOUT_STEPS, dtype=np.float64)
     # Each row's key in an epoch is minibatch * n*n + cell.
     cell_count = n * n
     row_block = np.arange(ROLLOUT_STEPS) // MINIBATCH_SIZE
@@ -346,34 +334,24 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
         for cell in range(n * n):
             dist, value = policy_mod.forward(policy, cell)
             table.append((policy_mod.sampling_cdf(dist), dist.tolist(), value))
-        for t in range(ROLLOUT_STEPS):
+        rollout = []
+        for _ in range(ROLLOUT_STEPS):
             cell = state.cell
             cdf, probs, value = table[cell]
             a = bisect_right(cdf, rng.random())
-            next_state, reward, done = env_mod.step(state, _ACTIONS[a])
-
-            obs_idx[t] = cell
-            actions[t] = a
-            logps[t] = math.log(probs[a])
-            values[t] = value
-            rewards[t] = reward
-            ends[t] = done
-            boot[t] = 0.0
-
+            state, reward, done = env_mod.step(state, _ACTIONS[a])
+            # A truncated or running step bootstraps from its successor.
+            next_value = 0.0 if state.outcome in _ABSORBING else table[state.cell][2]
+            rollout.append((cell, a, math.log(probs[a]), value, reward, next_value, done))
             if done:
-                if next_state.outcome is Outcome.TRUNCATED:
-                    boot[t] = table[next_state.cell][2]
                 state = env_mod.reset(train_contexts[rng.integers(len(train_contexts))])
-            else:
-                state = next_state
-        if not ends[-1]:
-            boot[-1] = table[state.cell][2]
-
-        advantages, returns = _gae(rewards, values, ends, boot, GAMMA, GAE_LAMBDA)
+        cells, actions, logps, values, rewards, next_values, ends = zip(*rollout)
+        advantages, returns = _gae(rewards, values, next_values, ends, GAMMA, GAE_LAMBDA)
+        cells, actions, logps = np.array(cells), np.array(actions), np.array(logps)
         for _ in range(EPOCHS):
             # One gather per epoch; each minibatch is then a slice of it.
             order = rng.permutation(ROLLOUT_STEPS)
-            epoch_cells = obs_idx[order]
+            epoch_cells = cells[order]
             epoch_actions, epoch_logps = actions[order], logps[order]
             epoch_adv, epoch_returns = advantages[order], returns[order]
             # Each minibatch's advantages are centred and scaled on their own;

@@ -752,6 +752,27 @@ def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}={json.dumps(value)}") for key, value in [
+        ("max_steps", None),
+        ("max_steps", "100"),
+        ("contexts", ["x"]),
+        ("contexts", 2),  # once opened as file descriptor 2, stderr
+        ("contexts", None),
+        ("size", 4.0),
+        ("split", None),
+    ]])
+def test_trajectory_config_values_of_the_wrong_type_are_a_runtime_error(
+        workspace, tmp_path, capsys, key, value):
+    episodes = os.path.join(workspace["out"], "episodes",
+                            "ask_rule_test_s4_tau0.2_seed1.csv")
+    config, header, rows = read_csv(episodes)
+    bad = str(tmp_path / "bad.csv")
+    write_atomic(bad, csv_text(header, rows, {**config, key: value}))
+    assert main(["report", "--trajectory", bad, "--episode", "0"]) == EXIT_RUNTIME
+    assert f"{bad}: config key {key!r} holds {json.dumps(value)}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Console entry point
 

@@ -3,16 +3,25 @@ set, a weights file and an episode CSV, and episode CSVs with ragged rows.
 
 Each loader either returns or raises its own error type: ``load_context_set``
 and ``read_csv`` only ``ValueError`` (``UnicodeDecodeError`` included),
-``load_weights`` only ``WeightsError`` subclasses. The files are small, and a
-one-second deadline per example stands in for "never hangs".
+``load_weights`` only ``WeightsError`` subclasses. ``report --trajectory``
+takes any JSON value under each config key it reads and exits 0 or 2. The
+files are small, and a one-second deadline per example stands in for "never
+hangs".
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from askgate.env import GridMap, generate_context_set, load_context_set, save_context_set
-from askgate.gate import GateConfig, RunMode, read_csv, run_batch, write_episode_csv
+from askgate.cli import EXIT_OK, EXIT_RUNTIME, main
+from askgate.env import (
+    GridMap,
+    Split,
+    generate_context_set,
+    load_context_set,
+    save_context_set,
+)
+from askgate.gate import GateConfig, RunMode, csv_text, read_csv, run_batch, write_episode_csv
 from askgate.lm import RuleClient
 from askgate.policy import WeightsError, init_policy, load_weights, save_weights
 
@@ -109,3 +118,50 @@ def test_a_ragged_episode_row_is_a_value_error(tmp_path, originals, data):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match="fields, the header"):
         read_csv(str(path))
+
+
+@pytest.fixture(scope="module")
+def trajectory(tmp_path_factory):
+    """``(config, header, rows)`` of an episode CSV whose trajectories replay."""
+    root = tmp_path_factory.mktemp("trajectory")
+    context_set = generate_context_set(4, 10, 7)
+    ctx_path = str(root / "ctx.txt")
+    save_context_set(context_set, ctx_path)
+    cfg = GateConfig(tau=0.3, passes=5, mode=RunMode.ASK, seed=2)
+    records = run_batch(init_policy(input_dim=16, hidden=(8,), seed=1), RuleClient(),
+                        context_set.split(Split.TEST), cfg, total_episodes=2)
+    csv_path = str(root / "episodes.csv")
+    write_episode_csv(records, csv_path, {"cmd": "run", "contexts": ctx_path, "size": 4,
+                                          "split": "test", "max_steps": cfg.max_steps})
+    return read_csv(csv_path)
+
+
+def test_the_unchanged_trajectory_replays(tmp_path, trajectory):
+    config, header, rows = trajectory
+    path = tmp_path / "episodes.csv"
+    path.write_text(csv_text(header, rows, config), encoding="utf-8")
+    assert main(["report", "--trajectory", str(path), "--episode", "0"]) == EXIT_OK
+
+
+# Any value json.loads returns, NaN and the infinities included, besides
+# values close to the ones a run records.
+JSON_VALUES = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                    max_size=3),
+        max_leaves=6),
+    st.sampled_from([0, -1, 1, 3, 4, 5, 100, 4.0, "4", "test", "eval", "train", "", "."]),
+)
+
+
+@pytest.mark.parametrize("key", ["contexts", "size", "split", "max_steps"])
+@FUZZ
+@given(value=JSON_VALUES)
+def test_report_trajectory_exits_0_or_2_whatever_a_config_key_holds(
+        tmp_path, monkeypatch, trajectory, key, value):
+    config, header, rows = trajectory
+    monkeypatch.chdir(tmp_path)  # a string under "contexts" is a path from here
+    path = tmp_path / "episodes.csv"
+    path.write_text(csv_text(header, rows, {**config, key: value}), encoding="utf-8")
+    assert main(["report", "--trajectory", str(path), "--episode", "0"]) in (EXIT_OK, EXIT_RUNTIME)

@@ -240,12 +240,28 @@ def test_adam_is_stateful_per_parameter():
 # GAE
 
 
+def reference_gae(rewards, values, ends, boot, gamma, lam):
+    """GAE as first written: an episode's end bootstraps from ``boot``, a
+    running step from the next step's value, the rollout's last from ``boot``."""
+    n = len(rewards)
+    adv = np.zeros(n)
+    carry = 0.0
+    for t in range(n - 1, -1, -1):
+        if ends[t]:
+            nxt, carry = boot[t], 0.0
+        else:
+            nxt = values[t + 1] if t + 1 < n else boot[t]
+        delta = rewards[t] + gamma * nxt - values[t]
+        carry = adv[t] = delta + gamma * lam * carry
+    return adv, adv + values
+
+
 def test_gae_hand_example():
     rewards = np.array([0.0, 0.0, 1.0])
     values = np.array([0.5, 0.4, 0.3])
+    next_values = np.array([0.4, 0.3, 0.0])
     ends = np.array([False, False, True])
-    boot = np.zeros(3)
-    adv, ret = _gae(rewards, values, ends, boot, gamma=0.5, lam=0.5)
+    adv, ret = _gae(rewards, values, next_values, ends, gamma=0.5, lam=0.5)
     d2 = 1.0 + 0.5 * 0.0 - 0.3
     d1 = 0.0 + 0.5 * 0.3 - 0.4
     d0 = 0.0 + 0.5 * 0.4 - 0.5
@@ -259,20 +275,22 @@ def test_gae_hand_example():
 def test_gae_resets_across_episode_boundaries():
     rewards = np.array([1.0, 0.0])
     values = np.array([0.2, 0.7])
+    # Step 0 reaches the goal, so it records no successor value, although
+    # the step after it, the next episode's first, has a value.
+    next_values = np.array([0.0, 0.0])
     ends = np.array([True, False])
-    boot = np.array([0.0, 0.0])
-    adv, _ = _gae(rewards, values, ends, boot, gamma=0.9, lam=0.8)
-    # Step 0 terminates its episode: no bootstrap from step 1's value and no
-    # advantage carried back across the boundary.
+    adv, _ = _gae(rewards, values, next_values, ends, gamma=0.9, lam=0.8)
+    # No bootstrap from step 1's value and no advantage carried back across
+    # the boundary.
     assert adv[0] == pytest.approx(1.0 - 0.2)
 
 
-def test_gae_truncation_bootstraps_through_boot_values():
+def test_gae_truncation_bootstraps_through_next_values():
     rewards = np.array([0.0])
     values = np.array([0.1])
+    next_values = np.array([0.6])
     ends = np.array([True])
-    boot = np.array([0.6])
-    adv, ret = _gae(rewards, values, ends, boot, gamma=0.9, lam=0.8)
+    adv, ret = _gae(rewards, values, next_values, ends, gamma=0.9, lam=0.8)
     assert adv[0] == pytest.approx(0.0 + 0.9 * 0.6 - 0.1)
     assert ret[0] == pytest.approx(adv[0] + 0.1)
 
@@ -286,19 +304,14 @@ def test_gae_matches_reference_recursion_on_random_data():
         ends = rng.random(n) < 0.3
         boot = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
         gamma, lam = 0.99, 0.95
-        adv, ret = _gae(rewards, values, ends, boot, gamma, lam)
-        expected = np.zeros(n)
-        carry = 0.0
-        for t in range(n - 1, -1, -1):
-            if ends[t]:
-                nxt, carry = boot[t], 0.0
-            else:
-                nxt = values[t + 1] if t + 1 < n else boot[t]
-            delta = rewards[t] + gamma * nxt - values[t]
-            carry = expected[t] = delta + gamma * lam * carry
+        # The successor values a rollout records for the same steps.
+        next_values = np.array([boot[t] if ends[t] or t == n - 1 else values[t + 1]
+                                for t in range(n)])
+        adv, ret = _gae(rewards, values, next_values, ends, gamma, lam)
+        expected, expected_ret = reference_gae(rewards, values, ends, boot, gamma, lam)
         # Same double arithmetic in the same order: equal bits, not just close.
         assert adv.tobytes() == expected.tobytes()
-        assert ret.tobytes() == (expected + values).tobytes()
+        assert ret.tobytes() == expected_ret.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +364,9 @@ def reference_train(train_contexts, cfg):
     It has no evaluation, so it matches ``train`` when the only evaluation
     is the one after the last rollout. Its gradient is
     :func:`reference_ppo_grads` on one-hot rows, its optimizer is
-    :class:`ReferenceAdam`, and its minibatches are gathered and centred one
-    by one. Returns the policy and the count of truncated episodes.
+    :class:`ReferenceAdam`, its advantages come from :func:`reference_gae`,
+    and its minibatches are gathered and centred one by one. Returns the
+    policy and the count of truncated episodes.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
@@ -382,8 +396,8 @@ def reference_train(train_contexts, cfg):
                 state = next_state
         if not ends[-1]:
             boot[-1] = forward(policy, observed_cell(state))[1]
-        advantages, returns = _gae(np.array(rewards), np.array(values), np.array(ends),
-                                   np.array(boot), 0.99, 0.95)
+        advantages, returns = reference_gae(np.array(rewards), np.array(values), ends, boot,
+                                            0.99, 0.95)
         obs, actions, logps = np.array(obs), np.array(actions), np.array(logps)
         for _ in range(10):
             order = rng.permutation(t_steps)
