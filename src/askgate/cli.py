@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+_SPLITS = tuple(s.value for s in Split)  # what --split and a recorded split may name
+
 
 class UsageError(Exception):
     pass
@@ -115,7 +117,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="evaluate a policy with/without the gate")
     run.add_argument("--mode", choices=[m.value for m in RunMode], default=RunMode.ASK.value)
-    run.add_argument("--split", choices=[s.value for s in Split], default=Split.TEST.value)
+    run.add_argument("--split", choices=_SPLITS, default=Split.TEST.value)
     run.add_argument("--tau", type=float, default=GateConfig.tau)
     run.add_argument("--max-steps", type=int, default=GateConfig.max_steps)
     gated(run)
@@ -172,7 +174,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
                 values[key] = action.type(value)
             except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError):
                 ok = False
-        if not ok:
+        if not ok or action.choices is not None and values[key] not in action.choices:
             raise RuntimeFailure(f"config {path}: {key!r} does not fit "
                                  f"{action.option_strings[0]}, got {value!r}")
     return values
@@ -347,13 +349,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _recorded(snapshot: dict, key: str, kind: type, default, path: str):
+def _recorded(snapshot: dict, key: str, kind: type, default, path: str, allowed=None):
     """``snapshot[key]``, or ``default`` without the key; a value of another JSON
-    type (a bool or a float is no int here) raises ``RuntimeFailure``."""
+    type (a bool or a float is no int here), or one not in ``allowed``, raises
+    ``RuntimeFailure``."""
     value = snapshot.get(key, default)
-    if key in snapshot and type(value) is not kind:
+    if key in snapshot and (type(value) is not kind
+                            or allowed is not None and value not in allowed):
+        need = "a string" if kind is str else "an integer"
         raise RuntimeFailure(f"{path}: config key {key!r} holds {json.dumps(value)}, "
-                             f"not {'a string' if kind is str else 'an integer'}")
+                             f"not {need}{'' if allowed is None else f' in {allowed}'}")
     return value
 
 
@@ -385,12 +390,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if size != context_set.size:
             raise RuntimeFailure(f"context set {contexts_path} holds size {context_set.size} "
                                  f"maps, but {trajectory} was run on size {size}")
-        split = Split(_recorded(snapshot, "split", str, "test", trajectory))
+        split = Split(_recorded(snapshot, "split", str, "test", trajectory, _SPLITS))
         pool = context_set.split(split)
         if not pool:
             raise RuntimeFailure(f"context set has no {split.value} contexts")
         context = pool[episode % len(pool)]
-        cap = _recorded(snapshot, "max_steps", int, env_mod.DEFAULT_MAX_STEPS, trajectory)
+        cap = _recorded(snapshot, "max_steps", int, env_mod.DEFAULT_MAX_STEPS, trajectory,
+                        range(1, sys.maxsize))  # at least 1, as GateConfig requires
         print(metrics_mod.render_trajectory(context, actions, cap), end="")
         return EXIT_OK
 

@@ -13,7 +13,11 @@ u32, then per array rows u32, cols u32, row-major f64 data. Arrays appear as
 one or more trunk (W, b) pairs followed by the action head (W, b) and value
 head (W, b); biases are stored with rows = 1. :func:`load_weights` raises one
 error type, :class:`WeightsError`, for every fault of the file: its message
-names the check that failed.
+names the check that failed. The layout is :func:`build_policy`'s for the
+widths that the trunk weights declare, so an array of any other shape is
+refused by index, e.g. ``array 2 has shape (5, 4), the layout needs (4, 4)``.
+The trunk weights' rows are checked before that layout is built, so a file
+cannot make the loader allocate more than a few times its own size.
 """
 
 from __future__ import annotations
@@ -301,27 +305,23 @@ def load_weights(path: str) -> MlpPolicy:
             if rows == 0 or cols == 0:
                 raise WeightsError(f"array {i} declares empty shape {rows}x{cols}")
             raw = _read_exact(fh, 8 * rows * cols, f"data of array {i}")
-            array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
             finite = np.isfinite(array)
             if not finite.all():
                 raise WeightsError(f"array {i} holds {array[~finite][0]}, not a finite value")
             arrays.append(array)
         if fh.read(1):
             raise WeightsError("trailing bytes after declared arrays")
-    pairs = [(arrays[i], arrays[i + 1]) for i in range(0, count, 2)]
-    for i, (w, b) in enumerate(pairs):
-        if b.shape != (1, w.shape[1]):
-            raise WeightsError(f"pair {i}: bias shape {b.shape} does not match weight {w.shape}")
-    *trunk_pairs, action, value = pairs
-    input_dim = width = pairs[0][0].shape[0]
-    for i, (w, _) in enumerate(pairs):
-        if w.shape[0] != width:
-            raise WeightsError(f"pair {i}: weight rows {w.shape[0]}, expected {width}")
-        if i < len(trunk_pairs):
-            width = w.shape[1]
-    if action[0].shape[1] != N_ACTIONS:
-        raise WeightsError(f"action head has {action[0].shape[1]} outputs, expected {N_ACTIONS}")
-    if value[0].shape[1] != 1:
-        raise WeightsError(f"value head has {value[0].shape[1]} outputs, expected 1")
-    widths = (input_dim, *(w.shape[1] for w, _ in trunk_pairs))
-    return build_policy(widths, np.concatenate([a.reshape(-1) for a in arrays]))
+    # The widths the trunk weights declare; build_policy lays out the rest. The
+    # rows are checked first: then that layout is within a few times the file.
+    widths = (arrays[0].shape[0], *(w.shape[1] for w in arrays[:count - 4:2]))
+    for j, w in enumerate(arrays[2:count - 4:2], 1):
+        if w.shape[0] != widths[j]:
+            raise WeightsError(f"array {2 * j} has shape {w.shape}, the layout needs {widths[j:j + 2]}")
+    policy = build_policy(widths)
+    for i, (array, param) in enumerate(zip(arrays, policy.parameters())):
+        view = np.atleast_2d(param)  # the shape save_weights writes
+        if array.shape != view.shape:
+            raise WeightsError(f"array {i} has shape {array.shape}, the layout needs {view.shape}")
+        view[...] = array
+    return policy

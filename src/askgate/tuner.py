@@ -6,7 +6,7 @@ the rest are drawn from the study seed. The best tau maximizes mean eval
 reward with ties resolved toward the larger tau (fewer consultations at
 equal reward). Tuning only ever sees Eval-split contexts; the constructor
 refuses anything else, and each trial records the context ids it touched so
-logs can be audited afterwards.
+the caller can audit them; the study CSV holds no ids.
 """
 
 from __future__ import annotations

@@ -406,18 +406,23 @@ _GEN = ["contexts", "gen", "--size", "4", "--count", "6"]
     (_GEN, {"out": 5}),
     (_GEN, {"unsolvable": "no"}),
     (["report"], {"summaries": "x.csv"}),
+    (["run"], {"mode": "x"}),  # a value outside the option's choices
+    (["run"], {"split": "x"}),
+    (["report", "--summaries", "x.csv"], {"fmt": "x"}),
 ])
 def test_config_values_of_the_wrong_type_are_a_runtime_error(tmp_path, monkeypatch, capsys,
                                                             command, config):
-    # Each used to end in a traceback, a write under a mangled path, or a
-    # value read as something else ("no" as true, a string as its letters).
+    # Each used to end in a traceback, a write under a mangled path, a
+    # value read as something else ("no" as true, a string as its letters),
+    # or a message that named neither the file nor the key.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     [key] = config
     monkeypatch.chdir(tmp_path)  # a stray write would land here
     code = main([*command, "--config", str(path)])
     assert code == EXIT_RUNTIME
-    assert f"{key!r} does not fit --{key}" in capsys.readouterr().err
+    flag = {"fmt": "format"}.get(key, key)
+    assert f"config {path}: {key!r} does not fit --{flag}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["config.json"]
 
 
@@ -761,6 +766,9 @@ def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(
         ("contexts", None),
         ("size", 4.0),
         ("split", None),
+        ("split", "x"),
+        ("max_steps", 0),
+        ("max_steps", -3),
     ]])
 def test_trajectory_config_values_of_the_wrong_type_are_a_runtime_error(
         workspace, tmp_path, capsys, key, value):

@@ -3,12 +3,17 @@ set, a weights file and an episode CSV, and episode CSVs with ragged rows.
 
 Each loader either returns or raises its own error type: ``load_context_set``
 and ``read_csv`` only ``ValueError`` (``UnicodeDecodeError`` included),
-``load_weights`` only ``WeightsError`` subclasses. ``report --trajectory``
+``load_weights`` only ``WeightsError`` subclasses. A weights file written
+from a shape list near a policy's layout either raises ``WeightsError`` or
+loads to a policy that saves to the same bytes. ``report --trajectory``
 takes any JSON value under each config key it reads and exits 0 or 2. The
 files are small, and a one-second deadline per example stands in for "never
 hangs".
 """
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +28,14 @@ from askgate.env import (
 )
 from askgate.gate import GateConfig, RunMode, csv_text, read_csv, run_batch, write_episode_csv
 from askgate.lm import RuleClient
-from askgate.policy import WeightsError, init_policy, load_weights, save_weights
+from askgate.policy import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
+    WeightsError,
+    init_policy,
+    load_weights,
+    save_weights,
+)
 
 FUZZ = settings(max_examples=200, deadline=1000,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -118,6 +130,42 @@ def test_a_ragged_episode_row_is_a_value_error(tmp_path, originals, data):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match="fields, the header"):
         read_csv(str(path))
+
+
+@st.composite
+def weight_shapes(draw):
+    """The (rows, cols) of each array of a layout of 1-3 hidden layers, each
+    dimension 1-5, with up to two of them moved by one."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    shapes = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        shapes += [[fan_in, fan_out], [1, fan_out]]
+    shapes += [[widths[-1], 4], [1, 4], [widths[-1], 1], [1, 1]]
+    for _ in range(draw(st.integers(0, 2))):
+        shape = shapes[draw(st.integers(0, len(shapes) - 1))]
+        axis = draw(st.integers(0, 1))
+        shape[axis] = max(1, shape[axis] + draw(st.sampled_from([-1, 1])))
+    return shapes
+
+
+@FUZZ
+@given(shapes=weight_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_a_weights_file_of_any_shapes_loads_to_its_own_bytes_or_is_refused(
+        tmp_path, shapes, seed):
+    rng = np.random.default_rng(seed)
+    parts = [WEIGHTS_MAGIC, struct.pack("<II", WEIGHTS_VERSION, len(shapes))]
+    for rows, cols in shapes:
+        parts.append(struct.pack("<II", rows, cols))
+        parts.append(rng.standard_normal(rows * cols).astype("<f8").tobytes())
+    blob = b"".join(parts)
+    path, copy = tmp_path / "w.bin", tmp_path / "copy.bin"
+    path.write_bytes(blob)
+    try:
+        policy = load_weights(str(path))
+    except WeightsError:
+        return
+    save_weights(policy, str(copy))
+    assert copy.read_bytes() == blob
 
 
 @pytest.fixture(scope="module")

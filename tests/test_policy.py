@@ -1,6 +1,8 @@
 """Policy network: init, dropout semantics, action selection, weights file format."""
 
+import os
 import struct
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -459,25 +461,28 @@ def test_inconsistent_shapes_raise_shape_error(tmp_path):
     _write_raw(path, [np.zeros((4, 4)), np.zeros(3), np.zeros((4, 4)), np.zeros(4),
                       np.zeros((4, 1)), np.zeros(1)])
     with pytest.raises(WeightsError,
-                       match=r"pair 0: bias shape \(1, 3\) does not match weight \(4, 4\)"):
+                       match=r"array 1 has shape \(1, 3\), the layout needs \(1, 4\)"):
         load_weights(path)
 
     # Layer widths do not chain: 4 -> 4 trunk feeding a 5-wide action head.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((5, 4)), np.zeros(4),
                       np.zeros((4, 1)), np.zeros(1)])
-    with pytest.raises(WeightsError, match="pair 1: weight rows 5, expected 4"):
+    with pytest.raises(WeightsError,
+                       match=r"array 2 has shape \(5, 4\), the layout needs \(4, 4\)"):
         load_weights(path)
 
     # Action head must emit exactly four logits.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3),
                       np.zeros((4, 1)), np.zeros(1)])
-    with pytest.raises(WeightsError, match="action head has 3 outputs, expected 4"):
+    with pytest.raises(WeightsError,
+                       match=r"array 2 has shape \(4, 3\), the layout needs \(4, 4\)"):
         load_weights(path)
 
     # Value head must emit exactly one value.
     _write_raw(path, [np.zeros((4, 4)), np.zeros(4), np.zeros((4, 4)), np.zeros(4),
                       np.zeros((4, 2)), np.zeros(2)])
-    with pytest.raises(WeightsError, match="value head has 2 outputs, expected 1"):
+    with pytest.raises(WeightsError,
+                       match=r"array 4 has shape \(4, 2\), the layout needs \(4, 1\)"):
         load_weights(path)
 
     # An odd array count cannot form (W, b) pairs.
@@ -492,6 +497,25 @@ def test_inconsistent_shapes_raise_shape_error(tmp_path):
         fh.write(struct.pack("<II", 0, 4))
     with pytest.raises(WeightsError, match="array 0 declares empty shape 0x4"):
         load_weights(path)
+
+
+def test_trunk_widths_that_do_not_chain_are_refused_before_the_layout_is_allocated(tmp_path):
+    # The second trunk layer's W is (N, M) in the layout, but the file only has
+    # to hold N + M values for it. Refusing the row count before build_policy
+    # keeps the allocation within a few times the file, not N * M.
+    n = m = 3000
+    path = str(tmp_path / "w.bin")
+    _write_raw(path, [np.zeros((1, n)), np.zeros(n), np.zeros((1, m)), np.zeros(m),
+                      np.zeros((m, 4)), np.zeros(4), np.zeros((m, 1)), np.zeros(1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightsError,
+                           match=rf"array 2 has shape \(1, {m}\), the layout needs \({n}, {m}\)"):
+            load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * os.path.getsize(path), peak
 
 
 def test_a_policy_without_a_trunk_is_rejected(tmp_path):
