@@ -8,9 +8,9 @@ clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
 gathers the rollout once in its shuffled order, centres and scales the
 advantages of all its minibatches in one pass, and slices the minibatches out
 of it; one vectorised pass per epoch finds every minibatch's distinct cells.
-A minibatch holds cell indices, not one-hot rows: the update's forward is
-``policy.trunk_activations`` on the distinct cells, which reads layer 0 as a
-row of W0, and the layer-0 weight gradient is computed for those cells only.
+A minibatch holds cell indices, not one-hot rows, and every product of the
+update has one row per distinct cell: the forward is ``trunk_activations`` on
+those cells, and the backward reads each cell's summed row gradients.
 A rollout step records the value it bootstraps from, zero after a goal or a
 hole and the successor's value otherwise, so GAE is one recurrence. A greedy
 evaluation on the eval contexts runs at the end of each rollout that crosses
@@ -27,12 +27,12 @@ values. Once Adam's first bias correction rounds to 1.0, its step multiplies
 by the learning rate without dividing by it.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
-whole run bit-for-bit: the table, the gathers, the per-cell forward and the
-in-place Adam keep the arithmetic and the rng draws of a forward, an
-``rng.choice``, a fresh one-hot minibatch and an allocating Adam per step over
-the whole 64-input vector. Training updates the policy's parameter vector in
-place. Gradients are hand-derived and come back as one vector laid out like
-``MlpPolicy.flat``, so they can be checked against finite differences.
+run's bytes on one BLAS build. The table, the gathers and the in-place Adam
+keep the arithmetic and the rng draws of a forward, an ``rng.choice`` and an
+allocating Adam per step; the gradient is that of one-hot rows to about
+1e-14. Training updates the policy's parameter vector in place. Gradients
+are hand-derived and come back as one vector laid out like ``MlpPolicy.flat``,
+so they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -118,32 +118,30 @@ def ppo_grads(
 
     The batch holds cell indices, not observations: ``cells`` are the
     minibatch's distinct cells and ``inverse`` gives each row's position in
-    them, as ``np.unique(..., return_inverse=True)`` returns them. The bits
-    are those of the same batch as one-hot rows. The gradient is written into
-    ``grad``, a layout of the policy's widths whose vector is returned and
-    overwritten by the next call that gets it.
+    them, as ``np.unique(..., return_inverse=True)`` returns them. Every
+    matrix product has one row per distinct cell: the batch rows gather the
+    cells' log-probabilities and values, and their loss gradients are summed
+    per cell before the backward pass. So the gradient equals that of the
+    same batch as one-hot rows to rounding (about 1e-14 of each array's
+    largest entry), and bit for bit when the cells are distinct and
+    ascending. The gradient is written into ``grad``, a layout of the
+    policy's widths whose vector is returned and overwritten by the next
+    call that gets it.
     """
     cells, inverse = batch["cells"], batch["inverse"]
     actions = batch["actions"]
     adv = batch["advantages"]
     n = len(actions)
-    # A one-row product takes gemv, whose bits differ from gemm's.
-    table = np.repeat(cells, 2) if len(cells) == 1 < n else cells
 
-    # The trunk, the action head and the log-softmax run once per table row,
-    # whose results the batch rows gather.
-    hidden = policy_mod.trunk_activations(policy, table)[1:]
+    acts = policy_mod.trunk_activations(policy, cells)
     (wa, ba), (wv, bv) = policy.action_head, policy.value_head
-    table_logp = _log_softmax(hidden[-1] @ wa + ba)
-    table_probs = np.exp(table_logp)
-    table_entropy = -(table_probs * table_logp).sum(axis=1)
+    cell_logp = _log_softmax(acts[-1] @ wa + ba)
+    cell_probs = np.exp(cell_logp)
+    cell_entropy = -(cell_probs * cell_logp).sum(axis=1)
     # take copies the same rows as fancy indexing, faster.
-    acts = [rows.take(inverse, axis=0) for rows in hidden]
-    logp_all, probs = table_logp.take(inverse, axis=0), table_probs.take(inverse, axis=0)
-    per_pass_entropy = table_entropy.take(inverse)
-    # A one-column product is not row-independent, so the value head reads
-    # the batch rows.
-    values = (acts[-1] @ wv + bv).reshape(-1)
+    logp_all, probs = cell_logp.take(inverse, axis=0), cell_probs.take(inverse, axis=0)
+    per_pass_entropy = cell_entropy.take(inverse)
+    values = (acts[-1] @ wv + bv).take(inverse)
     idx = np.arange(n)
     logp = logp_all[idx, actions]
     ratio = np.exp(logp - batch["logp_old"])
@@ -164,31 +162,32 @@ def ppo_grads(
     # d(value_coef * value mse)/dvalues
     dv = (2.0 * VALUE_COEF / n) * (values - batch["returns"])
 
+    # The rows on one cell share its activations, so the backward pass reads
+    # each cell's summed output gradients.
+    fold = np.zeros((len(cells), n))
+    fold[inverse, idx] = 1.0
+    sums = fold @ np.column_stack((dz, dv))
+    cz, cv = sums[:, :-1], sums[:, -1:]
     (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
-    gwa[...] = acts[-1].T @ dz
-    gba[...] = dz.sum(axis=0)
-    gwv[...] = acts[-1].T @ dv[:, None]
-    gbv[...] = dv.sum()
-    # In place: the same sums and products as the allocating forms, without
-    # their 64 x 64 temporaries.
-    dh = dz @ wa.T
-    dh += dv[:, None] @ wv.T
+    gwa[...] = acts[-1].T @ cz
+    gba[...] = cz.sum(axis=0)
+    gwv[...] = acts[-1].T @ cv
+    gbv[...] = cv.sum()
+    dh = cz @ wa.T
+    dh += cv @ wv.T
     for i in range(len(policy.trunk) - 1, -1, -1):
-        da = np.multiply(acts[i], acts[i])
+        da = np.multiply(acts[i + 1], acts[i + 1])
         np.subtract(1.0, da, out=da)
         da *= dh  # dh * (1 - h**2)
         gw, gb = grad.trunk[i]
         gb[...] = da.sum(axis=0)
         if i:
-            gw[...] = acts[i - 1].T @ da
+            gw[...] = acts[i].T @ da
             dh = da @ policy.trunk[i][0].T
         else:
-            # The one-hot rows of the batch, with only the table's columns:
-            # the rows of W0 no cell in the batch reads get no gradient.
-            onehot = np.zeros((n, len(table)))
-            onehot[idx, inverse] = 1.0
+            # A cell's input is one row of W0; no other row gets a gradient.
             gw[...] = 0.0
-            gw[cells] = (onehot.T @ da)[:len(cells)]
+            gw[cells] = da
     return loss, grad.flat
 
 

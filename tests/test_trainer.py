@@ -178,23 +178,39 @@ def reference_ppo_grads(policy, batch):
     return loss, grad.flat
 
 
-def test_ppo_grads_match_the_first_implementation_bit_for_bit():
-    # ppo_grads reads cell indices; the reference reads the matching one-hot rows.
+def test_ppo_grads_match_the_first_implementation():
+    # ppo_grads reads cell indices and sums each cell's row gradients before
+    # the backward pass; the reference reads the matching one-hot rows. On
+    # distinct ascending cells the fold is the identity and the bits are the
+    # reference's. Elsewhere the sums run in another order: the worst measured
+    # difference was 6.2e-14 of an array's largest entry, and 3.7e-16 of the loss.
     rng = np.random.default_rng(8)
     policies = [init_policy(input_dim=8, hidden=(6, 5), seed=11), init_policy(seed=4),
                 init_policy(input_dim=8, hidden=(7, 6, 5), seed=12)]
     for policy in policies:
         layout = build_policy(policy.widths)
-        # One row; 64 rows on one cell, whose table still needs two rows; random cells.
-        for n, index in ((1, None), (64, np.full(64, 3)), (17, None), (64, None)):
+        dim = policy.input_dim
+        ascending = np.sort(rng.choice(dim, dim // 2 + 1, replace=False))
+        # One row; every cell once; some cells once, ascending; 64 rows on one
+        # cell; random cells.
+        for n, index in ((1, None), (dim, np.arange(dim)), (len(ascending), ascending),
+                         (64, np.full(64, 3)), (17, None), (64, None)):
             batch = synthetic_batch(policy, rng, n, index)
+            exact = np.array_equal(batch["inverse"], np.arange(n))
             for spread in (0.0, 0.6):  # 0.6 puts some ratios past the clip
                 batch["logp_old"] = batch["logp_old"] + rng.uniform(-spread, spread, n)
                 want_loss, want_grad = reference_ppo_grads(
                     policy, {**batch, "obs": onehot_rows(policy, batch)})
                 got_loss, got_grad = ppo_grads(policy, batch, layout)
-                assert got_loss == want_loss
-                assert got_grad.tobytes() == want_grad.tobytes()
+                if exact:
+                    assert got_loss == want_loss
+                    assert got_grad.tobytes() == want_grad.tobytes()
+                    continue
+                assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+                arrays = zip(build_policy(policy.widths, got_grad).parameters(),
+                             build_policy(policy.widths, want_grad).parameters())
+                for got, want in arrays:
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_a_reused_gradient_layout_gives_fresh_bits_and_adam_keeps_no_view_of_it():
@@ -362,15 +378,18 @@ def reference_train(train_contexts, cfg):
     """The training loop with one forward and one ``rng.choice`` per step.
 
     It has no evaluation, so it matches ``train`` when the only evaluation
-    is the one after the last rollout. Its gradient is
-    :func:`reference_ppo_grads` on one-hot rows, its optimizer is
-    :class:`ReferenceAdam`, its advantages come from :func:`reference_gae`,
-    and its minibatches are gathered and centred one by one. Returns the
-    policy and the count of truncated episodes.
+    is the one after the last rollout. Its gradient is ``ppo_grads`` on the
+    ``np.unique`` of each minibatch's one-hot rows' cells, whose accuracy
+    :func:`test_ppo_grads_match_the_first_implementation` and the
+    finite-difference check own; its optimizer is :class:`ReferenceAdam`, its
+    advantages come from :func:`reference_gae`, and its minibatches are
+    gathered and centred one by one. Returns the policy and the count of
+    truncated episodes.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy(seed=cfg.seed)
     adam = ReferenceAdam(policy.flat, 3e-4)
+    grad = build_policy(policy.widths)
     t_steps = 2048
     truncations = 0
     state = reset(train_contexts[rng.integers(len(train_contexts))])
@@ -404,14 +423,16 @@ def reference_train(train_contexts, cfg):
             for start in range(0, t_steps, 64):
                 mb = order[start:start + 64]
                 mb_adv = advantages[mb]
+                cells, inverse = np.unique(obs[mb].argmax(axis=1), return_inverse=True)
                 batch = {
-                    "obs": obs[mb],
+                    "cells": cells,
+                    "inverse": inverse,
                     "actions": actions[mb],
                     "logp_old": logps[mb],
                     "advantages": (mb_adv - mb_adv.mean()) / (mb_adv.std() + 1e-8),
                     "returns": returns[mb],
                 }
-                adam.step(policy.flat, reference_ppo_grads(policy, batch)[1])
+                adam.step(policy.flat, ppo_grads(policy, batch, grad)[1])
     return policy, truncations
 
 
@@ -449,15 +470,16 @@ def test_the_rows_of_w0_no_cell_reads_keep_their_initial_values(size):
 
 
 @pytest.mark.parametrize("size, weights_digest, trainlog_digest", [
-    (4, "21bb72a0fef8b898c6d28081f772c8ffd79b53b2a77871dac5b8f9505c72ddfb",
+    (4, "40750106da81a8304da51336d15f4af7565e6c7f905c70664043f945743a6f17",
      "f44f3fa9554d5ddab501f8e941b2e9d573a207ae739803e9bc8fd844c7511e05"),
-    (6, "c3ec140e89248de89effa1e0fac33386591a9a87f42368c36bf4b90ee35252e6",
+    (6, "64394764a4776241c5ee6e09c3fcf9e7b6e0422a9e6cacb916033723893d353f",
      "a6b0ad461be34c20885d069846336b542fb83ec085efe40585a35c42758c7dd9"),
 ])
 def test_training_bytes_are_pinned(tmp_path, size, weights_digest, trainlog_digest):
-    # Recorded while ppo_grads still read one-hot rows, under NumPy 2.4.6 and
-    # OpenBLAS 0.3.31 on x86-64. A kernel change that moves a low bit changes
-    # these digests; another BLAS build may too.
+    # Recorded with ppo_grads on the minibatch's distinct cells, under NumPy
+    # 2.4.6 and OpenBLAS 0.3.31 on x86-64. A kernel change that moves a low bit
+    # changes these digests; another BLAS build may too. The trainlogs are
+    # those of the one-hot update: these evaluations did not move.
     contexts = generate_context_set(size, 300, 7)
     policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL),
                         PpoConfig(total_timesteps=4096, eval_interval=2048, seed=0))
