@@ -173,12 +173,9 @@ def ppo_grads(
     gba[...] = cz.sum(axis=0)
     gwv[...] = acts[-1].T @ cv
     gbv[...] = cv.sum()
-    dh = cz @ wa.T
-    dh += cv @ wv.T
+    dh = cz @ wa.T + cv @ wv.T
     for i in range(len(policy.trunk) - 1, -1, -1):
-        da = np.multiply(acts[i + 1], acts[i + 1])
-        np.subtract(1.0, da, out=da)
-        da *= dh  # dh * (1 - h**2)
+        da = dh * (1.0 - acts[i + 1] ** 2)
         gw, gb = grad.trunk[i]
         gb[...] = da.sum(axis=0)
         if i:
