@@ -8,12 +8,14 @@ Modes:
 * ``ask`` — the LM is consulted exactly when total uncertainty >= tau.
 
 Each step's uncertainty is the MC-Dropout estimate at its (episode, step,
-cell), read from an :class:`EstimateTable`, which computes each one once; a
-threshold study's trials share one. It is logged in every mode so
-intervention statistics can be recomputed from logs, and it gates only in
-``ask`` mode. Greedy evaluation is a ``ppo`` episode with no table, which
-logs none. An LM action never outlives the step it was requested for: every
-step starts from the policy's own greedy action.
+cell). A plain dict caches it under the (passes, dropout rate, seed) it was
+drawn with, and a miss draws it from the episode's own mask stream, so the
+estimate is the same in every run that replays the episode; a threshold
+study's trials share one dict. It is logged in every mode so intervention
+statistics can be recomputed from logs, and it gates only in ``ask`` mode.
+Greedy evaluation is a ``ppo`` episode with no estimates, which logs none.
+An LM action never outlives the step it was requested for: every step
+starts from the policy's own greedy action.
 """
 
 from __future__ import annotations
@@ -97,41 +99,7 @@ class EpisodeRecord:
     outcome: Outcome
 
 
-MC_DROPOUT = "mc_dropout"  # the default uncertainty source: a fresh EstimateTable per episode
-
-
-class EstimateTable:
-    """MC-Dropout estimates keyed by (episode_index, step, cell).
-
-    Episode ``i`` draws its masks from ``default_rng([seed, i])``, and each
-    step draws :func:`policy.draws_per_step` doubles whatever the tau or the
-    path. So the generator's state at step t is fixed, and the estimate at
-    (i, t, cell) is the same in every run that replays episode i: the table
-    computes it once. The table keeps the last generator it handed out and
-    the (episode, step) that generator draws next. A miss there continues
-    it; any other miss makes the episode's generator afresh and moves it to
-    step t with ``bit_generator.advance``.
-
-    A table is valid for the parameters ``policy.flat`` holds and for the
-    passes, dropout rate and seed of the config it was made from; it is
-    local to one episode or one threshold study.
-    """
-
-    def __init__(self, policy: policy_mod.MlpPolicy, cfg: GateConfig):
-        self.settings = (cfg.passes, cfg.dropout_rate, cfg.seed)
-        self.estimates: dict[tuple[int, int, int], UncertaintyEstimate] = {}
-        self._draws = policy_mod.draws_per_step(policy, cfg.passes, cfg.dropout_rate)
-        self._rng: np.random.Generator | None = None
-        self._next: tuple[int, int] | None = None  # the (episode, step) _rng draws next
-
-    def generator(self, episode_index: int, step: int) -> np.random.Generator:
-        """Episode ``episode_index``'s generator at the first draw of ``step``;
-        the caller draws that step's masks from it."""
-        if self._next != (episode_index, step):
-            self._rng = np.random.default_rng([self.settings[2], episode_index])
-            self._rng.bit_generator.advance(step * self._draws)
-        self._next = (episode_index, step + 1)
-        return self._rng
+MC_DROPOUT = "mc_dropout"  # the default uncertainty source: a fresh estimate dict per episode
 
 
 def run_episode(
@@ -146,14 +114,25 @@ def run_episode(
     """Play one gated episode; deterministic given cfg.seed, episode_index,
     and a deterministic client.
 
-    ``uncertainty`` is the :class:`EstimateTable` that gives each step's
-    estimate, :data:`MC_DROPOUT` for a fresh one, or None for no estimate,
-    which ``ask`` mode cannot gate on. A miss calls ``mc_estimate`` through
-    its module, so a wrapper set there sees every estimate computed.
+    ``uncertainty`` caches the estimates as
+    ``uncertainty[(passes, dropout_rate, seed)][(episode_index, step, cell)]``.
+    A caller may share one dict between runs: each run reads only the inner
+    dict of its config's settings. :data:`MC_DROPOUT` gives the episode a
+    fresh dict, and None gives no estimate, which ``ask`` mode cannot gate
+    on. A miss calls ``mc_estimate`` through its module, so a wrapper set
+    there sees every estimate computed.
+
+    The episode draws its masks from its own ``default_rng([seed,
+    episode_index])``, made at its first miss. Every step takes
+    :func:`policy.draws_per_step` doubles whatever the tau or the path, so
+    before a miss the generator skips the draws of the steps the cache
+    served, and every run that replays the episode gets the same estimate at
+    (episode_index, step, cell). Cached estimates, like ``greedy``, are only
+    valid while ``policy.flat`` is unchanged.
+
     ``greedy`` maps an observed cell to the policy's greedy action there and
-    is filled by one ``forward`` per new cell; it is only valid while
-    ``policy.flat`` is unchanged. None starts an empty one for this episode.
-    A grid with more cells than the policy's input is refused.
+    is filled by one ``forward`` per new cell. None starts an empty one for
+    this episode. A grid with more cells than the policy's input is refused.
     """
     if cfg.mode is not RunMode.PPO_ONLY and client is None:
         raise ValueError(f"mode {cfg.mode.value} requires a client")
@@ -161,10 +140,12 @@ def run_episode(
         raise ValueError("mode ask requires an uncertainty source")
     env_mod.check_observation_fits(context.grid.size, policy.input_dim)
     if uncertainty is MC_DROPOUT:
-        uncertainty = EstimateTable(policy, cfg)
-    elif uncertainty is not None and uncertainty.settings != (cfg.passes, cfg.dropout_rate, cfg.seed):
-        raise ValueError(f"the estimate table holds (passes, dropout_rate, seed) "
-                         f"{uncertainty.settings}, not those of the config")
+        estimates = {}
+    elif uncertainty is not None:
+        estimates = uncertainty.setdefault((cfg.passes, cfg.dropout_rate, cfg.seed), {})
+    else:
+        estimates = None
+    rng, drawn = None, 0  # the episode's mask stream and the step it draws next
     greedy = {} if greedy is None else greedy
     state = env_mod.reset(context)
     steps: list[StepRecord] = []
@@ -175,13 +156,17 @@ def run_episode(
             dist, _ = policy_mod.forward(policy, cell)
             policy_action = greedy[cell] = policy_mod.select_action(dist)
         estimate = None
-        if uncertainty is not None:
+        if estimates is not None:
             key = (episode_index, len(steps), cell)
-            estimate = uncertainty.estimates.get(key)
+            estimate = estimates.get(key)
             if estimate is None:
-                rng = uncertainty.generator(episode_index, len(steps))
+                if rng is None:
+                    rng = np.random.default_rng([cfg.seed, episode_index])
+                    draws = policy_mod.draws_per_step(policy, cfg.passes, cfg.dropout_rate)
+                rng.bit_generator.advance((len(steps) - drawn) * draws)
+                drawn = len(steps) + 1
                 # np.intp: the benchmark's tracer keys MC repeats on tobytes(), which int lacks.
-                estimate = uncertainty.estimates[key] = unc_mod.mc_estimate(
+                estimate = estimates[key] = unc_mod.mc_estimate(
                     policy, np.intp(cell), cfg.passes, cfg.dropout_rate, rng)
 
         if cfg.mode is RunMode.ASK:
@@ -243,9 +228,9 @@ def run_batch(
 
     The episodes share one greedy-action table, local to this call: the
     parameters are fixed for the call, not between calls. A given
-    :class:`EstimateTable` is shared by every episode and kept for later
+    ``uncertainty`` dict is shared by every episode and kept for later
     calls. With :data:`MC_DROPOUT` each episode makes its own, which dies
-    with it: no key repeats within one call, so a table kept for the call
+    with it: no key repeats within one call, so a dict kept for the call
     would only hold memory.
     """
     contexts = list(contexts)

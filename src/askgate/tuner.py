@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .atomic import write_atomic
 from .env import Split
-from .gate import EstimateTable, GateConfig, RunMode, csv_text, run_batch
+from .gate import GateConfig, RunMode, csv_text, run_batch
 from .policy import MlpPolicy
 
 DEFAULT_LO = 0.10
@@ -66,9 +66,8 @@ def tune_threshold(
 
     ``gate`` supplies everything but tau and mode (passes, dropout rate,
     cap, episode seed); the mode is forced to ask. Every trial replays the
-    same seeded episodes, so the trials share one :class:`gate.EstimateTable`,
-    local to this call, and a study computes each (episode, step, cell)
-    estimate once.
+    same seeded episodes, so the trials share one estimate dict, local to
+    this call, and a study computes each (episode, step, cell) estimate once.
     """
     eval_contexts = list(eval_contexts)
     if not eval_contexts:
@@ -88,7 +87,7 @@ def tune_threshold(
     taus = [(lo + hi) / 2.0]
     taus.extend(float(rng.uniform(lo, hi)) for _ in range(trials - 1))
 
-    uncertainty = EstimateTable(policy, base)
+    uncertainty = {}
     records: list[TrialRecord] = []
     for i, tau in enumerate(taus, start=1):
         cfg = replace(base, tau=tau, mode=RunMode.ASK)

@@ -26,7 +26,6 @@ class UncertaintyEstimate(NamedTuple):
     epistemic: float
     aleatoric: float
     total: float
-    pass_count: int
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -53,7 +52,7 @@ def estimate_from_passes(dists) -> UncertaintyEstimate:
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
     e = float(np.add.reduce(np.add.reduce(xlogx - mat * log_mean, axis=1)) / n)
     a = float(np.add.reduce(-np.add.reduce(xlogx, axis=1)) / n)
-    return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a, pass_count=n)
+    return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a)
 
 
 def mc_estimate(

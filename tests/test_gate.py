@@ -15,7 +15,6 @@ from askgate.env import Action, EnvState, Outcome, generate_context_set
 from askgate.gate import (
     EPISODE_CSV_HEADER,
     EpisodeRecord,
-    EstimateTable,
     GateConfig,
     RunMode,
     StepRecord,
@@ -53,11 +52,11 @@ _CONTEXT = generate_context_set(4, 3, 0).contexts[0]
 # A maker of each record built on every step, and one of its fields.
 STEP_RECORDS = [
     (lambda: EnvState(_CONTEXT, 1, 2, 3, Outcome.RUNNING), "row"),
-    (lambda: UncertaintyEstimate(0.25, 0.5, 0.75, 10), "total"),
+    (lambda: UncertaintyEstimate(0.25, 0.5, 0.75), "total"),
     (lambda: PromptContext(1, 2, 3, 3, "FROZEN", "HOLE", "EDGE", "GOAL",
                            "EDGE", "FROZEN", "EDGE", "EDGE", Action.DOWN), "up_tile"),
     (lambda: LmDecision("ok", Action.LEFT), "action"),
-    (lambda: StepRecord(5, Action.DOWN, UncertaintyEstimate(0.25, 0.5, 0.75, 10), True,
+    (lambda: StepRecord(5, Action.DOWN, UncertaintyEstimate(0.25, 0.5, 0.75), True,
                         "ok", Action.LEFT, Action.LEFT, True, 0, False), "final_action"),
 ]
 
@@ -153,20 +152,28 @@ def test_default_source_reaches_mc_estimate_through_the_module(policy, contexts,
     assert indices == [0, 1, 2]
 
 
-def test_an_estimate_table_serves_only_the_settings_it_was_made_for(policy, contexts):
-    # Its keys hold no passes, rate or seed, so another config would read
-    # estimates drawn for different ones.
+def test_a_shared_estimate_dict_serves_each_run_only_its_own_settings(policy, contexts,
+                                                                      monkeypatch):
+    # The passes, rate and seed key the outer dict: runs under other ones
+    # share it and still get the records of a fresh run.
     cfg = GateConfig(mode=RunMode.ASK, passes=5, seed=0, max_steps=8)
-    table = EstimateTable(policy, cfg)
-    for other in (replace(cfg, passes=6), replace(cfg, dropout_rate=0.1), replace(cfg, seed=1)):
-        with pytest.raises(ValueError, match="estimate table"):
-            run_batch(policy, RuleClient(), contexts[:2], other, 2, uncertainty=table)
-    # tau and mode are not part of it: a study's trials share one table.
-    first = run_batch(policy, RuleClient(), contexts[:2], cfg, 2, uncertainty=table)
-    assert run_batch(policy, RuleClient(), contexts[:2], replace(cfg, tau=0.0), 2,
-                     uncertainty=table) == run_batch(policy, RuleClient(), contexts[:2],
-                                                     replace(cfg, tau=0.0), 2)
-    assert first == run_batch(policy, RuleClient(), contexts[:2], cfg, 2)
+    shared = {}
+    first = run_batch(policy, RuleClient(), contexts[:2], cfg, 2, uncertainty=shared)
+    others = (replace(cfg, passes=6), replace(cfg, dropout_rate=0.1), replace(cfg, seed=1))
+    for other in others:
+        assert run_batch(policy, RuleClient(), contexts[:2], other, 2, uncertainty=shared) == \
+            run_batch(policy, RuleClient(), contexts[:2], other, 2)
+    assert set(shared) == {(c.passes, c.dropout_rate, c.seed) for c in (cfg, *others)}
+    # tau is not one of them. The untrained head's u_total is near ln 4, so
+    # tau 0 consults at the same steps as tau 0.5, and the replay walks the
+    # first run's path on its estimates alone.
+    calls = []
+    real = unc_mod.mc_estimate
+    monkeypatch.setattr(unc_mod, "mc_estimate", lambda *args: calls.append(args) or real(*args))
+    replay = run_batch(policy, RuleClient(), contexts[:2], replace(cfg, tau=0.0), 2,
+                       uncertainty=shared)
+    assert calls == []
+    assert [r.steps for r in replay] == [r.steps for r in first]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,6 @@ def test_every_mode_logs_uncertainty(policy, contexts):
         cfg = GateConfig(mode=mode, passes=10, seed=0, max_steps=12)
         record = run_episode(policy, client, contexts[0], cfg)
         assert all(s.uncertainty is not None for s in record.steps)
-        assert all(s.uncertainty.pass_count == 10 for s in record.steps)
 
 
 def test_ppo_only_never_consults(policy, contexts):

@@ -28,7 +28,7 @@ def make_step(consulted=False, overwritten=False, reward=0, done=False,
               action=Action.RIGHT, total=1.0):
     return StepRecord(
         obs_index=0, policy_action=action,
-        uncertainty=UncertaintyEstimate(total / 2, total / 2, total, 10),
+        uncertainty=UncertaintyEstimate(total / 2, total / 2, total),
         consulted=consulted,
         lm_status="ok" if consulted else "",
         lm_action=action if overwritten else None,

@@ -112,3 +112,23 @@ def test_only_the_env_state_computes_a_cell_index():
                     others.append(f"{module.__name__}:{node.lineno}")
     assert others == [], f"row * n + col outside env.EnvState.cell: {others}"
     assert owner == 1
+
+
+def test_only_the_gate_episode_advances_a_generator():
+    # gate.run_episode is the one owner of the MC-Dropout mask stream: it
+    # alone knows which steps the cache served and skips their draws.
+    owner, others = 0, []
+    for module, tree in package_modules():
+        episode = set()
+        if module.__name__ == "askgate.gate":
+            episode = {node for top in tree.body if isinstance(top, ast.FunctionDef)
+                       and top.name == "run_episode" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "advance"
+                    and getattr(node.value, "attr", None) == "bit_generator"):
+                if node in episode:
+                    owner += 1
+                else:
+                    others.append(f"{module.__name__}:{node.lineno}")
+    assert others == [], f"bit_generator.advance outside gate.run_episode: {others}"
+    assert owner == 1

@@ -11,9 +11,9 @@ from askgate import env as env_mod
 from askgate import metrics as metrics_mod
 from askgate import policy as policy_mod
 from askgate import uncertainty as unc_mod
-from askgate.env import Split
-from askgate.gate import EstimateTable, GateConfig, RunMode, run_batch
-from askgate.lm import RuleClient
+from askgate.env import Action, Split, TileKind
+from askgate.gate import GateConfig, RunMode, run_batch, run_episode
+from askgate.lm import RuleClient, ScriptedClient
 from askgate.policy import build_policy, draws_per_step, dropout_passes, init_policy
 from askgate.tuner import (
     DEFAULT_HI,
@@ -142,8 +142,9 @@ def count_episode_generators(monkeypatch):
 @pytest.mark.parametrize("widths", [(64, 64, 64), (16, 8)])
 @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
 @pytest.mark.parametrize("passes", [100, 7])
-def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, passes):
-    # A step the table already holds draws nothing; the next miss advances the
+def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, passes, contexts4,
+                                                                 monkeypatch):
+    # A step the dict already holds draws nothing; the next miss advances the
     # episode's generator past it by draws_per_step, which must land where a
     # real dropout_passes call leaves it.
     policy = build_policy(widths)
@@ -154,12 +155,26 @@ def test_a_memo_hit_leaves_the_generator_where_a_real_call_does(widths, rate, pa
     advanced.bit_generator.advance(draws_per_step(policy, passes, rate))
     assert advanced.bit_generator.state == reference.bit_generator.state
 
-    dropout_passes(policy, 3, passes, rate, reference)
-    table = EstimateTable(policy, GateConfig(passes=passes, dropout_rate=rate, seed=0))
-    assert table.generator(3, 2).bit_generator.state == reference.bit_generator.state
-    table.generator(3, 5)
-    fresh = table.generator(3, 2)  # behind the generator: made afresh
-    assert fresh.bit_generator.state == reference.bit_generator.state
+    # A first run that stays on the start cell fills the dict for steps 0..k;
+    # a second leaves it at step k - 1, so its first miss is at step k, after
+    # k hits, and must draw what a fresh episode draws there.
+    context = contexts4.split(Split.EVAL)[0]
+    k = 4
+    side = Action.DOWN if context.grid.rows[0][1] == TileKind.HOLE.value else Action.RIGHT
+    cfg = GateConfig(mode=RunMode.LM_ONLY, passes=passes, dropout_rate=rate, seed=0,
+                     max_steps=k + 1)
+
+    def answers(actions):
+        return ScriptedClient(['{"action":"%s"}' % a.name for a in actions])
+
+    stay = [Action.UP] * (k + 1)  # off the grid: the agent keeps its cell
+    leave = [Action.UP] * (k - 1) + [side, Action.UP]
+    shared = {}
+    run_episode(policy, answers(stay), context, cfg, episode_index=3, uncertainty=shared)
+    calls = count_mc_estimates(monkeypatch)
+    record = run_episode(policy, answers(leave), context, cfg, episode_index=3, uncertainty=shared)
+    assert len(calls) == 1 and record.length == k + 1 and record.steps[k].obs_index != 0
+    assert record == run_episode(policy, answers(leave), context, cfg, episode_index=3)
 
 
 def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
