@@ -7,7 +7,8 @@ advantages, then run several epochs of shuffled minibatch updates on the
 clipped surrogate with value and entropy terms, optimized by Adam. Each epoch
 gathers the rollout once in its shuffled order, centres and scales the
 advantages of all its minibatches in one pass, and slices the minibatches out
-of it; one vectorised pass per epoch finds every minibatch's distinct cells.
+of it; one vectorised pass per epoch finds every minibatch's distinct cells
+and ``row_plan`` makes the per-row arrays that do not depend on the parameters.
 A minibatch holds cell indices, not one-hot rows, and every product of the
 update has one row per distinct cell: the forward is ``trunk_activations`` on
 those cells, and the backward reads each cell's summed row gradients.
@@ -23,8 +24,8 @@ array through ``parameters()``. The other rows would get no gradient, so
 their Adam moments would stay zero and their values would not move. Each
 better evaluation writes the working policy back the same way into the
 64-input policy that is returned, whose other rows keep their initial
-values. Once Adam's first bias correction rounds to 1.0, its step multiplies
-by the learning rate without dividing by it.
+values. Adam keeps its moments divided by ``1 - beta``, so its bias corrections
+fold into two scalars per step.
 
 Everything is float64 and driven by one seeded generator, so a seed pins the
 run's bytes on one BLAS build. The table, the gathers and the in-place Adam
@@ -57,6 +58,7 @@ TRAINLOG_CSV_HEADER = ["timestep", "eval_reward_mean", "eval_reward_std", "eval_
 _ACTIONS = tuple(Action)
 _ONE_HOT = np.eye(policy_mod.N_ACTIONS)  # row a: the one-hot of action a
 _ABSORBING = (Outcome.GOAL, Outcome.HOLE)  # no value after these
+_FOLD_WIDTH = policy_mod.N_ACTIONS + 1  # a row's logit gradients, then its value's
 
 # The standard PPO loss settings (Schulman et al., arXiv 1707.06347); the
 # learning rate is ``_Adam.lr``.
@@ -107,8 +109,22 @@ class TrainLog:
 # Loss and analytic gradients.
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+
+def row_plan(inverse: np.ndarray, actions: np.ndarray) -> dict[str, np.ndarray]:
+    """The per-row arrays of a ``ppo_grads`` batch that do not depend on the
+    parameters: each row's flat index into its cells' ``(k, 4)`` log-probs,
+    its action's one-hot row, and the keys under which its five output
+    gradients (four logits and the value) are summed per cell. ``train``
+    makes them once per epoch and slices each minibatch's rows out of them.
+    """
+    return {
+        "logp_index": inverse * policy_mod.N_ACTIONS + actions,
+        "one_hot": _ONE_HOT[actions],
+        "fold_keys": (inverse * _FOLD_WIDTH)[:, None] + np.arange(_FOLD_WIDTH),
+    }
 
 
 def ppo_grads(
@@ -118,66 +134,64 @@ def ppo_grads(
 
     The batch holds cell indices, not observations: ``cells`` are the
     minibatch's distinct cells and ``inverse`` gives each row's position in
-    them, as ``np.unique(..., return_inverse=True)`` returns them. Every
-    matrix product has one row per distinct cell: the batch rows gather the
-    cells' log-probabilities and values, and their loss gradients are summed
-    per cell before the backward pass. So the gradient equals that of the
-    same batch as one-hot rows to rounding (about 1e-14 of each array's
-    largest entry), and bit for bit when the cells are distinct and
+    them, as ``np.unique(..., return_inverse=True)`` returns them; the keys of
+    ``row_plan(inverse, actions)`` carry the rows' actions. Every matrix
+    product has one row per distinct cell: the batch rows gather the cells'
+    log-probabilities and values, and one ``np.bincount`` sums their loss
+    gradients per cell before the backward pass. So the gradient equals that
+    of the same batch as one-hot rows to rounding (about 1e-14 of each
+    array's largest entry), and bit for bit when the cells are distinct and
     ascending. The gradient is written into ``grad``, a layout of the
     policy's widths whose vector is returned and overwritten by the next
     call that gets it.
     """
     cells, inverse = batch["cells"], batch["inverse"]
-    actions = batch["actions"]
     adv = batch["advantages"]
-    n = len(actions)
+    n = len(inverse)
 
     acts = policy_mod.trunk_activations(policy, cells)
     (wa, ba), (wv, bv) = policy.action_head, policy.value_head
     cell_logp = _log_softmax(acts[-1] @ wa + ba)
     cell_probs = np.exp(cell_logp)
-    cell_entropy = -(cell_probs * cell_logp).sum(axis=1)
+    cell_entropy = -np.add.reduce(cell_probs * cell_logp, axis=1)
     # take copies the same rows as fancy indexing, faster.
     logp_all, probs = cell_logp.take(inverse, axis=0), cell_probs.take(inverse, axis=0)
     per_pass_entropy = cell_entropy.take(inverse)
     values = (acts[-1] @ wv + bv).take(inverse)
-    idx = np.arange(n)
-    logp = logp_all[idx, actions]
-    ratio = np.exp(logp - batch["logp_old"])
+    ratio = np.exp(cell_logp.take(batch["logp_index"]) - batch["logp_old"])
     surr1 = ratio * adv
     # np.clip and np.mean give these bits too, through slower wrappers.
     surr2 = np.minimum(np.maximum(ratio, 1.0 - CLIP), 1.0 + CLIP) * adv
-    policy_loss = -np.minimum(surr1, surr2).sum() / n
-    value_loss = ((values - batch["returns"]) ** 2).sum() / n
-    entropy = per_pass_entropy.sum() / n
+    policy_loss = -np.add.reduce(np.minimum(surr1, surr2)) / n
+    value_loss = np.add.reduce((values - batch["returns"]) ** 2) / n
+    entropy = np.add.reduce(per_pass_entropy) / n
     loss = float(policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy)
 
+    # Each row's output gradients, side by side: logits, then the value.
+    rows = np.empty((n, _FOLD_WIDTH))
+    dz, dv = rows[:, :-1], rows[:, -1]
     # d(policy_loss)/dlogits: gradient flows through the unclipped branch only.
-    take = surr1 <= surr2
-    coeff = np.where(take, -adv * ratio, 0.0) / n
-    dz = coeff[:, None] * (_ONE_HOT[actions] - probs)
+    coeff = np.where(surr1 <= surr2, -adv * ratio, 0.0) / n
+    np.multiply(coeff[:, None], batch["one_hot"] - probs, out=dz)
     # d(-entropy_coef * mean entropy)/dlogits
     dz += (ENTROPY_COEF / n) * probs * (logp_all + per_pass_entropy[:, None])
     # d(value_coef * value mse)/dvalues
-    dv = (2.0 * VALUE_COEF / n) * (values - batch["returns"])
+    np.multiply(2.0 * VALUE_COEF / n, values - batch["returns"], out=dv)
 
     # The rows on one cell share its activations, so the backward pass reads
     # each cell's summed output gradients.
-    fold = np.zeros((len(cells), n))
-    fold[inverse, idx] = 1.0
-    sums = fold @ np.column_stack((dz, dv))
+    sums = np.bincount(batch["fold_keys"].ravel(), rows.ravel()).reshape(-1, _FOLD_WIDTH)
     cz, cv = sums[:, :-1], sums[:, -1:]
     (gwa, gba), (gwv, gbv) = grad.action_head, grad.value_head
     gwa[...] = acts[-1].T @ cz
-    gba[...] = cz.sum(axis=0)
+    gba[...] = np.add.reduce(cz, axis=0)
     gwv[...] = acts[-1].T @ cv
-    gbv[...] = cv.sum()
+    gbv[...] = np.add.reduce(cv, axis=None)
     dh = cz @ wa.T + cv @ wv.T
     for i in range(len(policy.trunk) - 1, -1, -1):
         da = dh * (1.0 - acts[i + 1] ** 2)
         gw, gb = grad.trunk[i]
-        gb[...] = da.sum(axis=0)
+        gb[...] = np.add.reduce(da, axis=0)
         if i:
             gw[...] = acts[i].T @ da
             dh = da @ policy.trunk[i][0].T
@@ -191,11 +205,15 @@ def ppo_grads(
 class _Adam:
     """Adam over one parameter vector; the moments are vectors of the same size.
 
-    ``step`` updates the moments in place through two scratch vectors, with
-    the expression tree of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``
-    and ``flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so it gives the bits of
-    the allocating form. It keeps no reference to the gradient, so the caller
-    may reuse its buffer.
+    The moments are kept divided by ``1 - beta1`` and ``1 - beta2``, so they
+    take the gradient unscaled, and both bias corrections fold into two
+    Python floats: with ``root = sqrt(bc2 / (1 - beta2))`` and
+    ``c = lr * (1 - beta1) * root / bc1``, a step is ``m = beta1*m + g``,
+    ``v = beta2*v + g*g`` and ``flat -= c*m / (sqrt(v) + eps*root)``. That is
+    the textbook update with its ``eps`` added to ``sqrt(v / bc2)``, in 10
+    in-place passes over the vector through two scratch vectors, with the
+    bits of the allocating form of the same expressions. It keeps no
+    reference to the gradient, so the caller may reuse its buffer.
     """
 
     lr = 3e-4
@@ -214,22 +232,17 @@ class _Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        root = math.sqrt(bc2 / (1.0 - self.beta2))
+        c = self.lr * (1.0 - self.beta1) * root / bc1
         m, v, num, den = self.m, self.v, self._num, self._den
         m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=num)
-        m += num
+        m += grad
         v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=den)
-        den *= grad
+        np.multiply(grad, grad, out=den)
         v += den
-        if bc1 == 1.0:  # from t = 356 on; m / 1.0 is m
-            np.multiply(m, self.lr, out=num)
-        else:
-            np.divide(m, bc1, out=num)
-            num *= self.lr
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
+        np.sqrt(v, out=den)
+        den += self.eps * root
+        np.multiply(m, c, out=num)
         num /= den
         flat -= num
 
@@ -364,16 +377,12 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
             bounds = np.concatenate(([0], rank[cell_count - 1::cell_count]))
             epoch_inverse = rank[key] - bounds[row_block] - 1
             bounds = bounds.tolist()
+            epoch_rows = dict(row_plan(epoch_inverse, epoch_actions), inverse=epoch_inverse,
+                              logp_old=epoch_logps, advantages=epoch_adv, returns=epoch_returns)
             for m, start in enumerate(range(0, ROLLOUT_STEPS, MINIBATCH_SIZE)):
                 mb = slice(start, start + MINIBATCH_SIZE)
-                batch = {
-                    "cells": distinct[bounds[m]:bounds[m + 1]],
-                    "inverse": epoch_inverse[mb],
-                    "actions": epoch_actions[mb],
-                    "logp_old": epoch_logps[mb],
-                    "advantages": epoch_adv[mb],
-                    "returns": epoch_returns[mb],
-                }
+                batch = {name: rows[mb] for name, rows in epoch_rows.items()}
+                batch["cells"] = distinct[bounds[m]:bounds[m + 1]]
                 adam.step(policy.flat, ppo_grads(policy, batch, grad)[1])
 
         timestep += ROLLOUT_STEPS

@@ -47,9 +47,9 @@ def estimate_from_passes(dists) -> UncertaintyEstimate:
     n = mat.shape[0]
     xlogx = _xlogx(mat)
     mean = np.add.reduce(mat, axis=0) / n
-    # mean > 0 wherever any pass is positive, so the masked log never applies
-    # to a cell with nonzero weight in the sum.
-    log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, 1e-300)), 0.0)
+    # The clamp keeps log finite where mean is 0. Every pass is 0 there, so
+    # that log is multiplied by zero and adds nothing to the sum.
+    log_mean = np.log(np.maximum(mean, 1e-300))
     e = float(np.add.reduce(np.add.reduce(xlogx - mat * log_mean, axis=1)) / n)
     a = float(np.add.reduce(-np.add.reduce(xlogx, axis=1)) / n)
     return UncertaintyEstimate(epistemic=e, aleatoric=a, total=e + a)

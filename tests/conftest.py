@@ -3,9 +3,10 @@
 The expensive fixtures are session-scoped so the acceptance tests and the
 module tests share one training run each. Elapsed wall-clock time is kept
 on the training results because the acceptance suite asserts runtime
-budgets alongside reward thresholds. The 8x8 policy trains in a spawned
-child process, started once collection finds a test that needs it, so it
-trains while the session runs other tests; a seed fixes its bytes either way.
+budgets alongside reward thresholds. Each trained policy trains in a
+spawned child process, started once collection finds a test that needs it,
+and the tests that need one run last, so both train while the session runs
+the other tests; a seed fixes their bytes either way.
 """
 
 import multiprocessing
@@ -37,60 +38,81 @@ def contexts6():
     return generate_context_set(6, CONTEXT_COUNT, CONTEXT_SEED)
 
 
-@pytest.fixture(scope="session")
-def trained6(contexts6):
-    """Full desk-scale run: 6x6, 100 train contexts, 1e6 timesteps, seed 0."""
-    config = PpoConfig(total_timesteps=1_000_000, eval_interval=50_000, seed=0)
-    start = time.monotonic()
-    policy, log = train(contexts6.split(Split.TRAIN), contexts6.split(Split.EVAL), config)
-    return TrainResult(policy, log, time.monotonic() - start, config)
-
-
+TRAIN6_CONFIG = PpoConfig(total_timesteps=1_000_000, eval_interval=50_000, seed=0)
 TRAIN8_CONFIG = PpoConfig(total_timesteps=400_000, eval_interval=50_000, seed=5)
-_TRAIN8_CHILD = pytest.StashKey[tuple]()
+# Each trained fixture: its grid size, its config, and how long to wait for
+# its child before calling it hung (criterion 3's budget, twice criterion 4's).
+_TRAINED = {
+    "trained6": (6, TRAIN6_CONFIG, 1800.0),
+    "trained8": (8, TRAIN8_CONFIG, 600.0),
+}
+_CHILDREN = pytest.StashKey[dict]()
 
 
-def _train8(conn):
-    """The child's work: train the 8x8 policy and send back its vector, its
-    log and the train's own wall time (a view into ``flat`` would not pickle
-    as one)."""
-    contexts = generate_context_set(8, CONTEXT_COUNT, CONTEXT_SEED)
+def _train_child(size, config, conn):
+    """The child's work: train on the size's context set and send back the
+    vector, the log and the train's own wall time (a view into ``flat``
+    would not pickle as one)."""
+    contexts = generate_context_set(size, CONTEXT_COUNT, CONTEXT_SEED)
     start = time.monotonic()
-    policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), TRAIN8_CONFIG)
+    policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), config)
     conn.send((policy.widths, policy.flat, log, time.monotonic() - start))
     conn.close()
 
 
-def _start_train8():
+def _start_child(name):
+    size, config, _ = _TRAINED[name]
     spawn = multiprocessing.get_context("spawn")
     receiver, sender = spawn.Pipe(duplex=False)
-    child = spawn.Process(target=_train8, args=(sender,), daemon=True)
+    child = spawn.Process(target=_train_child, args=(size, config, sender), daemon=True)
     child.start()
     sender.close()
     return child, receiver
 
 
+def _needs(item, name):
+    return name in getattr(item, "fixturenames", ())
+
+
+def pytest_collection_modifyitems(items):
+    # The tests that wait for a trained policy go last, so the session runs
+    # every other test while the children train.
+    items.sort(key=lambda item: any(_needs(item, name) for name in _TRAINED))
+
+
 def pytest_collection_finish(session):
-    if any("trained8" in getattr(item, "fixturenames", ()) for item in session.items):
-        session.config.stash[_TRAIN8_CHILD] = _start_train8()
+    session.config.stash[_CHILDREN] = {
+        name: _start_child(name) for name in _TRAINED
+        if any(_needs(item, name) for item in session.items)}
+
+
+def _trained(request, name):
+    """Join the named fixture's child, started at collection or now."""
+    _, config, bound = _TRAINED[name]
+    child, receiver = request.config.stash.get(_CHILDREN, {}).get(name) or _start_child(name)
+    if not receiver.poll(bound):
+        child.kill()
+        raise RuntimeError(f"the {name} training child sent nothing in {bound:.0f} s")
+    try:
+        widths, flat, log, elapsed = receiver.recv()
+    except EOFError:
+        child.join(10.0)
+        raise RuntimeError(f"the {name} training child exited with code {child.exitcode}") from None
+    child.join(60.0)
+    assert child.exitcode == 0, f"the {name} training child exited with {child.exitcode}"
+    return TrainResult(build_policy(widths, flat), log, elapsed, config)
+
+
+@pytest.fixture(scope="session")
+def trained6(request):
+    """Full desk-scale run: 6x6, 100 train contexts, 1e6 timesteps, seed 0."""
+    return _trained(request, "trained6")
 
 
 @pytest.fixture(scope="session")
 def trained8(request):
     """8x8 policy for the downward-transfer checks (400k steps, seed 5)."""
-    child, receiver = request.config.stash.get(_TRAIN8_CHILD, None) or _start_train8()
-    # Twice criterion 4's whole budget: a child that sends nothing by then is hung.
-    if not receiver.poll(600.0):
-        child.kill()
-        raise RuntimeError("the 8x8 training child sent nothing in 600 s")
-    try:
-        widths, flat, log, elapsed = receiver.recv()
-    except EOFError:
-        child.join(10.0)
-        raise RuntimeError(f"the 8x8 training child exited with code {child.exitcode}") from None
-    child.join(60.0)
-    assert child.exitcode == 0, f"the 8x8 training child exited with {child.exitcode}"
-    return TrainResult(build_policy(widths, flat), log, elapsed, TRAIN8_CONFIG)
+    return _trained(request, "trained8")
 
 
 @pytest.fixture(scope="session")

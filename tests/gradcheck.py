@@ -3,7 +3,7 @@
 import numpy as np
 
 from askgate.policy import build_policy, trunk_activations
-from askgate.trainer import CLIP, ENTROPY_COEF, VALUE_COEF, _log_softmax, ppo_grads
+from askgate.trainer import CLIP, ENTROPY_COEF, VALUE_COEF, _log_softmax, ppo_grads, row_plan
 
 
 def onehot_rows(policy, batch):
@@ -30,6 +30,7 @@ def synthetic_batch(policy, rng, n=32, index=None):
         "cells": cells,
         "inverse": inverse,
         "actions": actions,
+        **row_plan(inverse, actions),
         "logp_old": logp - rng.uniform(-0.05, 0.05, n),
         "advantages": rng.normal(size=n),
         "returns": rng.normal(size=n),

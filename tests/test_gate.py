@@ -209,6 +209,18 @@ def test_ask_consults_iff_total_at_or_above_tau(policy, contexts):
         assert s.consulted == (s.uncertainty.total >= cfg.tau)
 
 
+def test_a_total_equal_to_tau_consults(policy, contexts):
+    # Step 0's estimate is drawn before any decision, so a rerun with the
+    # same seed reads the same total there whatever tau is.
+    cfg = GateConfig(mode=RunMode.ASK, tau=50.0, passes=20, seed=3, max_steps=30)
+    total = run_episode(policy, RuleClient(), contexts[1], cfg).steps[0].uncertainty.total
+    for tau, consulted in ((total, True), (np.nextafter(total, np.inf), False)):
+        cfg = replace(cfg, tau=float(tau))
+        first = run_episode(policy, RuleClient(), contexts[1], cfg).steps[0]
+        assert first.uncertainty.total == total
+        assert first.consulted is consulted
+
+
 def test_ask_with_zero_tau_consults_everywhere(policy, contexts):
     cfg = GateConfig(mode=RunMode.ASK, tau=0.0, passes=5, seed=0, max_steps=20)
     record = run_episode(policy, RuleClient(), contexts[0], cfg)
