@@ -208,8 +208,8 @@ def _refuse_overwrite(snapshot: dict, *paths: str) -> None:
     line = gate_mod.config_line(snapshot)
     for path in paths:
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                if fh.readline() != line:
+            with open(path, "rb") as fh:  # bytes: a file that is not UTF-8 is refused too
+                if fh.readline() != line.encode("utf-8"):
                     raise RuntimeFailure(f"{path} holds the results of another config; "
                                          f"remove it or choose another --out")
 

@@ -1,5 +1,6 @@
 """Uncertainty-gated episode loop: the policy acts, high total uncertainty
-triggers a language-model consultation, and a valid parsed action overrides.
+triggers a language-model consult (:func:`lm.consult`, which owns it), and
+the action of an ``ok`` decision overrides.
 
 Modes:
 
@@ -82,7 +83,7 @@ class StepRecord(NamedTuple):
     policy_action: Action
     uncertainty: UncertaintyEstimate | None   # None when the episode has no uncertainty source
     consulted: bool
-    lm_status: str            # "" | ok | parse_failure | invalid_action | transport_error
+    lm_status: str            # "" unless consulted, else the status lm.consult gave
     lm_action: Action | None
     final_action: Action
     overwritten: bool
@@ -174,22 +175,8 @@ def run_episode(
         else:
             consulted = cfg.mode is RunMode.LM_ONLY
 
-        lm_status = ""
-        lm_action: Action | None = None
-        final_action = policy_action
-        if consulted:
-            view = env_mod.local_view(state)
-            prompt = lm_mod.build_prompt(lm_mod.PromptContext(**view, autopilot=policy_action))
-            try:
-                raw = lm_mod.query(client, prompt)
-            except lm_mod.LmTransportError:
-                lm_status = "transport_error"
-            else:
-                decision = lm_mod.parse_decision(raw)
-                lm_status = decision.status
-                if decision.is_action:
-                    lm_action = decision.action
-                    final_action = decision.action
+        lm_status, lm_action = lm_mod.consult(client, state, policy_action) if consulted else ("", None)
+        final_action = policy_action if lm_action is None else lm_action
 
         state, reward, done = env_mod.step(state, final_action, cfg.max_steps)
         steps.append(StepRecord(
@@ -200,7 +187,7 @@ def run_episode(
             lm_status=lm_status,
             lm_action=lm_action,
             final_action=final_action,
-            overwritten=lm_action is not None and lm_action != policy_action,
+            overwritten=final_action != policy_action,
             reward=reward,
             done=done,
         ))
@@ -266,19 +253,20 @@ def csv_text(header, rows, config: dict | None = None) -> str:
 
 def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
     """``(config, header, rows)`` of a CSV artifact; config is ``{}`` without a
-    config line. A row that does not fit the header raises ``ValueError``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if first.startswith(CONFIG_PREFIX):
-            config = json.loads(first[len(CONFIG_PREFIX):])
-            if not isinstance(config, dict):
-                raise ValueError(f"{path}: the config line must hold a JSON object")
-        else:
-            config = {}
-            fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
+    config line. A file that is not UTF-8, a config line that is not a JSON
+    object or a row that does not fit the header raises ``ValueError``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        has_config = bool(lines) and lines[0].startswith(CONFIG_PREFIX)
+        config = json.loads(lines[0][len(CONFIG_PREFIX):]) if has_config else {}
+    except ValueError as exc:  # not UTF-8, or a config line that is not JSON
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the config line must hold a JSON object")
+    reader = csv.reader(lines[has_config:])
+    header = next(reader, [])
+    rows = list(reader)
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path}: a row has {len(row)} fields, the header {len(header)}")

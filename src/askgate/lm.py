@@ -1,4 +1,5 @@
-"""Prompt construction, response parsing, and pluggable deciders.
+"""The LM consult (:func:`consult`): prompt construction, the query, response
+parsing, and pluggable deciders.
 
 Three interchangeable clients answer prompts:
 
@@ -10,8 +11,8 @@ Three interchangeable clients answer prompts:
 
 Every transport-level failure (a timeout, a failed connection, a non-2xx
 status, a malformed body, a scripted client run dry) raises one type,
-:class:`LmTransportError`, whose message says which; the episode loop treats
-any of them as "keep the policy's action".
+:class:`LmTransportError`, whose message says which; :func:`consult` reports
+any of them as the status ``transport_error``, which keeps the policy's action.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import string
 from collections import deque
 from typing import NamedTuple
 
+from . import env as env_mod
 from .env import Action, EDGE_LABEL
 
 DEFAULT_TIMEOUT = 10.0
@@ -105,14 +107,10 @@ _TILE_FIELDS = {a: f"{a.name.lower()}_tile" for a in Action}
 
 
 class LmDecision(NamedTuple):
-    """Parse outcome: ok (with an action), parse_failure, or invalid_action."""
+    """Consult outcome: ok (with an action), parse_failure, invalid_action or transport_error."""
 
     status: str
     action: Action | None = None
-
-    @property
-    def is_action(self) -> bool:
-        return self.status == "ok"
 
 
 def build_prompt(ctx: PromptContext) -> str:
@@ -163,6 +161,18 @@ def query(client, prompt: str) -> str:
     return client.query(prompt)
 
 
+def consult(client, state: env_mod.EnvState, autopilot: Action) -> LmDecision:
+    """Ask ``client`` for an action at ``state``, suggesting ``autopilot``; a
+    transport error is the status ``transport_error``, with no action. Each
+    step is called through its module, so a wrapper set there sees it."""
+    prompt = build_prompt(PromptContext(**env_mod.local_view(state), autopilot=autopilot))
+    try:
+        raw = query(client, prompt)
+    except LmTransportError:
+        return LmDecision("transport_error")
+    return parse_decision(raw)
+
+
 class EndpointClient:
     """Chat-completions HTTP client (temperature 0 for determinism); each
     request gives up after ``timeout`` seconds."""
@@ -172,7 +182,6 @@ class EndpointClient:
         base_url: str | None = None,
         model: str = "default",
         token: str | None = None,
-        path: str = DEFAULT_COMPLETIONS_PATH,
         timeout: float = DEFAULT_TIMEOUT,
     ):
         # Imported here, not at module level: the HTTP stack is most of an
@@ -185,11 +194,10 @@ class EndpointClient:
             raise ValueError(f"no endpoint URL: pass base_url or set {URL_ENV_VAR}")
         self.model = model
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
-        self.path = path
         self.timeout = timeout
 
     def query(self, prompt: str) -> str:
-        url = self.base_url.rstrip("/") + self.path
+        url = self.base_url.rstrip("/") + DEFAULT_COMPLETIONS_PATH
         headers = {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

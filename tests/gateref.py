@@ -32,7 +32,7 @@ def per_step_forward_batch(policy, client, contexts, cfg, total_episodes):
                 prompt = build_prompt(PromptContext(**local_view(state), autopilot=action))
                 decision = parse_decision(client.query(prompt))
                 status = decision.status
-                if decision.is_action:
+                if decision.action is not None:
                     lm_action = final = decision.action
             state, reward, done = step(state, final, cfg.max_steps)
             steps.append(StepRecord(

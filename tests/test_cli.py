@@ -781,6 +781,31 @@ def test_trajectory_config_values_of_the_wrong_type_are_a_runtime_error(
     assert f"{bad}: config key {key!r} holds {json.dumps(value)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data, reason", [
+    ("trajectory", b'# config {"cmd":\nepisode\n', ": Expecting value"),
+    ("trajectory", b"episode,step\n0,\xff\n", ": 'utf-8' codec can't decode"),
+    ("summaries", b"size,model\n4,\xff\n", ": 'utf-8' codec can't decode"),
+    ("run", b"# config \xff\n", " holds the results of another config"),
+], ids=["trajectory-config-not-json", "trajectory-not-utf8", "summaries-not-utf8",
+        "run-guard-not-utf8"])
+def test_a_csv_that_does_not_decode_is_a_runtime_error_naming_it(
+        workspace, tmp_path, capsys, command, data, reason):
+    out = str(tmp_path / "runs")
+    bad = os.path.join(out, "episodes", "ppo_ppo_test_s4_tau0.5_seed1.csv")
+    os.makedirs(os.path.dirname(bad))
+    with open(bad, "wb") as fh:
+        fh.write(data)
+    argv = {
+        "trajectory": ["report", "--trajectory", bad, "--contexts", workspace["ctx"]],
+        "summaries": ["report", "--summaries", bad],
+        "run": ["run", "--mode", "ppo", "--contexts", workspace["ctx"], "--weights",
+                workspace["weights"], "--episodes", "1", "--seed", "1", "--out", out],
+    }[command]
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {bad}{reason}")
+    assert _tree(out) == {os.path.join("episodes", os.path.basename(bad)): data}
+
+
 # ---------------------------------------------------------------------------
 # Console entry point
 

@@ -96,6 +96,8 @@ def test_grid_text_round_trip():
     ("FF", "FG"),                # S missing from the top-left corner
     ("SF", "FF"),                # G missing from the bottom-right corner
     ("SG", "SG"),                # duplicate S and G
+    ("SS", "FG"),                # a second S
+    ("SG", "FG"),                # a second G
 ])
 def test_grid_validation_rejects(rows):
     with pytest.raises(ValueError):
@@ -689,6 +691,13 @@ def test_context_set_file_round_trip(tmp_path):
     assert loaded.size == cs.size and loaded.seed == cs.seed
     assert [c.grid.rows for c in loaded.contexts] == [c.grid.rows for c in cs.contexts]
     assert [c.split for c in loaded.contexts] == [c.split for c in cs.contexts]
+
+
+def test_a_context_set_file_of_2x2_maps_loads(tmp_path):
+    path = tmp_path / "ctx.txt"
+    path.write_text("size 2 seed 0 count 2\n\nSF\nFG\n\nSH\nFG\n")
+    loaded = load_context_set(str(path))
+    assert [c.grid.rows for c in loaded.contexts] == [("SF", "FG"), ("SH", "FG")]
 
 
 def test_interrupted_context_set_write_keeps_the_old_file(tmp_path, monkeypatch):

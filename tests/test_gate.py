@@ -1,6 +1,7 @@
 """Gated episode loop: consultation rule, override semantics, logging, determinism."""
 
 import hashlib
+import inspect
 import os
 from dataclasses import replace
 
@@ -93,6 +94,24 @@ def test_gate_config_validation():
         GateConfig(seed=-1)
 
 
+def test_the_defaults_are_the_documented_ones():
+    # MC-Dropout at the paper's settings: 100 passes at rate 0.2.
+    assert GateConfig() == GateConfig(tau=0.5, passes=100, dropout_rate=0.2, mode=RunMode.ASK,
+                                      max_steps=100, seed=0)
+    assert inspect.signature(run_episode).parameters["episode_index"].default == 0
+    assert inspect.signature(run_batch).parameters["total_episodes"].default == 100
+
+
+def test_a_single_pass_and_a_single_step_run_an_episode(policy, contexts):
+    # One pass is a supported setting, at the paper's dropout rate and at rate 0
+    # (a single-pass entropy gate).
+    for rate in (0.0, 0.2):
+        ep = run_episode(policy, RuleClient(), contexts[0],
+                         GateConfig(tau=0.0, passes=1, dropout_rate=rate, max_steps=1))
+        assert ep.length == 1 and ep.steps[0].consulted
+        assert ep.steps[0].uncertainty.epistemic == 0.0
+
+
 def test_non_policy_modes_require_a_client(policy, contexts):
     for mode in (RunMode.ASK, RunMode.LM_ONLY):
         with pytest.raises(ValueError):
@@ -116,6 +135,12 @@ def test_a_batch_of_fewer_than_one_episode_is_refused(policy, contexts):
         with pytest.raises(ValueError, match=f"episodes must be at least 1, got {episodes}"):
             run_batch(policy, None, contexts[:2], GateConfig(mode=RunMode.PPO_ONLY),
                       total_episodes=episodes)
+
+
+def test_a_batch_of_one_episode_plays_the_first_context(policy, contexts):
+    records = run_batch(policy, None, contexts[:2], GateConfig(mode=RunMode.PPO_ONLY),
+                        total_episodes=1)
+    assert [r.context_id for r in records] == [contexts[0].id]
 
 
 # ---------------------------------------------------------------------------

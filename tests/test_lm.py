@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgate.env import Action, generate_context_set
+from askgate.env import Action, generate_context_set, local_view, reset, step
 from askgate.gate import GateConfig, RunMode, run_episode
 from askgate.lm import (
+    DEFAULT_TIMEOUT,
     EndpointClient,
     LmDecision,
     LmTransportError,
@@ -23,6 +24,7 @@ from askgate.lm import (
     ScriptedClient,
     _context_from_prompt,
     build_prompt,
+    consult,
     parse_decision,
     query,
     render_action,
@@ -126,29 +128,29 @@ def test_the_rule_client_reads_back_every_prompt_it_is_given(fields):
 def test_parse_valid_object():
     decision = parse_decision('{"action":"LEFT"}')
     assert decision == LmDecision(status="ok", action=Action.LEFT)
-    assert decision.is_action
+    assert decision.action is not None
 
 
 def test_parse_embedded_object():
     decision = parse_decision('Sure! {"action":"LEFT"} done')
-    assert decision.is_action and decision.action is Action.LEFT
+    assert decision.action is Action.LEFT
 
 
 def test_parse_garbage_fails():
     decision = parse_decision("I think you should go left")
     assert decision.status == "parse_failure"
-    assert not decision.is_action and decision.action is None
+    assert decision.action is None
 
 
 def test_parse_invalid_token():
     decision = parse_decision('{"action":"NORTHWEST"}')
     assert decision.status == "invalid_action"
-    assert not decision.is_action and decision.action is None
+    assert decision.action is None
 
 
 def test_parse_tolerates_whitespace():
     decision = parse_decision('{ "action" : "UP" }')
-    assert decision.is_action and decision.action is Action.UP
+    assert decision.action is Action.UP
 
 
 def test_parse_takes_the_first_object():
@@ -159,8 +161,8 @@ def test_parse_takes_the_first_object():
 def assert_well_formed(decision):
     assert isinstance(decision, LmDecision)
     assert decision.status in ("ok", "parse_failure", "invalid_action")
-    assert decision.is_action == (decision.status == "ok")
-    assert isinstance(decision.action, Action) if decision.is_action else decision.action is None
+    assert (decision.action is not None) == (decision.status == "ok")
+    assert decision.action is None or isinstance(decision.action, Action)
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,7 +241,7 @@ def test_rule_client_always_answers_parseable():
         ctx = random_context(rng)
         raw = client.query(build_prompt(ctx))
         decision = parse_decision(raw)
-        assert decision.is_action, f"unparseable rule output {raw!r} for {ctx}"
+        assert decision.action is not None, f"unparseable rule output {raw!r} for {ctx}"
         assert decision.action is rule_decide(ctx)
 
 
@@ -260,6 +262,35 @@ def test_scripted_client_replays_in_order():
     assert query(client, "second prompt") == "gibberish"
     with pytest.raises(LmTransportError):
         query(client, "third prompt")
+
+
+# ---------------------------------------------------------------------------
+# Consult
+
+
+class RecordingClient(ScriptedClient):
+    """A scripted client that keeps every prompt it is sent."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.prompts = []
+
+    def query(self, prompt):
+        self.prompts.append(prompt)
+        return super().query(prompt)
+
+
+def test_consult_sends_the_prompt_of_the_local_view_and_passes_each_status_through():
+    state = reset(generate_context_set(4, 3, 0).contexts[0])
+    state, _, _ = step(state, Action.RIGHT)
+    replies = ['{"action":"LEFT"}', "no object here", '{"action":"FLY"}']
+    client = RecordingClient(replies)
+    decisions = [consult(client, state, a) for a in Action]  # the fourth finds the client dry
+    assert client.prompts == [build_prompt(PromptContext(**local_view(state), autopilot=a))
+                              for a in Action]
+    assert decisions == [LmDecision("ok", Action.LEFT), LmDecision("parse_failure"),
+                         LmDecision("invalid_action"), LmDecision("transport_error")]
+    assert decisions[:3] == [parse_decision(raw) for raw in replies]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +371,11 @@ def test_endpoint_reads_url_and_token_from_env(monkeypatch):
     assert captured[0]["auth"] == "Bearer envtok"
 
 
+def test_endpoint_requests_give_up_after_the_documented_ten_seconds():
+    assert DEFAULT_TIMEOUT == 10.0
+    assert EndpointClient(base_url="http://127.0.0.1:9").timeout == 10.0
+
+
 def test_endpoint_requires_a_url(monkeypatch):
     monkeypatch.delenv("ASK_LM_URL", raising=False)
     with pytest.raises(ValueError):
@@ -375,6 +411,17 @@ def test_null_content_falls_back_to_the_policy():
         ep = run_episode(init_policy(seed=0), EndpointClient(base_url=url), contexts[0], cfg)
     assert ep.steps and all(s.lm_status == "transport_error" for s in ep.steps)
     assert all(s.final_action == s.policy_action for s in ep.steps)
+
+
+def test_a_300_reply_logs_a_transport_error():
+    # Only a 2xx status carries a reply; 300 is the first status past that range.
+    contexts = generate_context_set(4, 9, 2).contexts
+    cfg = GateConfig(mode=RunMode.LM_ONLY, passes=3, max_steps=1)
+    with serve(lambda request: (300, chat_body('{"action":"DOWN"}'))) as (url, captured):
+        ep = run_episode(init_policy(seed=0), EndpointClient(base_url=url), contexts[0], cfg)
+    assert len(captured) == 1
+    assert [(s.lm_status, s.final_action) for s in ep.steps] == [
+        ("transport_error", ep.steps[0].policy_action)]
 
 
 def test_endpoint_timeout_raises_timeout_error(capfd):

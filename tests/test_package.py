@@ -132,3 +132,23 @@ def test_only_the_gate_episode_advances_a_generator():
                     others.append(f"{module.__name__}:{node.lineno}")
     assert others == [], f"bit_generator.advance outside gate.run_episode: {others}"
     assert owner == 1
+
+
+def test_only_the_lm_consult_catches_a_transport_error():
+    # lm.consult is the one owner of the consult: it alone turns a transport
+    # error into a status, so a broken client keeps the policy's action.
+    owner, others = 0, []
+    for module, tree in package_modules():
+        consult = set()
+        if module.__name__ == "askgate.lm":
+            consult = {node for top in tree.body if isinstance(top, ast.FunctionDef)
+                       and top.name == "consult" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "LmTransportError" in ast.unparse(node.type)):
+                if node in consult:
+                    owner += 1
+                else:
+                    others.append(f"{module.__name__}:{node.lineno}")
+    assert others == [], f"LmTransportError caught outside lm.consult: {others}"
+    assert owner == 1

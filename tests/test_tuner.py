@@ -1,6 +1,7 @@
 """Threshold search: seeded reproducibility, split hygiene, and the known optimum."""
 
 import hashlib
+import inspect
 import math
 from dataclasses import replace
 
@@ -40,6 +41,19 @@ def test_first_trial_is_the_midpoint(contexts4):
     assert [r.trial for r in study.records] == [1, 2, 3]
     for rec in study.records:
         assert DEFAULT_LO <= rec.tau <= DEFAULT_HI
+
+
+def test_a_study_of_one_trial_runs_only_the_midpoint(contexts4):
+    study = known_optimum_study(0, contexts4, trials=1)
+    assert [r.tau for r in study.records] == [(DEFAULT_LO + DEFAULT_HI) / 2]
+    assert study.trials == 1 and study.best_tau == study.records[0].tau
+
+
+def test_the_defaults_are_the_documented_ones():
+    params = inspect.signature(tune_threshold).parameters
+    assert {name: params[name].default for name in ("lo", "hi", "trials", "seed",
+                                                    "episodes_per_trial")} == {
+        "lo": 0.10, "hi": 1.20, "trials": 10, "seed": 0, "episodes_per_trial": 100}
 
 
 def test_studies_reproduce_for_equal_seeds(contexts4):
