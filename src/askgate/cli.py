@@ -236,11 +236,7 @@ def _make_client(spec: str, model: str):
     if spec == "rule":
         return lm_mod.RuleClient(), "rule"
     if spec == "endpoint":
-        try:
-            client = lm_mod.EndpointClient(model=model)
-        except ValueError as exc:
-            raise RuntimeFailure(str(exc))
-        return client, model
+        return lm_mod.EndpointClient(model=model), model
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
         if not os.path.exists(path):
@@ -289,7 +285,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     best = log.entries[log.best_index] if log.best_index >= 0 else None
-    best_text = f"best eval reward {best.reward_mean:.2f} at timestep {best.timestep}" if best else "no evaluations"
+    best_text = f"best eval reward {best.summary.reward_mean:.2f} at timestep {best.timestep}" if best else "no evaluations"
     print(f"wrote {weights_path} ({best_text})")
     return EXIT_OK
 
@@ -406,13 +402,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.summaries:
         if not os.path.exists(path):
             raise RuntimeFailure(f"summary file not found: {path}")
-        if gate_mod.read_csv(path)[1] == tuner_mod.STUDY_CSV_HEADER:
+        _, header, records = gate_mod.read_csv(path)
+        if header == tuner_mod.STUDY_CSV_HEADER:
             print(f"skipping tune study {path}", file=sys.stderr)
             continue
-        try:
-            rows.extend(metrics_mod.read_summary_csv(path))
-        except ValueError as exc:
-            raise RuntimeFailure(str(exc))
+        rows.extend(metrics_mod.summary_rows(path, header, records))
     if not rows:
         raise RuntimeFailure("no summary rows found in the given files")
     print(metrics_mod.render_report(rows, args.fmt), end="")

@@ -283,9 +283,9 @@ def write_episode_csv(records, path: str, config: dict | None = None) -> None:
                     step_index,
                     s.obs_index,
                     s.policy_action.name,
-                    repr(u.epistemic) if u else "",
-                    repr(u.aleatoric) if u else "",
-                    repr(u.total) if u else "",
+                    u.epistemic if u else "",
+                    u.aleatoric if u else "",
+                    u.total if u else "",
                     int(s.consulted),
                     s.lm_status,
                     s.lm_action.name if s.lm_action is not None else "",

@@ -103,10 +103,8 @@ def summary_csv_row(row: SummaryRow) -> list:
     s = row.summary
     return [
         row.size, row.model, row.mode, row.split,
-        repr(s.reward_mean), repr(s.reward_std),
-        repr(s.length_mean), repr(s.length_std),
-        repr(s.ir_percent), repr(s.or_percent),
-        s.episode_count, repr(row.tau), row.seed,
+        s.reward_mean, s.reward_std, s.length_mean, s.length_std,
+        s.ir_percent, s.or_percent, s.episode_count, row.tau, row.seed,
     ]
 
 
@@ -182,7 +180,13 @@ def write_summary_csv(rows, path: str, config: dict | None = None) -> None:
 
 
 def read_summary_csv(path: str) -> list[SummaryRow]:
-    _, header, records = read_csv(path)
+    return summary_rows(path, *read_csv(path)[1:])
+
+
+def summary_rows(path: str, header: list[str], records) -> list[SummaryRow]:
+    """The rows of a summary CSV, from the header and records that ``read_csv``
+    read at ``path``; a wrong header or a cell that is not a number raises
+    ``ValueError`` naming ``path``."""
     if header != SUMMARY_CSV_HEADER:
         raise ValueError(f"unexpected summary header in {path}: {header}")
     rows: list[SummaryRow] = []

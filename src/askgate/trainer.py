@@ -93,9 +93,7 @@ class PpoConfig:
 @dataclass(frozen=True)
 class TrainLogEntry:
     timestep: int
-    reward_mean: float
-    reward_std: float
-    length_mean: float
+    summary: RunSummary
 
 
 @dataclass(frozen=True)
@@ -307,12 +305,7 @@ def train(train_contexts, eval_contexts, config: PpoConfig) -> tuple[MlpPolicy, 
     def run_eval(timestep: int) -> None:
         nonlocal best_index, best_mean
         summary = evaluate_policy(policy, eval_contexts, episodes=config.eval_episodes)
-        entries.append(TrainLogEntry(
-            timestep=timestep,
-            reward_mean=summary.reward_mean,
-            reward_std=summary.reward_std,
-            length_mean=summary.length_mean,
-        ))
+        entries.append(TrainLogEntry(timestep, summary))
         if summary.reward_mean > best_mean:
             best_mean = summary.reward_mean
             best_index = len(entries) - 1
@@ -407,6 +400,6 @@ def evaluate_policy(policy: MlpPolicy, contexts, episodes: int = 100) -> RunSumm
 
 def write_trainlog_csv(log: TrainLog, path: str, config: dict | None = None) -> None:
     write_atomic(path, csv_text(TRAINLOG_CSV_HEADER, (
-        [e.timestep, repr(e.reward_mean), repr(e.reward_std), repr(e.length_mean)]
+        [e.timestep, e.summary.reward_mean, e.summary.reward_std, e.summary.length_mean]
         for e in log.entries
     ), config))

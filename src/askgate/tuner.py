@@ -33,10 +33,7 @@ STUDY_CSV_HEADER = ["trial", "tau", "reward_mean", "reward_std", "ir_pct", "or_p
 class TrialRecord:
     trial: int                      # 1-based
     tau: float
-    reward_mean: float
-    reward_std: float
-    ir_percent: float
-    or_percent: float
+    summary: metrics_mod.RunSummary
     context_ids: tuple[int, ...]    # audit trail: contexts this trial touched
 
 
@@ -93,28 +90,20 @@ def tune_threshold(
         cfg = replace(base, tau=tau, mode=RunMode.ASK)
         eps = run_batch(policy, client, eval_contexts, cfg,
                         total_episodes=episodes_per_trial, uncertainty=uncertainty)
-        summary = metrics_mod.aggregate(eps)
-        records.append(TrialRecord(
-            trial=i,
-            tau=tau,
-            reward_mean=summary.reward_mean,
-            reward_std=summary.reward_std,
-            ir_percent=summary.ir_percent,
-            or_percent=summary.or_percent,
-            context_ids=tuple(sorted({ep.context_id for ep in eps})),
-        ))
+        records.append(TrialRecord(i, tau, metrics_mod.aggregate(eps),
+                                   tuple(sorted({ep.context_id for ep in eps}))))
 
     # max keeps the first of equal keys, so a full tie keeps the earlier trial.
-    best = max(records, key=lambda rec: (rec.reward_mean, rec.tau))
+    best = max(records, key=lambda rec: (rec.summary.reward_mean, rec.tau))
     return TuneStudy(
         lo=lo, hi=hi, trials=trials, seed=seed,
-        records=tuple(records), best_tau=best.tau, best_reward=best.reward_mean,
+        records=tuple(records), best_tau=best.tau, best_reward=best.summary.reward_mean,
     )
 
 
 def write_study_csv(study: TuneStudy, path: str, config: dict | None = None) -> None:
     write_atomic(path, csv_text(STUDY_CSV_HEADER, (
-        [r.trial, repr(r.tau), repr(r.reward_mean), repr(r.reward_std),
-         repr(r.ir_percent), repr(r.or_percent)]
+        [r.trial, r.tau, r.summary.reward_mean, r.summary.reward_std,
+         r.summary.ir_percent, r.summary.or_percent]
         for r in study.records
     ), config))

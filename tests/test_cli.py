@@ -13,6 +13,8 @@ import sys
 import pytest
 
 import askgate
+from askgate import gate as gate_mod
+from askgate import metrics as metrics_mod
 from askgate import trainer as trainer_mod
 from askgate.atomic import write_atomic
 from askgate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -58,6 +60,10 @@ def workspace(tmp_path_factory):
 # Exit codes
 
 
+def test_exit_codes_are_the_documented_ones():
+    assert (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME) == (0, 1, 2)
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
@@ -85,6 +91,16 @@ def test_unknown_client_spec_is_a_usage_error(workspace, tmp_path, capsys):
             assert code == EXIT_USAGE
             assert f"unknown client spec: {spec!r}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_an_endpoint_client_without_a_url_is_a_runtime_error(workspace, tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.delenv("ASK_LM_URL", raising=False)
+    out = str(tmp_path / "runs")
+    assert main(["run", "--mode", "ask", "--client", "endpoint", "--contexts", workspace["ctx"],
+                 "--weights", workspace["weights"], "--episodes", "1", "--out", out]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: no endpoint URL: pass base_url or set ASK_LM_URL\n"
+    assert _tree(out) == {}
 
 
 def test_missing_context_file_is_a_runtime_error(tmp_path, capsys):
@@ -271,6 +287,22 @@ def test_training_writes_weights_sidecar_and_log(workspace):
     assert [ln.split(",")[0] for ln in log_lines[2:]] == ["2048", "4096"]
 
 
+def test_train_names_its_best_evaluation_and_writes_the_snapshot_as_json(workspace, tmp_path,
+                                                                         capsys):
+    out = str(tmp_path / "runs")
+    assert main(["train", "--contexts", workspace["ctx"], "--timesteps", "512",
+                 "--eval-interval", "512", "--eval-episodes", "2", "--out", out]) == EXIT_OK
+    weights_dir = os.path.join(out, "weights")
+    snapshot, _, rows = read_csv(os.path.join(weights_dir, "w4_seed0_trainlog.csv"))
+    assert len(rows) == 1  # the one evaluation is the best, at index 0
+    assert capsys.readouterr().out == (
+        f"wrote {os.path.join(weights_dir, 'w4_seed0.bin')} "
+        f"(best eval reward {float(rows[0][1]):.2f} at timestep {rows[0][0]})\n")
+    meta = open(os.path.join(weights_dir, "w4_seed0.meta.json")).read()
+    assert meta.startswith('{\n  "cmd": "train",\n  "contexts": ')
+    assert meta == json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+
+
 def test_run_writes_episode_and_summary_csvs(workspace):
     episodes = os.path.join(workspace["out"], "episodes",
                             "ask_rule_test_s4_tau0.2_seed1.csv")
@@ -375,6 +407,41 @@ def test_scripted_client_runs_from_a_response_file(workspace, tmp_path, capsys):
                  "--passes", "5", "--seed", "0", "--out", str(tmp_path / "runs")])
     assert code == EXIT_OK
     assert "lm mode consults every step" in capsys.readouterr().out
+
+
+def test_the_config_line_records_the_client_that_ran(workspace, tmp_path):
+    episodes = os.path.join(workspace["out"], "episodes")
+    for name, client in (("ppo_ppo_test_s4_tau0.5_seed1.csv", ""),
+                         ("ask_rule_test_s4_tau0.2_seed1.csv", "rule")):
+        assert read_csv(os.path.join(episodes, name))[0]["client"] == client
+    # A scripted path is everything after the first colon, colons included.
+    script = tmp_path / "a:b.txt"
+    script.write_text('{"action":"RIGHT"}\n' * 300)
+    out = str(tmp_path / "runs")
+    assert main(["run", "--mode", "lm", "--client", f"scripted:{script}",
+                 "--contexts", workspace["ctx"], "--weights", workspace["weights"],
+                 "--episodes", "2", "--out", out]) == EXIT_OK
+    path = os.path.join(out, "episodes", "lm_scripted_test_s4_tau0.5_seed0.csv")
+    config, header, rows = read_csv(path)
+    assert config["client"] == f"scripted:{script}"
+    assert {row[header.index("lm_action")] for row in rows} == {"RIGHT"}
+
+
+def test_the_defaults_are_the_documented_ones(workspace, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["contexts", "gen", "--size", "4", "--out", out]) == EXIT_OK
+    assert load_context_set(os.path.join(out, "contexts", "s4_c300_seed0.txt")).count == 300
+    assert main(["run", "--mode", "ppo", "--contexts", workspace["ctx"],
+                 "--weights", workspace["weights"], "--out", out]) == EXIT_OK
+    summary = read_summary_csv(os.path.join(out, "summaries", "ppo_ppo_test_s4_tau0.5_seed0.csv"))
+    assert summary[0].summary.episode_count == 100
+    episodes = os.path.join(workspace["out"], "episodes", "ask_rule_test_s4_tau0.2_seed1.csv")
+    capsys.readouterr()
+    overlays = []
+    for episode in ([], ["--episode", "0"], ["--episode", "1"]):
+        assert main(["report", "--trajectory", episodes, *episode]) == EXIT_OK
+        overlays.append(capsys.readouterr().out)
+    assert overlays[0] == overlays[1] != overlays[2]
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -576,6 +643,21 @@ def test_report_merges_summaries_and_skips_studies(workspace, capsys):
     assert len([ln for ln in lines if ln.startswith("4")]) == 2
 
 
+def test_report_reads_each_summary_file_once(workspace, monkeypatch):
+    summaries_dir = os.path.join(workspace["out"], "summaries")
+    paths = sorted(os.path.join(summaries_dir, name) for name in os.listdir(summaries_dir))
+    reads = []
+
+    def counting_read_csv(path):
+        reads.append(path)
+        return read_csv(path)
+
+    monkeypatch.setattr(gate_mod, "read_csv", counting_read_csv)
+    monkeypatch.setattr(metrics_mod, "read_csv", counting_read_csv)
+    assert main(["report", "--summaries", *paths]) == EXIT_OK
+    assert reads == paths  # two summaries and the tune study, each read once
+
+
 def test_report_renders_csv_format(workspace, capsys):
     summary = os.path.join(workspace["out"], "summaries",
                            "ppo_ppo_test_s4_tau0.5_seed1.csv")
@@ -712,6 +794,18 @@ def test_trajectory_on_a_context_set_without_its_split_is_a_runtime_error(worksp
         assert "context set has no eval contexts" in capsys.readouterr().err
 
 
+def test_trajectory_accepts_a_recorded_max_steps_of_one(workspace, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["run", "--mode", "ppo", "--contexts", workspace["ctx"], "--weights",
+                 workspace["weights"], "--episodes", "1", "--max-steps", "1",
+                 "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    episodes = os.path.join(out, "episodes", "ppo_ppo_test_s4_tau0.5_seed0.csv")
+    assert read_csv(episodes)[0]["max_steps"] == 1
+    assert main(["report", "--trajectory", episodes]) == EXIT_OK
+    assert ", length 1\n" in capsys.readouterr().out
+
+
 def test_trajectory_for_a_missing_episode_is_a_runtime_error(workspace, capsys):
     episodes = os.path.join(workspace["out"], "episodes",
                             "ask_rule_test_s4_tau0.2_seed1.csv")
@@ -757,28 +851,33 @@ def test_trajectory_with_a_config_line_that_is_not_an_object_is_a_runtime_error(
     assert "JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    pytest.param(key, value, id=f"{key}={json.dumps(value)}") for key, value in [
-        ("max_steps", None),
-        ("max_steps", "100"),
-        ("contexts", ["x"]),
-        ("contexts", 2),  # once opened as file descriptor 2, stderr
-        ("contexts", None),
-        ("size", 4.0),
-        ("split", None),
-        ("split", "x"),
-        ("max_steps", 0),
-        ("max_steps", -3),
+STEP_CAPS = f"an integer in range(1, {sys.maxsize})"
+SPLIT_NAMES = "a string in ('train', 'eval', 'test')"
+
+
+@pytest.mark.parametrize("key, value, need", [
+    pytest.param(key, value, need, id=f"{key}={json.dumps(value)}") for key, value, need in [
+        ("max_steps", None, STEP_CAPS),
+        ("max_steps", "100", STEP_CAPS),
+        ("contexts", ["x"], "a string"),
+        ("contexts", 2, "a string"),  # once opened as file descriptor 2, stderr
+        ("contexts", None, "a string"),
+        ("size", 4.0, "an integer"),
+        ("split", None, SPLIT_NAMES),
+        ("split", "x", SPLIT_NAMES),
+        ("max_steps", 0, STEP_CAPS),
+        ("max_steps", -3, STEP_CAPS),
     ]])
 def test_trajectory_config_values_of_the_wrong_type_are_a_runtime_error(
-        workspace, tmp_path, capsys, key, value):
+        workspace, tmp_path, capsys, key, value, need):
     episodes = os.path.join(workspace["out"], "episodes",
                             "ask_rule_test_s4_tau0.2_seed1.csv")
     config, header, rows = read_csv(episodes)
     bad = str(tmp_path / "bad.csv")
     write_atomic(bad, csv_text(header, rows, {**config, key: value}))
     assert main(["report", "--trajectory", bad, "--episode", "0"]) == EXIT_RUNTIME
-    assert f"{bad}: config key {key!r} holds {json.dumps(value)}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: config key {key!r} holds {json.dumps(value)}, not {need}\n")
 
 
 @pytest.mark.parametrize("command, data, reason", [

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from askgate.env import Action, GridMap, Context, Outcome, Split
@@ -167,6 +168,19 @@ def test_summary_csv_round_trip(tmp_path):
     assert text.splitlines()[1] == ",".join(SUMMARY_CSV_HEADER)
     loaded = read_summary_csv(str(path))
     assert loaded == rows
+
+
+def test_numpy_floats_round_trip_through_the_summary_csv(tmp_path):
+    # A row built from NumPy values is written as its numbers, not as
+    # ``np.float64(...)``, which read_summary_csv would refuse.
+    summary = RunSummary(*map(np.float64, (0.75, 0.25, 7.5, 1.5, 40.0, 12.5)), 100)
+    row = SummaryRow(size=4, model="rule", mode="ask", split="test", tau=np.float64(0.1),
+                     seed=0, summary=summary)
+    path = tmp_path / "summary.csv"
+    write_summary_csv([row], str(path))
+    assert path.read_text().splitlines()[1] == (
+        "4,rule,ask,test,0.75,0.25,7.5,1.5,40.0,12.5,100,0.1,0")
+    assert read_summary_csv(str(path)) == [row]
 
 
 def test_summary_csv_rejects_foreign_headers(tmp_path):

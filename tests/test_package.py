@@ -152,3 +152,13 @@ def test_only_the_lm_consult_catches_a_transport_error():
                     others.append(f"{module.__name__}:{node.lineno}")
     assert others == [], f"LmTransportError caught outside lm.consult: {others}"
     assert owner == 1
+
+
+def test_no_module_of_the_package_calls_repr():
+    # csv.writer alone formats a float, in its shortest round-trip form; a
+    # repr where a CSV row is made writes a NumPy float as
+    # ``np.float64(...)``, which no reader of the artifacts parses.
+    calls = [f"{module.__name__}:{node.lineno}" for module, tree in package_modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"]
+    assert calls == [], f"repr called in the package: {calls}"

@@ -1,6 +1,7 @@
 """Policy network: init, dropout semantics, action selection, weights file format."""
 
 import os
+import re
 import struct
 import tracemalloc
 from bisect import bisect_right
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from atomiccheck import assert_writes_atomically
 
-from askgate.env import Action
+from askgate.env import OBS_DIM, Action
 from askgate.policy import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -54,6 +55,19 @@ def test_default_architecture(policy):
     assert np.array_equal(np.concatenate([a.reshape(-1) for a in policy.parameters()]),
                           policy.flat)
     assert all(np.shares_memory(a, policy.flat) for a in policy.parameters())
+
+
+def test_the_init_defaults_and_head_gains_are_the_documented_ones():
+    policy = init_policy()
+    assert policy.flat.tobytes() == init_policy(OBS_DIM, (64, 64), seed=0).flat.tobytes()
+    # Orthogonal columns scaled by the head's gain: 0.01 for actions, 1.0 for the value.
+    for (w, _), gain in ((policy.action_head, 0.01), (policy.value_head, 1.0)):
+        np.testing.assert_allclose(w.T @ w, gain ** 2 * np.eye(w.shape[1]), atol=1e-15)
+    # Masks without ``keep`` apply no rescale.
+    cells = np.arange(5)
+    masks = [np.ones((5, 64), dtype=bool)] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(
+        trunk_activations(policy, cells, masks), trunk_activations(policy, cells, masks, 1.0)))
 
 
 def test_orthogonal_trunk_init(policy):
@@ -516,6 +530,32 @@ def test_trunk_widths_that_do_not_chain_are_refused_before_the_layout_is_allocat
     finally:
         tracemalloc.stop()
     assert peak < 4 * os.path.getsize(path), peak
+
+
+def test_a_parameter_vector_of_the_wrong_size_is_refused():
+    size = build_policy((3, 2)).flat.size
+    assert build_policy((3, 2), np.arange(float(size))).trunk[0][0][0, 1] == 1.0
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ValueError, match=rf"parameter vector of shape \({wrong},\) "
+                                             rf"does not fit widths \(3, 2\)"):
+            build_policy((3, 2), np.zeros(wrong))
+
+
+def test_a_trunk_of_three_hidden_layers_loads_and_its_rows_are_checked(tmp_path):
+    policy = init_policy(input_dim=5, hidden=(3, 4, 2), seed=1)
+    path = str(tmp_path / "w.bin")
+    save_weights(policy, path)
+    loaded = load_weights(path)
+    assert loaded.widths == (5, 3, 4, 2)
+    assert loaded.flat.tobytes() == policy.flat.tobytes()
+    # A later trunk W whose rows are not the width of the layer before it.
+    for index, shape, needs in ((2, (2, 4), (3, 4)), (4, (3, 2), (4, 2))):
+        arrays = policy.parameters()
+        arrays[index] = np.zeros(shape)
+        _write_raw(path, arrays)
+        message = f"array {index} has shape {shape}, the layout needs {needs}"
+        with pytest.raises(WeightsError, match=re.escape(message) + "$"):
+            load_weights(path)
 
 
 def test_a_policy_without_a_trunk_is_rejected(tmp_path):

@@ -22,7 +22,7 @@ from askgate.env import (
     step,
 )
 from askgate.gate import EpisodeRecord, StepRecord
-from askgate.metrics import aggregate
+from askgate.metrics import RunSummary, aggregate
 from askgate.policy import (
     build_policy,
     forward,
@@ -554,8 +554,8 @@ def test_eval_cadence_and_log_shape(contexts):
     _, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), tiny_config())
     assert [e.timestep for e in log.entries] == [2048, 4096]
     assert 0 <= log.best_index < len(log.entries)
-    best = max(e.reward_mean for e in log.entries)
-    assert log.entries[log.best_index].reward_mean == best
+    best = max(e.summary.reward_mean for e in log.entries)
+    assert log.entries[log.best_index].summary.reward_mean == best
     # A rollout that crosses boundaries runs one evaluation, at the timestep
     # it reached; the last rollout's evaluation is not repeated.
     for interval, timesteps in ((800, [2048, 4096]), (2400, [4096])):
@@ -569,7 +569,7 @@ def test_learning_solves_small_grids(contexts):
     policy, log = train(contexts.split(Split.TRAIN), contexts.split(Split.EVAL), cfg)
     summary = evaluate_policy(policy, contexts.split(Split.TEST), episodes=50)
     assert summary.reward_mean >= 0.8, f"4x4 test reward {summary.reward_mean}"
-    assert log.entries[log.best_index].reward_mean >= 0.8
+    assert log.entries[log.best_index].summary.reward_mean >= 0.8
     assert not log.warnings
 
 
@@ -580,7 +580,7 @@ def test_hopeless_maps_trigger_the_divergence_warning():
     eval_ctx = [Context(id=3 + i, grid=grid, split=Split.EVAL) for i in range(3)]
     _, log = train(train_ctx, eval_ctx, tiny_config())
     assert log.warnings and "still 0" in log.warnings[0]
-    assert all(e.reward_mean == 0.0 for e in log.entries)
+    assert all(e.summary.reward_mean == 0.0 for e in log.entries)
 
 
 def test_train_validates_inputs(contexts):
@@ -665,7 +665,8 @@ def test_evaluate_policy_round_robins(contexts):
 
 def test_trainlog_csv_layout(tmp_path):
     log = TrainLog(
-        entries=(TrainLogEntry(512, 0.5, 0.1, 20.0), TrainLogEntry(1024, 0.75, 0.2, 12.5)),
+        entries=(TrainLogEntry(512, RunSummary(0.5, 0.1, 20.0, 1.0, 0.0, 0.0, 10)),
+                 TrainLogEntry(1024, RunSummary(0.75, 0.2, 12.5, 2.0, 0.0, 0.0, 10))),
         best_index=1,
     )
     path = tmp_path / "log.csv"

@@ -107,8 +107,9 @@ def test_reward_is_a_step_function_of_tau(contexts4):
     study = known_optimum_study(0, contexts4)
     for rec in study.records:
         expected = 1.0 if rec.tau <= 0.5 else 0.0
-        assert rec.reward_mean == expected, f"tau {rec.tau}: reward {rec.reward_mean}"
-        assert rec.ir_percent == (100.0 if rec.tau <= 0.5 else 0.0)
+        assert rec.summary.reward_mean == expected, (
+            f"tau {rec.tau}: reward {rec.summary.reward_mean}")
+        assert rec.summary.ir_percent == (100.0 if rec.tau <= 0.5 else 0.0)
 
 
 def test_best_tau_lands_in_the_winning_region(contexts4):
@@ -116,7 +117,7 @@ def test_best_tau_lands_in_the_winning_region(contexts4):
     assert study.best_reward == 1.0
     assert DEFAULT_LO <= study.best_tau <= 0.5
     # Ties resolve toward the larger tau: the winner is the largest winning draw.
-    winners = [r.tau for r in study.records if r.reward_mean == 1.0]
+    winners = [r.tau for r in study.records if r.summary.reward_mean == 1.0]
     assert study.best_tau == max(winners)
 
 
@@ -125,7 +126,7 @@ def test_losing_trials_truncate_instead_of_scoring(contexts4):
     losers = [r for r in study.records if r.tau > 0.5]
     assert losers, "this seed should draw at least one tau above 0.5"
     for rec in losers:
-        assert rec.reward_mean == 0.0 and rec.or_percent == 0.0
+        assert rec.summary.reward_mean == 0.0 and rec.summary.or_percent == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +217,8 @@ def test_memoized_study_equals_per_trial_reference(contexts4, monkeypatch):
     for rec in study.records:
         cfg = replace(gate, tau=rec.tau, mode=RunMode.ASK)
         eps = per_step_forward_batch(policy, RuleClient(), eval_contexts, cfg, episodes)
-        summary = metrics_mod.aggregate(eps)
         assert rec == TrialRecord(
-            trial=rec.trial, tau=rec.tau,
-            reward_mean=summary.reward_mean, reward_std=summary.reward_std,
-            ir_percent=summary.ir_percent, or_percent=summary.or_percent,
+            trial=rec.trial, tau=rec.tau, summary=metrics_mod.aggregate(eps),
             context_ids=tuple(sorted({ep.context_id for ep in eps})),
         )
         assert run_batch(policy, RuleClient(), eval_contexts, cfg, episodes) == eps
@@ -256,7 +254,7 @@ def test_a_study_whose_paths_agree_computes_only_the_first_trial(contexts4, monk
     made = count_episode_generators(monkeypatch)
     study = tune_threshold(policy, RuleClient(), eval_contexts, lo=0.0, hi=1.0, trials=trials,
                            seed=0, episodes_per_trial=episodes, gate=gate)
-    assert all(rec.ir_percent == 100.0 for rec in study.records)
+    assert all(rec.summary.ir_percent == 100.0 for rec in study.records)
     assert made == list(range(episodes))
     assert len(calls) == steps
     # The gate reads cells: no one-hot is built, and each trial makes one
@@ -293,7 +291,7 @@ def test_study_csv_bytes_are_pinned(tmp_path, contexts4):
                            gate=GateConfig(passes=7, seed=1, max_steps=20))
     path = tmp_path / "study.csv"
     write_study_csv(study, str(path), {"seed": 2})
-    assert len({r.ir_percent for r in study.records}) > 1
+    assert len({r.summary.ir_percent for r in study.records}) > 1
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "eed8fefa3e472dee6c9b2695354588677494c17c6ab9ddf1adb2d751fd504a58")
 
